@@ -56,7 +56,7 @@ from .moments import (
     conditional_moments,
     distribution_from_moments,
     distribution_from_vector,
-    independence_test,
+    factorizes_over,
     marginal,
     moments_from_distribution,
     transform_values,

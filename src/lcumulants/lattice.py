@@ -203,8 +203,10 @@ class PartitionLattice:
         if lo_id == hi_id:
             value = 1
         else:
+            # Recursing at the upper end keeps the weights to the top, which
+            # the transforms use, to one memo entry per element.
             between = self._above[lo_id] & self._below[hi_id]
-            value = -sum(self._mobius_ids(lo_id, mid) for mid in between if mid != hi_id)
+            value = -sum(self._mobius_ids(mid, hi_id) for mid in between if mid != lo_id)
         self._mobius[key] = value
         return value
 

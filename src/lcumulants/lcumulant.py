@@ -8,10 +8,9 @@ Boolean cumulants, non-crossing partitions give free cumulants, one
 cluster partitions give central moments, and tree partitions give the
 coordinates adapted to latent tree models.
 
-The inverse is Moebius inversion.  When the family's intervals factor
-blockwise (verified, never assumed), the inverse is the sum of products of
-cumulants over the lattice; otherwise a triangular solve by index size is
-used.  Both paths are exact.
+The inverse solves the forward sums for the moments by increasing index
+size.  The system is triangular for every family, so the solve is exact
+without any condition on the lattice.
 
 Also here: the classical-cumulant bridge, cumulant tensors with their
 multilinear transformation law, shift (semi-)invariance, detection of
@@ -33,7 +32,6 @@ from .lattice import (
     Family,
     PartitionLattice,
     build,
-    check_condition,
 )
 from .moments import (
     CLASSICAL_CUMULANTS,
@@ -130,70 +128,25 @@ def classical_cumulants(mv: CoordinateVector, capacity: int | None = DEFAULT_CAP
     return to_lcumulants(mv, Family(FULL), capacity, system=CLASSICAL_CUMULANTS)
 
 
-_c0_verified: dict[tuple, int] = {}
-
-
-def _product_form_applies(fam: Family, max_size: int) -> bool:
-    """Machine-verify the blockwise interval factorisation up to a size.
-
-    Results are cached per family; a verification at size s covers all
-    smaller sizes.  Sizes beyond the exhaustive-check limit report False,
-    which routes the inverse through the triangular solve.
-    """
-    key = (fam.kind, fam.tree)
-    verified = _c0_verified.get(key, 0)
-    if verified >= max_size:
-        return True
-    report = check_condition(fam, "C0", max_size)
-    if report.holds is None:
-        return False
-    if report.holds:
-        _c0_verified[key] = max_size
-        return True
-    return False
-
-
 def from_lcumulants(
     lv: CoordinateVector,
     fam: Family | None = None,
     capacity: int | None = DEFAULT_CAPACITY,
 ) -> CoordinateVector:
-    """Inverse transform: the family's cumulants back to raw moments."""
+    """Inverse transform: the family's cumulants back to raw moments.
+
+    Moments are solved for by increasing index size.  The top term of the
+    forward sum is the moment itself (Moebius value 1), and every other
+    term multiplies moments of strictly smaller indices, so the system is
+    triangular in the size filtration.
+    """
     if lv.system not in (LCUMULANTS, CLASSICAL_CUMULANTS):
         raise ValueError(f"expected a cumulant system, got {lv.system}")
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    sys_ = LCumulantSystem(fam, lv.space, capacity)
-    max_size = sum(r - 1 for r in lv.space.arities)
-    if _product_form_applies(fam, min(max_size, 6)) and max_size <= 6:
-        return _from_lcumulants_product(lv, sys_)
-    return _from_lcumulants_triangular(lv, sys_)
-
-
-def _from_lcumulants_product(lv: CoordinateVector, sys_: LCumulantSystem) -> CoordinateVector:
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in lv.space.states():
-        multiset = lv.space.index_multiset(x)
-        if not multiset:
-            entries[x] = Fraction(1)
-            continue
-        lat = sys_.lattice(multiset)
-        total = Fraction(0)
-        for pi in lat.elements:
-            total += _moment_of_blocks(lv, multiset, pi)
-        entries[x] = total
-    return CoordinateVector(lv.space, MOMENTS, entries)
-
-
-def _from_lcumulants_triangular(lv: CoordinateVector, sys_: LCumulantSystem) -> CoordinateVector:
-    """Solve for moments by increasing index size.
-
-    The top term of the forward sum is the moment itself (Moebius value 1),
-    and every other term multiplies moments of strictly smaller indices,
-    so the system is triangular in the size filtration.
-    """
     space = lv.space
+    sys_ = LCumulantSystem(fam, space, capacity)
     entries: dict[tuple[int, ...], Fraction] = {}
 
     def lookup(multiset: Iterable[int]) -> Fraction:

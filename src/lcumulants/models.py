@@ -558,7 +558,6 @@ def _conditionally_independent(
     blocks = [tuple(b) for b in blocks if b]
     flat = tuple(sorted(v for b in blocks for v in b))
     joint = marginal(dist, flat + (r,))
-    r_pos = joint.space.n  # r sorts last only if larger; recompute positions
     ordering = sorted(flat + (r,))
     pos = {v: ordering.index(v) + 1 for v in flat + (r,)}
     for level in range(2):

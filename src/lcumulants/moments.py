@@ -519,7 +519,3 @@ def factorizes_over(mv: CoordinateVector, pi0: SetPartition) -> bool:
         if mv.entries[x] != product:
             return False
     return True
-
-
-def independence_test(mv: CoordinateVector, pi0: SetPartition) -> bool:
-    return factorizes_over(mv, pi0)

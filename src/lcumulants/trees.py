@@ -3,11 +3,11 @@
 The partitions of a leaf subset I induced by cutting edges of the minimal
 subtree over I form a lattice; the associated cumulants are the
 coordinates in which marginal independence across any edge split of the
-tree shows up as vanishing.  For caterpillar-shaped trees the computation
-collapses to an alternating sum of central-moment products over interval
-partitions without singleton blocks, because those are the only
-singleton-free tree partitions and their Moebius weights are the Boolean
-ones.
+tree shows up as vanishing.  From central moments only the singleton-free
+tree partitions contribute, each with its Moebius weight to the top.  On
+a caterpillar these are the interval partitions, in spine order, without
+singleton blocks, and their weights are the Boolean ones, so no lattice
+is built.
 
 For a tree whose inner nodes are binary latent variables (the general
 Markov construction), every coordinate of the observed leaf vector is,
@@ -35,7 +35,7 @@ from .moments import (
     central_moments,
 )
 from .partition import DEFAULT_CAPACITY, all_partitions, is_interval
-from .topology import TreeTopology, induced_subtree, is_caterpillar
+from .topology import TreeTopology, induced_subtree, is_caterpillar, suppress_degree_two
 
 TREE_CUMULANTS = LCUMULANTS  # tree cumulants are the lattice cumulants of a tree family
 
@@ -52,14 +52,67 @@ def tree_cumulants(mv: CoordinateVector, tree: TreeTopology, capacity: int | Non
     return to_lcumulants(mv, Family(TREE, tree), capacity)
 
 
+def _spine_rank(tree: TreeTopology) -> dict[int, int] | None:
+    """Leaf positions along a caterpillar's spine; None for other shapes.
+
+    With degree-2 nodes suppressed, the leaves farthest from any leaf sit
+    at an end of the spine, and the distance from such an end leaf is a
+    leaf's position.  The two leaves of an end cherry tie, and no
+    singleton-free interval partition separates them.
+    """
+    if not is_caterpillar(tree):
+        return None
+    core = suppress_degree_two(TreeTopology([tuple(e) for e in tree.edges]))
+    start = core.leaves[0]
+    end = max(core.leaves, key=lambda leaf: len(core.path(start, leaf)))
+    return {leaf: len(core.path(end, leaf)) for leaf in core.leaves}
+
+
+def _singleton_free_sums(
+    tree: TreeTopology, supports: Sequence[tuple[int, ...]], cm: CoordinateVector, capacity: int | None
+) -> dict[tuple[int, ...], Fraction]:
+    """Sum over the singleton-free tree partitions of each leaf subset.
+
+    Each partition contributes its Moebius weight to the top times the
+    central moments ``cm`` of its blocks.  A caterpillar takes the
+    singleton-free interval partitions of the support in spine order with
+    the Boolean weight; other trees read partitions and weights off the
+    tree partition lattice.
+    """
+    rank = _spine_rank(tree)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for support in supports:
+        if rank is not None:
+            ordered = sorted(support, key=rank.__getitem__)
+            terms = (
+                ([tuple(ordered[j] for j in b) for b in pi.blocks], (-1) ** (pi.num_blocks - 1))
+                for pi in all_partitions(len(ordered), capacity=None)
+                if is_interval(pi) and all(len(b) > 1 for b in pi.blocks)
+            )
+        else:
+            lat = tree_partitions(tree, support, capacity)
+            terms = (
+                ([tuple(support[j] for j in b) for b in pi.blocks], lat.mobius_to_top(pi))
+                for pi in lat.elements
+                if all(len(b) > 1 for b in pi.blocks)
+            )
+        total = Fraction(0)
+        for blocks, weight in terms:
+            term = Fraction(weight)
+            for block in blocks:
+                term *= cm.of_multiset(block)
+            total += term
+        out[support] = total
+    return out
+
+
 def tree_cumulants_via_central(
     mv: CoordinateVector, tree: TreeTopology, capacity: int | None = DEFAULT_CAPACITY
 ) -> CoordinateVector:
     """Tree cumulants through central moments; must agree with the direct sum.
 
     Centering kills every term with a singleton block, so only the
-    singleton-free tree partitions contribute; for caterpillars those are
-    the singleton-free interval partitions with alternating sign.
+    singleton-free tree partitions contribute.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
@@ -67,38 +120,17 @@ def tree_cumulants_via_central(
     if any(r != 2 for r in space.arities):
         raise ValueError("tree cumulants need a binary state space")
     cm = central_moments(mv)
-    fam = Family(TREE, tree)
+    supports = {x: tuple(i + 1 for i, e in enumerate(x) if e) for x in space.states()}
+    sums = _singleton_free_sums(tree, [s for s in supports.values() if len(s) > 1], cm, capacity)
     entries: dict[tuple[int, ...], Fraction] = {}
-    caterpillar_shape = is_caterpillar(tree)
-    for x in space.states():
-        support = tuple(i + 1 for i, e in enumerate(x) if e)
-        d = len(support)
-        if d == 0:
-            entries[x] = Fraction(0)
-            continue
-        if d == 1:
+    for x, support in supports.items():
+        if len(support) > 1:
+            entries[x] = sums[support]
+        elif support:
             entries[x] = mv.entries[x]
-            continue
-        total = Fraction(0)
-        if caterpillar_shape:
-            for pi in all_partitions(d, capacity=None):
-                if not is_interval(pi) or any(len(b) == 1 for b in pi.blocks):
-                    continue
-                term = Fraction((-1) ** (pi.num_blocks - 1))
-                for block in pi.blocks:
-                    term *= cm.of_multiset(support[j] for j in block)
-                total += term
         else:
-            lat = tree_partitions(tree, support, capacity)
-            for pi in lat.elements:
-                if any(len(b) == 1 for b in pi.blocks):
-                    continue
-                term = Fraction(lat.mobius_to_top(pi))
-                for block in pi.blocks:
-                    term *= cm.of_multiset(support[j] for j in block)
-                total += term
-        entries[x] = total
-    return CoordinateVector(space, TREE_CUMULANTS, entries, family=fam)
+            entries[x] = Fraction(0)
+    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
 
 
 def subset_tree_cumulants(
@@ -114,31 +146,9 @@ def subset_tree_cumulants(
 
     cm = central_moments_direct(dist)
     n = dist.space.n
-    caterpillar_shape = is_caterpillar(tree)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for r in range(1, n + 1):
-        for support in itertools.combinations(range(1, n + 1), r):
-            if r == 1:
-                out[support] = dist.raw_moment(support)
-                continue
-            total = Fraction(0)
-            if caterpillar_shape:
-                source = (
-                    pi
-                    for pi in all_partitions(r, capacity=None)
-                    if is_interval(pi) and all(len(b) > 1 for b in pi.blocks)
-                )
-                weight = lambda pi: Fraction((-1) ** (pi.num_blocks - 1))
-            else:
-                lat = tree_partitions(tree, support, capacity)
-                source = (pi for pi in lat.elements if all(len(b) > 1 for b in pi.blocks))
-                weight = lat.mobius_to_top
-            for pi in source:
-                term = weight(pi)
-                for block in pi.blocks:
-                    term *= cm.of_multiset(support[j] for j in block)
-                total += term
-            out[support] = total
+    out = {(i,): dist.raw_moment((i,)) for i in range(1, n + 1)}
+    supports = [s for r in range(2, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
+    out.update(_singleton_free_sums(tree, supports, cm, capacity))
     return out
 
 

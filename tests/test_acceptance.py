@@ -38,7 +38,7 @@ from lcumulants.moments import (
     StateSpace,
     central_moments,
     distribution_from_moments,
-    independence_test,
+    factorizes_over,
     moments_from_distribution,
 )
 from lcumulants.models import (
@@ -212,7 +212,7 @@ def test_c06_vanishing_characterizes_factorization():
             table[x] = p
         mv = moments_from_distribution(DiscreteDistribution(space, table))
         lv = to_lcumulants(mv, Family(FULL))
-        assert independence_test(mv, pi0) and vanishes_outside(lv, pi0)
+        assert factorizes_over(mv, pi0) and vanishes_outside(lv, pi0)
         held += 1
         bad = dict(table)
         shift = Fraction(1, 101 + trial)
@@ -220,7 +220,7 @@ def test_c06_vanishing_characterizes_factorization():
         bad[(1,) * 5] -= shift
         mv_bad = moments_from_distribution(DiscreteDistribution(space, bad, algebraic=True))
         lv_bad = to_lcumulants(mv_bad, Family(FULL))
-        assert not independence_test(mv_bad, pi0) and not vanishes_outside(lv_bad, pi0)
+        assert not factorizes_over(mv_bad, pi0) and not vanishes_outside(lv_bad, pi0)
         failed += 1
     assert held == failed == 50
     print("[PASS] criterion 6: factorization and vanishing agree on 50 + 50 instances")

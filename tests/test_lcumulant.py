@@ -19,19 +19,17 @@ from lcumulants.lcumulant import (
     shift_invariance_check,
     to_lcumulants,
     vanishes_outside,
-    _from_lcumulants_product,
-    _from_lcumulants_triangular,
 )
 from lcumulants.moments import (
     DiscreteDistribution,
     StateSpace,
     central_moments,
-    independence_test,
+    factorizes_over,
     moments_from_distribution,
     transform_values,
 )
 from lcumulants.partition import SetPartition, parse_partition
-from lcumulants.topology import caterpillar, star
+from lcumulants.topology import caterpillar, from_newick, star
 
 from conftest import random_distribution
 
@@ -48,6 +46,29 @@ def families_at(n):
 
 def random_moments(space, rng, algebraic=False):
     return moments_from_distribution(random_distribution(space, rng, algebraic=algebraic))
+
+
+def product_inverse(lv, fam):
+    """Moments as zeta sums of blockwise cumulant products over the lattice.
+
+    Valid when every lattice interval factors blockwise (condition C0);
+    kept here as an independent oracle for the triangular solve.
+    """
+    sys_ = LCumulantSystem(fam, lv.space)
+    entries = {}
+    for x in lv.space.states():
+        multiset = lv.space.index_multiset(x)
+        if not multiset:
+            entries[x] = Fraction(1)
+            continue
+        total = Fraction(0)
+        for pi in sys_.lattice(multiset).elements:
+            term = Fraction(1)
+            for block in pi.blocks:
+                term *= lv.of_multiset(multiset[j] for j in block)
+            total += term
+        entries[x] = total
+    return entries
 
 
 def mixture(weights, dists):
@@ -138,14 +159,23 @@ class TestInverse:
             assert from_lcumulants(to_lcumulants(mv, fam)).entries == mv.entries
 
     def test_product_and_triangular_inverses_agree(self, rng):
-        space = StateSpace.binary(4)
-        for fam in families_at(4):
+        cases = [(StateSpace.binary(4), fam) for fam in families_at(4)]
+        cases += [(StateSpace.of([2, 3, 2]), fam) for fam in families_at(3)[:4]]  # trees need a binary box
+        for space, fam in cases:
             mv = random_moments(space, rng)
             lv = to_lcumulants(mv, fam)
-            sys_ = LCumulantSystem(fam, space)
-            prod = _from_lcumulants_product(lv, sys_)
-            tri = _from_lcumulants_triangular(lv, sys_)
-            assert prod.entries == tri.entries == mv.entries
+            assert product_inverse(lv, fam) == from_lcumulants(lv).entries == mv.entries
+
+    def test_inverse_runs_no_condition_check(self, rng, monkeypatch):
+        import lcumulants.lattice
+
+        def refuse(*args):
+            raise AssertionError("the inverse must not check C0")
+
+        monkeypatch.setattr(lcumulants.lattice, "_check_c0", refuse)
+        fam = Family(TREE, from_newick("((3,1)a,(4,2)b)r;"))
+        mv = random_moments(StateSpace.binary(4), rng)
+        assert from_lcumulants(to_lcumulants(mv, fam)).entries == mv.entries
 
     def test_vanishing_higher_coordinates_mean_independence(self):
         # With only first-order coordinates set, moments are products.
@@ -381,14 +411,14 @@ class TestIndependenceDetection:
                     table[x] = p
                 mv = moments_from_distribution(DiscreteDistribution(space, table))
                 lv = to_lcumulants(mv, Family(FULL))
-                assert independence_test(mv, pi0)
+                assert factorizes_over(mv, pi0)
                 assert vanishes_outside(lv, pi0)
                 bad = dict(table)
                 bad[(0,) * 5] += Fraction(1, 97)
                 bad[(1,) * 5] -= Fraction(1, 97)
                 mv_bad = moments_from_distribution(DiscreteDistribution(space, bad, algebraic=True))
                 lv_bad = to_lcumulants(mv_bad, Family(FULL))
-                assert not independence_test(mv_bad, pi0)
+                assert not factorizes_over(mv_bad, pi0)
                 assert not vanishes_outside(lv_bad, pi0)
 
 

@@ -13,7 +13,7 @@ from lcumulants.moments import (
     central_moments_direct,
     conditional_moments,
     distribution_from_moments,
-    independence_test,
+    factorizes_over,
     marginal,
     moments_from_distribution,
     transform_values,
@@ -254,7 +254,7 @@ class TestIndependence:
         space = StateSpace.binary(3)
         factors = [[Fraction(1, 3), Fraction(2, 3)]] * 3
         mv = moments_from_distribution(DiscreteDistribution.product(space, factors))
-        assert independence_test(mv, SetPartition.singletons(3))
+        assert factorizes_over(mv, SetPartition.singletons(3))
 
     def test_mixed_arity_pair_conditions(self, rng):
         # Factorization over 1|2 on a (2, 3) box is exactly the two moment
@@ -266,7 +266,7 @@ class TestIndependence:
             (x1, x2): d1.p((x1,)) * d2.p((x2,)) for x1 in range(2) for x2 in range(3)
         }
         mv = moments_from_distribution(DiscreteDistribution(space, table))
-        assert independence_test(mv, SetPartition.singletons(2))
+        assert factorizes_over(mv, SetPartition.singletons(2))
         assert mv[(1, 1)] == mv[(1, 0)] * mv[(0, 1)]
         assert mv[(1, 2)] == mv[(1, 0)] * mv[(0, 2)]
 
@@ -278,7 +278,7 @@ class TestIndependence:
         table[(0, 0)] += Fraction(1, 24)
         table[(1, 1)] -= Fraction(1, 24)
         mv = moments_from_distribution(DiscreteDistribution(space, table))
-        assert not independence_test(mv, SetPartition.singletons(2))
+        assert not factorizes_over(mv, SetPartition.singletons(2))
 
     def test_blockwise_factorization_matches_table_product(self, rng):
         # Moment factorization over a partition holds exactly when the table
@@ -292,8 +292,8 @@ class TestIndependence:
             table[x] = b1.p((x[0], x[2])) * b2.p((x[1], x[3]))
         dist = DiscreteDistribution(space, table)
         mv = moments_from_distribution(dist)
-        assert independence_test(mv, pi0)
-        assert not independence_test(mv, parse_partition("12|34")) or _really_factorizes(dist)
+        assert factorizes_over(mv, pi0)
+        assert not factorizes_over(mv, parse_partition("12|34")) or _really_factorizes(dist)
 
     def test_factorization_equivalence_on_mixed_arities(self, rng):
         # Moment factorization over pi0 holds exactly when the table is the
@@ -307,7 +307,7 @@ class TestIndependence:
         }
         dist = DiscreteDistribution(space, table)
         mv = moments_from_distribution(dist)
-        assert independence_test(mv, pi0)
+        assert factorizes_over(mv, pi0)
         left, right = marginal(dist, [1, 3]), marginal(dist, [2, 4])
         assert all(
             dist.p(x) == left.p((x[0], x[2])) * right.p((x[1], x[3]))
@@ -317,7 +317,7 @@ class TestIndependence:
         bad[(0, 0, 0, 0)] += Fraction(1, 73)
         bad[(1, 2, 1, 2)] -= Fraction(1, 73)
         mv_bad = moments_from_distribution(DiscreteDistribution(space, bad, algebraic=True))
-        assert not independence_test(mv_bad, pi0)
+        assert not factorizes_over(mv_bad, pi0)
 
     def test_distribution_modes(self):
         space = StateSpace.binary(1)

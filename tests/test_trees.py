@@ -114,10 +114,15 @@ class TestTreePartitionLattices:
         assert images == {p.rgs for p in small.elements}
 
 
+def shuffled_caterpillar():
+    """Five-leaf caterpillar whose spine order 3,1,5,2,4 is not index order."""
+    return from_newick("(3,1,(5,(2,4)h3)h2)h1;")
+
+
 class TestTreeCumulants:
     @pytest.mark.parametrize(
         "tree_builder",
-        [lambda: caterpillar(3), lambda: caterpillar(4), lambda: caterpillar(5), lambda: star(4), lambda: star(5), quartet],
+        [lambda: caterpillar(3), lambda: caterpillar(4), lambda: caterpillar(5), lambda: star(4), lambda: star(5), quartet, shuffled_caterpillar],
     )
     def test_direct_and_central_paths_agree(self, tree_builder, rng):
         tree = tree_builder()
@@ -143,13 +148,11 @@ class TestTreeCumulants:
         assert all(v == 0 for x, v in tv.entries.items() if sum(x) >= 2)
 
     def test_subset_variant_matches_binary_vector(self, rng):
-        space = StateSpace.binary(4)
-        dist = random_distribution(space, rng)
-        mv = moments_from_distribution(dist)
-        tv = tree_cumulants(mv, caterpillar(4))
-        by_subset = subset_tree_cumulants(dist, caterpillar(4))
-        for support, value in by_subset.items():
-            assert tv.of_multiset(support) == value
+        for tree in (caterpillar(4), shuffled_caterpillar()):
+            dist = random_distribution(StateSpace.binary(tree.num_leaves), rng)
+            tv = tree_cumulants(moments_from_distribution(dist), tree)
+            for support, value in subset_tree_cumulants(dist, tree).items():
+                assert tv.of_multiset(support) == value
 
     def test_subset_variant_accepts_wide_alphabets(self, rng):
         space = StateSpace.of([3, 2, 4])
