@@ -23,6 +23,7 @@ from .lattice import (
     build,
     check_condition,
     custom_lattice,
+    mobius_weights,
 )
 from .lcumulant import (
     CumulantTensor,

@@ -103,7 +103,7 @@ def _load_tree(tree_file: str | None, tree_text: str | None = None) -> TreeTopol
         raise SystemExit2("a tree family needs --tree")
     if os.path.exists(tree_file):
         with open(tree_file) as fh:
-            return from_newick(fh.read())
+            return _parse_newick(fh.read())
     return _named_tree(tree_file)
 
 
@@ -115,10 +115,25 @@ def _named_tree(text: str) -> TreeTopology:
         return star(int(text[len("star") :]))
     if text == "quartet":
         return quartet()
+    return _parse_newick(text)
+
+
+def _parse_newick(text: str) -> TreeTopology:
     try:
         return from_newick(text)
     except (ValueError, IndexError) as exc:
-        raise SystemExit2(f"cannot parse tree {text!r}: {exc}") from None
+        raise SystemExit2(f"cannot parse tree {text.strip()!r}: {exc}") from None
+
+
+def _read_json_object(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit2(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise SystemExit2(f"{path} must hold a JSON object, not a {type(data).__name__}")
+    return data
 
 
 class SystemExit2(Exception):
@@ -219,11 +234,7 @@ def _from_moments_hub(mv: CoordinateVector, target: str, fam: Family | None) -> 
 
 
 def cmd_transform(args) -> int:
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read {args.input}: {exc}") from None
+    data = _read_json_object(args.input)
     source = args.source or data.get("system")
     if source not in _SYSTEMS:
         raise SystemExit2(f"--from must be one of {_SYSTEMS}")
@@ -254,11 +265,7 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_gmm_params(path: str) -> tuple[GMMParams, str | None]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}") from None
+    data = _read_json_object(path)
     tables = {}
     for edge in data["edges"]:
         u, v = edge["u"], edge["v"]
@@ -329,11 +336,7 @@ def cmd_model_secant(args) -> int:
 
 
 def _load_hmm_params(path: str) -> HMMParams:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}") from None
+    data = _read_json_object(path)
     space = StateSpace.of(
         data["arities"],
         [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
@@ -419,10 +422,12 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
 def _run_trials(fn: Callable, items: list, jobs: int | None) -> list[dict]:
     """Map a picklable trial over its inputs, merging in index order.
 
-    The per-trial seeds are derived up front, so the report is
-    byte-identical whatever the worker count.
+    The worker count is capped at the machine's CPU count.  The per-trial
+    seeds are derived up front, so the report is byte-identical whatever
+    the worker count.
     """
-    if jobs and jobs > 1:
+    jobs = min(jobs or 1, os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
@@ -710,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--jobs", type=int, help="worker processes for trial batches")
+    p.add_argument("--jobs", type=int, help="worker processes for trial batches, at most the CPU count")
     p.add_argument("--family", default=FULL)
     p.add_argument("--tree")
     p.add_argument("--params")

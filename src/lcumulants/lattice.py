@@ -17,6 +17,13 @@ meets in the full partition lattice.
 The Moebius memo table is filled lazily.  Writes are idempotent (a key is
 always recomputed to the same value), so concurrent readers may at worst
 duplicate work; no locking is required under the usual dict atomicity.
+
+Callers that need only the weights mu(pi, top), such as the forward and
+inverse transforms, use :func:`mobius_weights` instead of a lattice.  It
+builds no order: full, interval and one-cluster lattices have closed
+forms, and non-crossing and tree lattices recurse down from the top over
+coarsenings generated as partitions of blocks.  Its tables are cached for
+the whole process in a bounded LRU keyed by (family, ground set).
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .partition import (
@@ -285,12 +294,10 @@ class PartitionLattice:
 # -- construction --------------------------------------------------------
 
 
-def build(
-    fam: Family,
-    ground: int | Sequence[int],
-    capacity: int | None = DEFAULT_CAPACITY,
-) -> PartitionLattice:
-    """Build the lattice of a family over a ground set.
+def _ground_labels(
+    fam: Family, ground: int | Sequence[int], capacity: int | None
+) -> tuple[int, ...]:
+    """The 1-based labels of a ground set, checked against the cap.
 
     ``ground`` is either a size d (positions alias variables 1..d) or an
     increasing sequence of 1-based variable labels; tree families require
@@ -311,11 +318,26 @@ def build(
         assert fam.tree is not None
         if not set(labels) <= set(fam.tree.leaves):
             raise ValueError(f"labels {labels} are not leaves of the tree")
-        elements = _tree_elements(fam.tree, labels)
-    else:
-        predicate = _PREDICATES[fam.kind]
-        elements = [p for p in all_partitions(d, capacity=None) if predicate(p)]
-    return PartitionLattice(elements, family_tag=fam, labels=labels, validate=True)
+    return labels
+
+
+def _elements(fam: Family, labels: tuple[int, ...]) -> list[SetPartition]:
+    """The family's partitions of the ground set, in lattice order."""
+    if fam.kind == TREE:
+        assert fam.tree is not None
+        return _tree_elements(fam.tree, labels)
+    predicate = _PREDICATES[fam.kind]
+    return [p for p in all_partitions(len(labels), capacity=None) if predicate(p)]
+
+
+def build(
+    fam: Family,
+    ground: int | Sequence[int],
+    capacity: int | None = DEFAULT_CAPACITY,
+) -> PartitionLattice:
+    """Build the lattice of a family over a ground set (a size or labels)."""
+    labels = _ground_labels(fam, ground, capacity)
+    return PartitionLattice(_elements(fam, labels), family_tag=fam, labels=labels, validate=True)
 
 
 def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartition]:
@@ -351,6 +373,76 @@ def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartiti
         if ok:
             out.append(p)
     return out
+
+
+# -- Moebius weights without the order ---------------------------------------
+
+Weights = tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
+
+# Weight tables live for the whole process, keyed by (family, ground), so
+# a session's later transforms on the same family and sizes reuse them.
+WEIGHT_CACHE_SIZE = 512
+
+# The recursion is exact for these families too, but it visits Bell(k)
+# merges per element of k blocks; for the full lattice at d = 10 that is
+# about twenty times the cost of enumerating the elements.
+_CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
+    FULL: lambda k, d: (-1) ** (k - 1) * factorial(k - 1),
+    INTERVAL: lambda k, d: (-1) ** (k - 1),
+    # Above any element but the bottom the one-cluster lattice is Boolean:
+    # the points outside the cluster join it one at a time.
+    ONECLUSTER: lambda k, d: (-1) ** (d - 1) * (d - 1) if k == d >= 2 else (-1) ** (k - 1),
+}
+
+
+def mobius_weights(
+    fam: Family,
+    ground: int | Sequence[int],
+    capacity: int | None = DEFAULT_CAPACITY,
+) -> Weights:
+    """``(blocks, mu(pi, top))`` for every element pi of the family lattice.
+
+    The pairs come in :attr:`PartitionLattice.elements` order (finest
+    first) and agree with ``build(fam, ground).mobius_to_top``, but no
+    order is built: full, interval and one-cluster lattices have closed
+    forms, and the others recurse over generated coarsenings.  Tables are
+    cached per size for size-indexed families and per leaf tuple for trees.
+    """
+    labels = _ground_labels(fam, ground, capacity)
+    return _cached_weights(fam, len(labels) if fam.size_indexed else labels)
+
+
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _cached_weights(fam: Family, ground: int | tuple[int, ...]) -> Weights:
+    labels = tuple(range(1, ground + 1)) if isinstance(ground, int) else ground
+    elements = _elements(fam, labels)
+    closed = _CLOSED_FORMS.get(fam.kind)
+    if closed is not None:
+        weights = [closed(p.num_blocks, len(labels)) for p in elements]
+    else:
+        weights = _weights_from_coarsenings(elements)
+    return tuple((p.blocks, w) for p, w in zip(elements, weights))
+
+
+def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
+    """Moebius weights to the top by recursion down from the top.
+
+    mu(pi, top) is minus the sum of mu(sigma, top) over the proper
+    coarsenings sigma of pi in the family.  The coarsenings of pi are the
+    partitions of its blocks, so they are generated and looked up among
+    the elements already done; no pair of elements is compared.
+    """
+    mu: dict[tuple[int, ...], int] = {}
+    merges: dict[int, list[tuple[int, ...]]] = {}
+    for p in reversed(elements):  # coarsest first
+        k = p.num_blocks
+        if k not in merges:
+            merges[k] = [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
+        total = 0
+        for beta in merges[k]:
+            total += mu.get(tuple(beta[b] for b in p.rgs), 0)
+        mu[p.rgs] = -total if k > 1 else 1
+    return [mu[p.rgs] for p in elements]
 
 
 def custom_lattice(elements: Iterable[SetPartition], labels: Sequence[int] | None = None) -> PartitionLattice:

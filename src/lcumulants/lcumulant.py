@@ -12,6 +12,11 @@ The inverse solves the forward sums for the moments by increasing index
 size.  The system is triangular for every family, so the solve is exact
 without any condition on the lattice.
 
+Both transforms need only the pairs (pi, mu(pi, top)) of each lattice, not
+its order.  They read them from the process-wide weight tables of
+:func:`lattice.mobius_weights` and build no lattice, so repeated calls on
+the same family and index sizes share their weights.
+
 Also here: the classical-cumulant bridge, cumulant tensors with their
 multilinear transformation law, shift (semi-)invariance, detection of
 independence structure from vanishing coordinates, the conditional
@@ -31,7 +36,9 @@ from .lattice import (
     TREE,
     Family,
     PartitionLattice,
+    Weights,
     build,
+    mobius_weights,
 )
 from .moments import (
     CLASSICAL_CUMULANTS,
@@ -53,10 +60,14 @@ class UnsupportedFamilyError(ValueError):
 
 
 class LCumulantSystem:
-    """Lattice cache for one family over one state space.
+    """One family's lattices over one state space, by index multiset.
 
-    Size-indexed families share one lattice per index size; tree families
-    key their lattices by the leaf subset.  Cache fills are idempotent, so
+    Size-indexed families key a ground set by the index size; tree
+    families key it by the leaf subset.  The forward and inverse
+    transforms read :meth:`weights`, the process-wide Moebius weight
+    tables of :func:`lattice.mobius_weights`, and build no lattice.
+    Operations that need the order itself use :meth:`lattice`, which
+    builds each lattice once per system.  Cache fills are idempotent, so
     concurrent readers may duplicate work but never see torn values.
     """
 
@@ -70,32 +81,35 @@ class LCumulantSystem:
         self.family = fam
         self.space = space
         self.capacity = capacity
-        self._cache: dict[tuple, PartitionLattice] = {}
+        self._cache: dict[int | tuple[int, ...], PartitionLattice] = {}
+
+    def _ground(self, multiset: Sequence[int]) -> int | tuple[int, ...]:
+        if self.family.size_indexed:
+            return len(multiset)
+        support = tuple(sorted(set(multiset)))
+        if len(support) != len(multiset):
+            raise UnsupportedFamilyError("tree lattices are defined for plain index sets only")
+        return support
+
+    def weights(self, multiset: Sequence[int]) -> Weights:
+        """``(blocks, mu(pi, top))`` over the lattice on the multiset's positions."""
+        return mobius_weights(self.family, self._ground(multiset), capacity=self.capacity)
 
     def lattice(self, multiset: Sequence[int]) -> PartitionLattice:
         """The family lattice on the positions of an index multiset."""
-        multiset = tuple(multiset)
-        if self.family.size_indexed:
-            key: tuple = (len(multiset),)
-            ground: int | tuple[int, ...] = len(multiset)
-        else:
-            support = tuple(sorted(set(multiset)))
-            if len(support) != len(multiset):
-                raise UnsupportedFamilyError("tree lattices are defined for plain index sets only")
-            key = support
-            ground = support
-        found = self._cache.get(key)
+        ground = self._ground(multiset)
+        found = self._cache.get(ground)
         if found is None:
             found = build(self.family, ground, capacity=self.capacity)
-            self._cache[key] = found
+            self._cache[ground] = found
         return found
 
 
 def _moment_of_blocks(
-    values: CoordinateVector, multiset: tuple[int, ...], pi: SetPartition
+    values: CoordinateVector, multiset: tuple[int, ...], blocks: Iterable[Sequence[int]]
 ) -> Fraction:
     out = Fraction(1)
-    for block in pi.blocks:
+    for block in blocks:
         out *= values.of_multiset(multiset[j] for j in block)
     return out
 
@@ -116,10 +130,9 @@ def to_lcumulants(
         if not multiset:
             entries[x] = Fraction(0)
             continue
-        lat = sys_.lattice(multiset)
         total = Fraction(0)
-        for pi in lat.elements:
-            total += lat.mobius_to_top(pi) * _moment_of_blocks(mv, multiset, pi)
+        for blocks, weight in sys_.weights(multiset):
+            total += weight * _moment_of_blocks(mv, multiset, blocks)
         entries[x] = total
     return CoordinateVector(mv.space, system, entries, family=fam)
 
@@ -157,13 +170,10 @@ def from_lcumulants(
         if not multiset:
             entries[x] = Fraction(1)
             continue
-        lat = sys_.lattice(multiset)
         lower = Fraction(0)
-        for pi in lat.elements:
-            if pi.num_blocks == 1:
-                continue
-            term = Fraction(lat.mobius_to_top(pi))
-            for block in pi.blocks:
+        for blocks, weight in sys_.weights(multiset)[:-1]:  # all but the top
+            term = Fraction(weight)
+            for block in blocks:
                 term *= lookup(multiset[j] for j in block)
             lower += term
         entries[x] = lv.entries[x] - lower
@@ -195,7 +205,7 @@ def l_from_classical(
         for pi in all_partitions(len(multiset), capacity=None):
             upper = [nu for nu in lat.elements if refines(pi, nu)]
             if len(upper) == 1:  # only the top block survives above pi
-                total += _moment_of_blocks(kv, multiset, pi)
+                total += _moment_of_blocks(kv, multiset, pi.blocks)
         entries[x] = total
     return CoordinateVector(kv.space, LCUMULANTS, entries, family=fam)
 
@@ -249,14 +259,13 @@ def cumulant_tensor(
             "cumulant tensors need one lattice per order; tree families are tied to leaf sets"
         )
     moment_fn, n = _moment_function(source, n)
-    lat = build(fam, order, capacity=capacity)
+    weights = mobius_weights(fam, order, capacity=capacity)
     entries: dict[tuple[int, ...], Fraction] = {}
-    weights = [(pi, lat.mobius_to_top(pi)) for pi in lat.elements]
     for idx in itertools.product(range(1, n + 1), repeat=order):
         total = Fraction(0)
-        for pi, weight in weights:
+        for blocks, weight in weights:
             term = Fraction(weight)
-            for block in pi.blocks:
+            for block in blocks:
                 term *= moment_fn([idx[j] for j in block])
             total += term
         entries[idx] = total
@@ -486,11 +495,10 @@ def conditional_collapse(
     ys = _y_table(y_dist)
     means = {y: [Fraction(v) for v in conditional_means[y]] for y, _ in ys}
     n = len(next(iter(means.values())))
-    lat = build(fam, tuple(range(1, n + 1)) if fam.kind == TREE else n, capacity=capacity)
     total = Fraction(0)
-    for pi in lat.elements:
-        term = Fraction(lat.mobius_to_top(pi))
-        for block in pi.blocks:
+    for blocks, weight in mobius_weights(fam, n, capacity=capacity):
+        term = Fraction(weight)
+        for block in blocks:
             mean = Fraction(0)
             for y, p in ys:
                 if p == 0:

@@ -9,6 +9,11 @@ that repeats variable ``i`` exactly ``x_i`` times.  With that aliasing the
 box is simultaneously the state space and the moment index set, and all
 changes of coordinates are exact polynomial maps over ``Fraction``.
 
+The raw-moment map is the tensor product of one Vandermonde matrix per
+variable (row k holds the k-th powers of the level values).  It and its
+inverse are applied one axis at a time, at O(|box| * sum r_i) products,
+never as a sum over pairs of box states.
+
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
 indices, and cumulant-type systems store 0 at the zero exponent.
@@ -211,14 +216,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, data: Mapping) -> DiscreteDistribution:
-        space = StateSpace.of(
-            data["arities"],
-            [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
-        )
-        table = {
-            tuple(int(c) for c in key.split(",")): Fraction(value)
-            for key, value in data["table"].items()
-        }
+        space, table = _space_and_table(data)
         return cls(space, table, algebraic=bool(data.get("algebraic", False)))
 
 
@@ -240,6 +238,9 @@ class CoordinateVector:
         missing = [x for x in self.space.states() if x not in self.entries]
         if missing:
             raise ValueError(f"missing entries, e.g. {missing[0]}")
+        if len(self.entries) != self.space.size:
+            extra = set(self.entries) - set(self.space.states())
+            raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
 
     def __getitem__(self, x: Exponent) -> Fraction:
         return self.entries[x]
@@ -263,15 +264,21 @@ class CoordinateVector:
 
     @classmethod
     def from_json(cls, data: Mapping, family: object | None = None) -> CoordinateVector:
-        space = StateSpace.of(
-            data["arities"],
-            [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
-        )
-        entries = {
-            tuple(int(c) for c in key.split(",")): Fraction(value)
-            for key, value in data["table"].items()
-        }
+        space, entries = _space_and_table(data)
         return cls(space, data["system"], entries, family=family)
+
+
+def _space_and_table(data: Mapping) -> tuple[StateSpace, dict[Exponent, Fraction]]:
+    """Read the shared JSON layout: arities, optional values, a state table."""
+    table = data["table"]
+    if not isinstance(table, Mapping):
+        raise ValueError(f"'table' must map states such as \"0,1\" to values, not a {type(table).__name__}")
+    space = StateSpace.of(
+        data["arities"],
+        [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
+    )
+    entries = {tuple(int(c) for c in key.split(",")): Fraction(value) for key, value in table.items()}
+    return space, entries
 
 
 def vector_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
@@ -287,21 +294,41 @@ def distribution_from_vector(vec: CoordinateVector, algebraic: bool = False) -> 
 # -- raw moments -----------------------------------------------------------
 
 
+def _per_axis(
+    space: StateSpace, data: Mapping[Exponent, Fraction], matrices: Sequence[Sequence[Sequence[Fraction]]]
+) -> dict[Exponent, Fraction]:
+    """Apply one r_i x r_i matrix along each axis of the box in turn.
+
+    After axis i, the entry at x is the sum over levels l of
+    ``matrices[i][x_i][l]`` times the entry at x with x_i set to l, so the
+    whole pass costs O(|box| * sum r_i) products.
+    """
+    out = dict(data)
+    for i, matrix in enumerate(matrices):
+        new: dict[Exponent, Fraction] = {}
+        for x in space.states():
+            total = Fraction(0)
+            for level, coeff in enumerate(matrix[x[i]]):
+                if coeff:
+                    total += coeff * out[x[:i] + (level,) + x[i + 1 :]]
+            new[x] = total
+        out = new
+    return out
+
+
+def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Row k holds the k-th powers of the level values."""
+    return [[v**k for v in values] for k in range(len(values))]
+
+
 def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
-    """Raw moments over the box: entry at x is E of prod values^x."""
+    """Raw moments over the box: entry at x is E of prod values^x.
+
+    The moment map is the tensor product of the per-variable Vandermonde
+    matrices, applied one axis at a time.
+    """
     space = dist.space
-    entries: dict[Exponent, Fraction] = {}
-    for x in space.states():
-        total = Fraction(0)
-        for y, p in dist.table.items():
-            if p == 0:
-                continue
-            term = p
-            for i, e in enumerate(x):
-                if e:
-                    term *= space.values[i][y[i]] ** e
-            total += term
-        entries[x] = total
+    entries = _per_axis(space, dist.table, [_vandermonde(vm) for vm in space.values])
     return CoordinateVector(space, MOMENTS, entries)
 
 
@@ -328,23 +355,11 @@ def distribution_from_moments(mv: CoordinateVector, algebraic: bool = False) -> 
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
-    data = dict(mv.entries)
     for i, (r, vm) in enumerate(zip(space.arities, space.values)):
         if len(set(vm)) != r:
             raise ValueError(f"variable {i + 1} has a non-injective value map")
-        vander = [[vm[level] ** k for level in range(r)] for k in range(r)]
-        inv = _invert(vander)
-        new: dict[Exponent, Fraction] = {}
-        for x in space.states():
-            total = Fraction(0)
-            for level in range(r):
-                coeff = inv[x[i]][level]
-                if coeff:
-                    key = x[:i] + (level,) + x[i + 1 :]
-                    total += coeff * data[key]
-            new[x] = total
-        data = new
-    return DiscreteDistribution(space, data, algebraic=algebraic)
+    inverses = [_invert(_vandermonde(vm)) for vm in space.values]
+    return DiscreteDistribution(space, _per_axis(space, mv.entries, inverses), algebraic=algebraic)
 
 
 # -- central moments -------------------------------------------------------

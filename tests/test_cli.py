@@ -36,6 +36,12 @@ class TestLattice:
         assert code == 0
         assert len(data["elements"]) == 13
 
+    def test_malformed_newick_file(self, capsys, tmp_path):
+        nwk = tmp_path / "bad.nwk"
+        nwk.write_text("(1,2\n")
+        assert main(["lattice", "--family", "tree", "--tree", str(nwk)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse tree")
+
     def test_interval_singleton(self, capsys):
         code, data = run_json(capsys, "lattice", "--family", "interval", "--n", "1")
         assert code == 0
@@ -116,6 +122,13 @@ class TestTransform:
 
     def test_missing_file(self, capsys):
         assert main(["transform", "-i", "/nonexistent.json", "--to", "moments"]) == 2
+
+    @pytest.mark.parametrize("system", ["moments", "probabilities"])
+    def test_list_table_is_a_usage_error(self, capsys, tmp_path, system):
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"arities": [2], "system": system, "table": ["1", "0"]}))
+        assert main(["transform", "-i", str(path), "--to", "moments"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_central_moments_target(self, capsys, moment_file):
         code, data = run_json(capsys, "transform", "-i", str(moment_file), "--to", "central_moments")
@@ -265,6 +278,32 @@ class TestVerify:
         _, solo = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2")
         _, multi = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2", "--jobs", "2")
         assert solo == multi
+
+    @pytest.mark.parametrize("requested, cpus, expected", [("64", 2, [2]), ("2", 4, [2]), ("8", 1, [])])
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, requested, cpus, expected):
+        import multiprocessing
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        _, solo = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2")
+        _, pooled = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2", "--jobs", requested)
+        assert started == expected
+        assert pooled == solo
 
     def test_timing_flag_adds_field(self, capsys):
         code, data = run_json(

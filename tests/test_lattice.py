@@ -14,6 +14,7 @@ from lcumulants.lattice import (
     build,
     check_condition,
     custom_lattice,
+    mobius_weights,
 )
 from lcumulants.partition import (
     SetPartition,
@@ -22,7 +23,7 @@ from lcumulants.partition import (
     restrict,
 )
 from lcumulants.rng import SplitMix64
-from lcumulants.topology import caterpillar, quartet, star
+from lcumulants.topology import caterpillar, from_newick, quartet, star
 
 FAMILIES_AT = {
     FULL: lambda n: Family(FULL),
@@ -198,6 +199,37 @@ class TestMobius:
                 Fraction(0),
             )
             assert recovered == f[p.rgs]
+
+
+class TestMobiusWeights:
+    """The order-free weights against the lattice's own Moebius recursion."""
+
+    @staticmethod
+    def oracle(fam, ground):
+        lat = build(fam, ground)
+        return tuple((p.blocks, lat.mobius_to_top(p)) for p in lat.elements)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", [FULL, NONCROSSING, INTERVAL, ONECLUSTER])
+    def test_size_indexed_families(self, kind, n):
+        assert mobius_weights(Family(kind), n) == self.oracle(Family(kind), n)
+
+    @pytest.mark.parametrize(
+        "newick",
+        [
+            "((1,2)a,((3,4)c,(5,6)d)b)r;",
+            "(3,1,(5,(2,4)h3)h2)h1;",
+            "(((4,1)x,(7,3)y)u,((2,6)z,5)w)r;",
+        ],
+    )
+    def test_every_leaf_subset_of_a_tree(self, newick):
+        fam = Family(TREE, from_newick(newick))
+        for r in range(1, fam.tree.num_leaves + 1):
+            for support in itertools.combinations(fam.tree.leaves, r):
+                assert mobius_weights(fam, support) == self.oracle(fam, support), support
+
+    def test_ground_given_as_labels_or_size(self):
+        assert mobius_weights(Family(FULL), (2, 5, 7)) == mobius_weights(Family(FULL), 3)
 
 
 class TestClosureAndMeet:

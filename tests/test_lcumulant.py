@@ -28,7 +28,7 @@ from lcumulants.moments import (
     moments_from_distribution,
     transform_values,
 )
-from lcumulants.partition import SetPartition, parse_partition
+from lcumulants.partition import CapacityError, SetPartition, parse_partition
 from lcumulants.topology import caterpillar, from_newick, star
 
 from conftest import random_distribution
@@ -176,6 +176,28 @@ class TestInverse:
         fam = Family(TREE, from_newick("((3,1)a,(4,2)b)r;"))
         mv = random_moments(StateSpace.binary(4), rng)
         assert from_lcumulants(to_lcumulants(mv, fam)).entries == mv.entries
+
+    @pytest.mark.parametrize(
+        "fam", [Family(NONCROSSING), Family(TREE, from_newick("((4,2)a,(1,3)b)r;"))], ids=str
+    )
+    def test_transforms_build_no_lattice(self, fam, rng, monkeypatch):
+        import lcumulants.lattice
+        import lcumulants.lcumulant
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transforms must not build a lattice")
+
+        lcumulants.lattice._cached_weights.cache_clear()
+        monkeypatch.setattr(lcumulants.lattice, "build", refuse)
+        monkeypatch.setattr(lcumulants.lcumulant, "build", refuse)
+        mv = random_moments(StateSpace.of([3, 2, 2, 2]) if fam.size_indexed else StateSpace.binary(4), rng)
+        assert from_lcumulants(to_lcumulants(mv, fam)).entries == mv.entries
+
+    def test_capacity_holds_once_weights_are_cached(self, rng):
+        mv = random_moments(StateSpace.binary(4), rng)
+        to_lcumulants(mv, Family(FULL))
+        with pytest.raises(CapacityError):
+            to_lcumulants(mv, Family(FULL), capacity=3)
 
     def test_vanishing_higher_coordinates_mean_independence(self):
         # With only first-order coordinates set, moments are products.

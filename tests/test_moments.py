@@ -61,6 +61,40 @@ class TestRawMoments:
         assert mv[(1,)] == Fraction(1, 2)
 
 
+def moments_by_double_loop(dist):
+    """Raw moments as a sum over every pair of box states; the oracle."""
+    space = dist.space
+    entries = {}
+    for x in space.states():
+        total = Fraction(0)
+        for y, p in dist.table.items():
+            if p == 0:
+                continue
+            term = p
+            for i, e in enumerate(x):
+                if e:
+                    term *= space.values[i][y[i]] ** e
+            total += term
+        entries[x] = total
+    return entries
+
+
+class TestPerAxisMoments:
+    @pytest.mark.parametrize("arities", [(2,) * 6, (3, 3, 2, 2), (4, 3, 2)], ids=str)
+    @pytest.mark.parametrize("algebraic", [False, True], ids=["probabilities", "signed"])
+    def test_matches_double_loop(self, arities, algebraic, rng):
+        dist = random_distribution(StateSpace.of(arities), rng, algebraic=algebraic)
+        assert moments_from_distribution(dist).entries == moments_by_double_loop(dist)
+
+    def test_matches_double_loop_with_value_maps(self, rng):
+        space = StateSpace.of(
+            [3, 2, 4],
+            values=[[-1, 0, Fraction(5, 2)], [Fraction(1, 3), -2], [0, 1, Fraction(-3, 4), 7]],
+        )
+        dist = random_distribution(space, rng, algebraic=True)
+        assert moments_from_distribution(dist).entries == moments_by_double_loop(dist)
+
+
 class TestMomentInversion:
     def test_single_binary_variable(self):
         space = StateSpace.binary(1)
@@ -354,6 +388,17 @@ class TestSerialization:
         again = type(mv).from_json(mv.to_json())
         assert again.entries == mv.entries
         assert again.system == mv.system
+
+    def test_vector_rejects_states_outside_the_box(self):
+        table = {"0,0": "1", "1,0": "0", "0,1": "0", "1,1": "0", "5,5": "1"}
+        data = {"arities": [2, 2], "system": "moments", "table": table}
+        with pytest.raises(ValueError, match="outside the box"):
+            CoordinateVector.from_json(data)
+
+    @pytest.mark.parametrize("cls", [CoordinateVector, DiscreteDistribution], ids=lambda c: c.__name__)
+    def test_table_must_be_an_object(self, cls):
+        with pytest.raises(ValueError, match="'table' must map states"):
+            cls.from_json({"arities": [2], "system": "moments", "table": ["1", "0"]})
 
     def test_algebraic_flag_survives(self):
         space = StateSpace.binary(1)
