@@ -120,7 +120,6 @@ from .trees import (
     subset_tree_cumulants,
     tree_cumulants,
     tree_cumulants_via_central,
-    tree_partitions,
     trivalent_refinement,
     variances_from_distribution,
     variances_from_moments,

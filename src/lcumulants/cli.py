@@ -121,7 +121,7 @@ def _named_tree(text: str) -> TreeTopology:
 def _parse_newick(text: str) -> TreeTopology:
     try:
         return from_newick(text)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         raise SystemExit2(f"cannot parse tree {text.strip()!r}: {exc}") from None
 
 
@@ -257,48 +257,46 @@ def cmd_transform(args) -> int:
 # -- model --------------------------------------------------------------------
 
 
-def _fraction_list(text: str) -> tuple[Fraction, ...]:
+def _fraction(text: str) -> Fraction:
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit2(f"cannot parse rational list {text!r}: {exc}") from None
+        raise SystemExit2(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def _load_gmm_params(path: str) -> tuple[GMMParams, str | None]:
+def _fraction_list(text: str) -> tuple[Fraction, ...]:
+    return tuple(_fraction(part) for part in text.split(","))
+
+
+# What reading a parameter field of the wrong JSON type or length raises.
+_MALFORMED = (TypeError, IndexError, ZeroDivisionError, OverflowError)
+
+
+def _node(label: object) -> object:
+    """A tree node named in a parameter file; digit strings name leaves."""
+    if not isinstance(label, (str, int)):
+        raise TypeError(f"node {label!r} is neither a string nor an integer")
+    return int(label) if isinstance(label, str) and label.isdigit() else label
+
+
+def _load_gmm_params(path: str) -> tuple[GMMParams, object]:
     data = _read_json_object(path)
-    tables = {}
-    for edge in data["edges"]:
-        u, v = edge["u"], edge["v"]
-        u = int(u) if isinstance(u, str) and u.isdigit() else u
-        v = int(v) if isinstance(v, str) and v.isdigit() else v
-        rows = edge["table"]
-        tables[(u, v)] = (Fraction(rows[0][1]), Fraction(rows[1][1]))
-    root_dist = tuple(Fraction(p) for p in data["root_dist"])
-    return GMMParams(root_dist, tables), data.get("root")
-
-
-def _gmm_params_json(tree: TreeTopology, params: GMMParams) -> dict:
-    edges = []
-    for (u, v), row in sorted(params.tables.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        edges.append(
-            {
-                "u": u,
-                "v": v,
-                "table": [[str(1 - row[0]), str(row[0])], [str(1 - row[1]), str(row[1])]],
-            }
-        )
-    return {
-        "root": tree.root,
-        "root_dist": [str(p) for p in params.root_dist],
-        "edges": edges,
-    }
+    try:
+        tables = {}
+        for edge in data["edges"]:
+            rows = edge["table"]
+            tables[(_node(edge["u"]), _node(edge["v"]))] = (Fraction(rows[0][1]), Fraction(rows[1][1]))
+        root_dist = tuple(Fraction(p) for p in data["root_dist"])
+        root = None if data.get("root") is None else _node(data["root"])
+    except _MALFORMED as exc:
+        raise SystemExit2(f"malformed parameters in {path}: {exc}") from None
+    return GMMParams(root_dist, tables), root
 
 
 def cmd_model_gmm(args) -> int:
     tree = _load_tree(args.tree)
     params, root = _load_gmm_params(args.params)
     if root is not None:
-        root = int(root) if isinstance(root, str) and root.isdigit() else root
         tree = tree.rooted_at(root)
     dist = gmm_distribution(tree, params)
     if args.emit == "distribution":
@@ -319,7 +317,7 @@ def cmd_model_secant(args) -> int:
     b = _fraction_list(args.b)
     if args.n != len(a) or args.n != len(b):
         raise SystemExit2("--a and --b must list exactly n rationals")
-    params = SecantParams(Fraction(args.t), a, b)
+    params = SecantParams(_fraction(args.t), a, b)
     if args.emit == "moments":
         _emit(secant_moments(params).to_json(), args.output, args.float_mode)
     elif args.emit == TREECUMULANTS:
@@ -337,19 +335,20 @@ def cmd_model_secant(args) -> int:
 
 def _load_hmm_params(path: str) -> HMMParams:
     data = _read_json_object(path)
-    space = StateSpace.of(
-        data["arities"],
-        [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
-    )
-    return HMMParams(
-        space,
-        tuple(Fraction(p) for p in data["initial"]),
-        tuple(tuple(Fraction(p) for p in row) for row in data["transitions"]),
-        tuple(
+    try:
+        space = StateSpace.of(
+            data["arities"],
+            [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
+        )
+        initial = tuple(Fraction(p) for p in data["initial"])
+        transitions = tuple(tuple(Fraction(p) for p in row) for row in data["transitions"])
+        emissions = tuple(
             (tuple(Fraction(p) for p in rows[0]), tuple(Fraction(p) for p in rows[1]))
             for rows in data["emissions"]
-        ),
-    )
+        )
+    except _MALFORMED as exc:
+        raise SystemExit2(f"malformed parameters in {path}: {exc}") from None
+    return HMMParams(space, initial, transitions, emissions)
 
 
 def cmd_model_hmm(args) -> int:
@@ -626,7 +625,6 @@ _SUITES: dict[str, Callable] = {
     "secant": _suite_secant,
     "gmm": _suite_gmm,
     "hmm": _suite_hmm,
-    "hmm-identities": _suite_hmm,
     "weisner": _suite_weisner,
     "conditions": _suite_conditions,
     "split-binomials": _suite_split_binomials,

@@ -89,10 +89,6 @@ class Family:
         return self.kind
 
 
-def family(kind: str, tree: TreeTopology | None = None) -> Family:
-    return Family(kind, tree)
-
-
 class PartitionLattice:
     """An explicit lattice of set partitions over positions ``0..d-1``.
 
@@ -105,7 +101,6 @@ class PartitionLattice:
         elements: Sequence[SetPartition],
         family_tag: Family | None = None,
         labels: Sequence[int] | None = None,
-        validate: bool = True,
     ):
         if not elements:
             raise ValueError("empty lattice")
@@ -134,13 +129,12 @@ class PartitionLattice:
         self._mobius: dict[tuple[int, int], int] = {}
         bottom = SetPartition.singletons(d)
         top = SetPartition.one_block(d)
-        if validate:
-            if bottom.rgs not in self.index or top.rgs not in self.index:
-                raise ValueError("a partition lattice must contain the bottom and the top")
-            if family_tag is None:
-                self._check_meets_generic()
-            elif d <= 5:
-                self._check_meets_refinement()
+        if bottom.rgs not in self.index or top.rgs not in self.index:
+            raise ValueError("a partition lattice must contain the bottom and the top")
+        if family_tag is None:
+            self._check_meets_generic()
+        elif d <= 5:
+            self._check_meets_refinement()
         self.bottom_id = self.index[bottom.rgs]
         self.top_id = self.index[top.rgs]
 
@@ -337,7 +331,7 @@ def build(
 ) -> PartitionLattice:
     """Build the lattice of a family over a ground set (a size or labels)."""
     labels = _ground_labels(fam, ground, capacity)
-    return PartitionLattice(_elements(fam, labels), family_tag=fam, labels=labels, validate=True)
+    return PartitionLattice(_elements(fam, labels), family_tag=fam, labels=labels)
 
 
 def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartition]:
@@ -447,7 +441,7 @@ def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
 
 def custom_lattice(elements: Iterable[SetPartition], labels: Sequence[int] | None = None) -> PartitionLattice:
     """Wrap a user-supplied element list after validating lattice structure."""
-    return PartitionLattice(list(elements), family_tag=None, labels=labels, validate=True)
+    return PartitionLattice(list(elements), family_tag=None, labels=labels)
 
 
 # -- structural conditions -------------------------------------------------
@@ -522,16 +516,12 @@ def check_condition(
     return ConditionReport(which, True, None, tuple(sizes))
 
 
-def _ground_lattice(fam: Family, labels: Sequence[int], capacity) -> PartitionLattice:
-    return build(fam, labels, capacity=capacity)
-
-
 def _check_c1(fam: Family, n: int, capacity) -> str | None:
     labels = _root_labels(fam, n)
     for ground in _subsets(labels):
         if len(ground) < 2:
             continue
-        lat = _ground_lattice(fam, ground, capacity)
+        lat = build(fam, ground, capacity)
         d = len(ground)
         for i in range(d):
             split = SetPartition.from_blocks([[i], [j for j in range(d) if j != i]], size=d)
@@ -553,7 +543,7 @@ def _check_c0(fam: Family, n: int, capacity) -> str | None:
 
     def sub_lattice(block_labels: tuple[int, ...]) -> PartitionLattice:
         if block_labels not in sub_cache:
-            sub_cache[block_labels] = _ground_lattice(fam, block_labels, capacity)
+            sub_cache[block_labels] = build(fam, block_labels, capacity)
         return sub_cache[block_labels]
 
     # Size-indexed families are covered by the initial segment; tree
@@ -588,8 +578,8 @@ def _check_c0(fam: Family, n: int, capacity) -> str | None:
 def _check_c2(fam: Family, n: int, capacity) -> str | None:
     labels = _root_labels(fam, n)
     for ground in _subsets(labels):
-        lat = _ground_lattice(fam, ground, capacity)
-        ref = _ground_lattice(fam, labels[: len(ground)], capacity)
+        lat = build(fam, ground, capacity)
+        ref = build(fam, labels[: len(ground)], capacity)
         if {p.rgs for p in lat.elements} != {p.rgs for p in ref.elements}:
             return (
                 f"lattice on {ground} does not match the lattice on "
@@ -600,16 +590,16 @@ def _check_c2(fam: Family, n: int, capacity) -> str | None:
 
 def _check_c3(fam: Family, n: int, capacity) -> str | None:
     labels = _root_labels(fam, n)
-    lat = _ground_lattice(fam, labels, capacity)
+    lat = build(fam, labels, capacity)
     for pi in lat.elements:
         m = pi.num_blocks
         if fam.kind == TREE:
             assert fam.tree is not None
             if m > fam.tree.num_leaves:
                 return f"cannot form a block lattice of size {m}"
-            ref = _ground_lattice(fam, fam.tree.leaves[:m], capacity)
+            ref = build(fam, fam.tree.leaves[:m], capacity)
         else:
-            ref = _ground_lattice(fam, m, capacity)
+            ref = build(fam, m, capacity)
         above = lat.interval(pi, lat.top)
         image = set()
         for nu in above:

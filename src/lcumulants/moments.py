@@ -152,10 +152,6 @@ class DiscreteDistribution:
         return self.table[x]
 
     @classmethod
-    def from_function(cls, space: StateSpace, fn: Callable[[Exponent], Fraction], algebraic: bool = False) -> DiscreteDistribution:
-        return cls(space, {x: fn(x) for x in space.states()}, algebraic=algebraic)
-
-    @classmethod
     def point_mass(cls, space: StateSpace, x: Exponent) -> DiscreteDistribution:
         return cls(space, {x: Fraction(1)})
 
@@ -248,9 +244,6 @@ class CoordinateVector:
     def of_multiset(self, multiset: Iterable[int]) -> Fraction:
         return self.entries[self.space.exponent_of(multiset)]
 
-    def map_entries(self, fn: Callable[[Exponent, Fraction], Fraction]) -> dict[Exponent, Fraction]:
-        return {x: fn(x, v) for x, v in self.entries.items()}
-
     def to_json(self) -> dict:
         out: dict = {"arities": list(self.space.arities), "system": self.system}
         if not self.space.has_default_values():
@@ -269,15 +262,21 @@ class CoordinateVector:
 
 
 def _space_and_table(data: Mapping) -> tuple[StateSpace, dict[Exponent, Fraction]]:
-    """Read the shared JSON layout: arities, optional values, a state table."""
+    """Read the shared JSON layout: arities, optional values, a state table.
+
+    A field of the wrong JSON type raises ValueError, as a bad value does.
+    """
     table = data["table"]
     if not isinstance(table, Mapping):
         raise ValueError(f"'table' must map states such as \"0,1\" to values, not a {type(table).__name__}")
-    space = StateSpace.of(
-        data["arities"],
-        [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
-    )
-    entries = {tuple(int(c) for c in key.split(",")): Fraction(value) for key, value in table.items()}
+    try:
+        space = StateSpace.of(
+            data["arities"],
+            [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,
+        )
+        entries = {tuple(int(c) for c in key.split(",")): Fraction(value) for key, value in table.items()}
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed arities, values or table: {exc}") from None
     return space, entries
 
 
@@ -402,7 +401,12 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
 
 
 def central_moments_direct(dist: DiscreteDistribution) -> CoordinateVector:
-    """Expectation of centered products; the independent oracle."""
+    """Central moments as expectations of centered products over the table.
+
+    It reads the distribution directly, for any arities;
+    ``trees.subset_tree_cumulants`` uses it, and the tests check
+    :func:`central_moments` against it.
+    """
     space = dist.space
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
     entries: dict[Exponent, Fraction] = {}

@@ -92,13 +92,6 @@ class SetPartition:
             self._blocks = tuple(tuple(groups[label]) for label in sorted(groups))
         return self._blocks
 
-    def block_of(self, position: int) -> tuple[int, ...]:
-        label = self.rgs[position]
-        return tuple(p for p, l in enumerate(self.rgs) if l == label)
-
-    def same_block(self, i: int, j: int) -> bool:
-        return self.rgs[i] == self.rgs[j]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SetPartition) and self.rgs == other.rgs
 

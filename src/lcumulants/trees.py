@@ -4,10 +4,10 @@ The partitions of a leaf subset I induced by cutting edges of the minimal
 subtree over I form a lattice; the associated cumulants are the
 coordinates in which marginal independence across any edge split of the
 tree shows up as vanishing.  From central moments only the singleton-free
-tree partitions contribute, each with its Moebius weight to the top.  On
-a caterpillar these are the interval partitions, in spine order, without
-singleton blocks, and their weights are the Boolean ones, so no lattice
-is built.
+tree partitions contribute, each with its Moebius weight to the top,
+read from the cached weight tables of :func:`lattice.mobius_weights`.
+A caterpillar needs no path of its own: there these elements are the
+singleton-free interval partitions in spine order, with Boolean weights.
 
 For a tree whose inner nodes are binary latent variables (the general
 Markov construction), every coordinate of the observed leaf vector is,
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Sequence
 
-from .lattice import TREE, Family, PartitionLattice, build
+from .lattice import TREE, Family, mobius_weights
 from .moments import (
     LCUMULANTS,
     MOMENTS,
@@ -33,16 +33,12 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     central_moments,
+    central_moments_direct,
 )
-from .partition import DEFAULT_CAPACITY, all_partitions, is_interval
-from .topology import TreeTopology, induced_subtree, is_caterpillar, suppress_degree_two
+from .partition import DEFAULT_CAPACITY
+from .topology import TreeTopology, induced_subtree
 
 TREE_CUMULANTS = LCUMULANTS  # tree cumulants are the lattice cumulants of a tree family
-
-
-def tree_partitions(tree: TreeTopology, leaf_subset: Sequence[int], capacity: int | None = DEFAULT_CAPACITY) -> PartitionLattice:
-    """The lattice of forest-induced partitions of a leaf subset."""
-    return build(Family(TREE, tree), tuple(sorted(set(leaf_subset))), capacity=capacity)
 
 
 def tree_cumulants(mv: CoordinateVector, tree: TreeTopology, capacity: int | None = DEFAULT_CAPACITY) -> CoordinateVector:
@@ -52,55 +48,25 @@ def tree_cumulants(mv: CoordinateVector, tree: TreeTopology, capacity: int | Non
     return to_lcumulants(mv, Family(TREE, tree), capacity)
 
 
-def _spine_rank(tree: TreeTopology) -> dict[int, int] | None:
-    """Leaf positions along a caterpillar's spine; None for other shapes.
-
-    With degree-2 nodes suppressed, the leaves farthest from any leaf sit
-    at an end of the spine, and the distance from such an end leaf is a
-    leaf's position.  The two leaves of an end cherry tie, and no
-    singleton-free interval partition separates them.
-    """
-    if not is_caterpillar(tree):
-        return None
-    core = suppress_degree_two(TreeTopology([tuple(e) for e in tree.edges]))
-    start = core.leaves[0]
-    end = max(core.leaves, key=lambda leaf: len(core.path(start, leaf)))
-    return {leaf: len(core.path(end, leaf)) for leaf in core.leaves}
-
-
 def _singleton_free_sums(
     tree: TreeTopology, supports: Sequence[tuple[int, ...]], cm: CoordinateVector, capacity: int | None
 ) -> dict[tuple[int, ...], Fraction]:
     """Sum over the singleton-free tree partitions of each leaf subset.
 
     Each partition contributes its Moebius weight to the top times the
-    central moments ``cm`` of its blocks.  A caterpillar takes the
-    singleton-free interval partitions of the support in spine order with
-    the Boolean weight; other trees read partitions and weights off the
-    tree partition lattice.
+    central moments ``cm`` of its blocks; partitions and weights come from
+    the tree family's weight table on the support.
     """
-    rank = _spine_rank(tree)
+    fam = Family(TREE, tree)
     out: dict[tuple[int, ...], Fraction] = {}
     for support in supports:
-        if rank is not None:
-            ordered = sorted(support, key=rank.__getitem__)
-            terms = (
-                ([tuple(ordered[j] for j in b) for b in pi.blocks], (-1) ** (pi.num_blocks - 1))
-                for pi in all_partitions(len(ordered), capacity=None)
-                if is_interval(pi) and all(len(b) > 1 for b in pi.blocks)
-            )
-        else:
-            lat = tree_partitions(tree, support, capacity)
-            terms = (
-                ([tuple(support[j] for j in b) for b in pi.blocks], lat.mobius_to_top(pi))
-                for pi in lat.elements
-                if all(len(b) > 1 for b in pi.blocks)
-            )
         total = Fraction(0)
-        for blocks, weight in terms:
+        for blocks, weight in mobius_weights(fam, support, capacity):
+            if any(len(b) == 1 for b in blocks):
+                continue
             term = Fraction(weight)
             for block in blocks:
-                term *= cm.of_multiset(block)
+                term *= cm.of_multiset(support[j] for j in block)
             total += term
         out[support] = total
     return out
@@ -142,8 +108,6 @@ def subset_tree_cumulants(
     this works for any finite emission alphabet: the value at I is the
     alternating central-moment sum over singleton-free tree partitions.
     """
-    from .moments import central_moments_direct
-
     cm = central_moments_direct(dist)
     n = dist.space.n
     out = {(i,): dist.raw_moment((i,)) for i in range(1, n + 1)}

@@ -42,6 +42,11 @@ class TestLattice:
         assert main(["lattice", "--family", "tree", "--tree", str(nwk)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse tree")
 
+    def test_deeply_nested_newick(self, capsys):
+        text = "(" * 3000 + "1,2" + ")" * 3000
+        assert main(["lattice", "--family", "tree", "--tree", text]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse tree")
+
     def test_interval_singleton(self, capsys):
         code, data = run_json(capsys, "lattice", "--family", "interval", "--n", "1")
         assert code == 0
@@ -123,10 +128,19 @@ class TestTransform:
     def test_missing_file(self, capsys):
         assert main(["transform", "-i", "/nonexistent.json", "--to", "moments"]) == 2
 
-    @pytest.mark.parametrize("system", ["moments", "probabilities"])
-    def test_list_table_is_a_usage_error(self, capsys, tmp_path, system):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"arities": [2], "system": "moments", "table": ["1", "0"]},
+            {"arities": [2], "system": "probabilities", "table": ["1", "0"]},
+            {"arities": 2, "system": "moments", "table": {"0": "1", "1": "1/2"}},
+            {"arities": [2], "system": "moments", "table": {"0": "1", "1": None}},
+        ],
+        ids=["moments", "probabilities", "arities-number", "null-value"],
+    )
+    def test_list_table_is_a_usage_error(self, capsys, tmp_path, payload):
         path = tmp_path / "vec.json"
-        path.write_text(json.dumps({"arities": [2], "system": system, "table": ["1", "0"]}))
+        path.write_text(json.dumps(payload))
         assert main(["transform", "-i", str(path), "--to", "moments"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -201,6 +215,10 @@ class TestModelVerbs:
         assert code == 0
         assert data["table"]["1,2,3,4"] == "2/81"
 
+    def test_secant_zero_denominator(self, capsys):
+        assert main(["model", "secant", "--n", "1", "--t", "1/0", "--a", "0", "--b", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse rational")
+
     def test_hmm_emissions(self, capsys, tmp_path):
         params = tmp_path / "hmm.json"
         params.write_text(json.dumps(HMM_PARAMS))
@@ -211,10 +229,20 @@ class TestModelVerbs:
         assert code == 0
         assert len(data["table"]) == 7
 
-    def test_bad_params_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "verb, text",
+        [
+            (["hmm"], "{not json"),
+            (["gmm", "--tree", "quartet"], json.dumps({**GMM_PARAMS, "edges": 5})),
+            (["hmm"], json.dumps({**HMM_PARAMS, "initial": 1})),
+        ],
+        ids=["not-json", "gmm-edges-number", "hmm-initial-number"],
+    )
+    def test_bad_params_file(self, capsys, tmp_path, verb, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["model", "hmm", "--params", str(bad)]) == 2
+        bad.write_text(text)
+        assert main(["model", *verb, "--params", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:

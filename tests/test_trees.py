@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcumulants.lattice import ONECLUSTER, Family, build
+from lcumulants.lattice import ONECLUSTER, TREE, Family, build, mobius_weights
 from lcumulants.moments import (
     DiscreteDistribution,
     StateSpace,
@@ -11,6 +11,7 @@ from lcumulants.moments import (
     moments_from_distribution,
 )
 from lcumulants.models import gmm_distribution, random_gmm_params
+from lcumulants.partition import all_partitions, is_interval
 from lcumulants.topology import (
     TreeTopology,
     caterpillar,
@@ -32,7 +33,6 @@ from lcumulants.trees import (
     subset_tree_cumulants,
     tree_cumulants,
     tree_cumulants_via_central,
-    tree_partitions,
     trivalent_refinement,
     variances_from_distribution,
 )
@@ -90,28 +90,54 @@ class TestTopology:
 
 class TestTreePartitionLattices:
     def test_caterpillar4_is_the_known_thirteen(self):
-        lat = tree_partitions(caterpillar(4), (1, 2, 3, 4))
+        lat = build(Family(TREE, caterpillar(4)), (1, 2, 3, 4))
         assert len(lat) == 13
 
     def test_star_matches_one_cluster(self):
         for n in (4, 5):
-            st_lat = tree_partitions(star(n), tuple(range(1, n + 1)))
+            st_lat = build(Family(TREE, star(n)), tuple(range(1, n + 1)))
             oc_lat = build(Family(ONECLUSTER), n)
             assert {p.rgs for p in st_lat.elements} == {p.rgs for p in oc_lat.elements}
 
     def test_pairs_give_two_chains(self):
-        lat = tree_partitions(quartet(), (2, 3))
+        lat = build(Family(TREE, quartet()), (2, 3))
         assert len(lat) == 2
 
     def test_subset_lattice_consistency(self):
         # Restriction of any member to a leaf subset lands in the subset lattice.
         from lcumulants.partition import restrict
 
-        big = tree_partitions(caterpillar(5), (1, 2, 3, 4, 5))
-        small = tree_partitions(caterpillar(5), (1, 3, 4))
+        big = build(Family(TREE, caterpillar(5)), (1, 2, 3, 4, 5))
+        small = build(Family(TREE, caterpillar(5)), (1, 3, 4))
         positions = [0, 2, 3]
         images = {restrict(p, positions).rgs for p in big.elements}
         assert images == {p.rgs for p in small.elements}
+
+    @pytest.mark.parametrize(
+        "tree, spine",
+        [(caterpillar(n), tuple(range(1, n + 1))) for n in range(2, 8)]
+        + [(from_newick("(3,1,(5,(2,4)h3)h2)h1;"), (3, 1, 5, 2, 4))],
+        ids=[f"caterpillar{n}" for n in range(2, 8)] + ["relabelled"],
+    )
+    def test_caterpillar_weights_are_spine_intervals(self, tree, spine):
+        # On a caterpillar the singleton-free tree partitions of a leaf
+        # subset are its singleton-free interval partitions in spine order,
+        # each with the Boolean weight (-1)^(k-1).
+        fam = Family(TREE, tree)
+        for r in range(2, len(spine) + 1):
+            for support in itertools.combinations(sorted(spine), r):
+                got = {
+                    frozenset(frozenset(support[j] for j in b) for b in blocks): weight
+                    for blocks, weight in mobius_weights(fam, support)
+                    if all(len(b) > 1 for b in blocks)
+                }
+                ordered = [leaf for leaf in spine if leaf in support]
+                expected = {
+                    frozenset(frozenset(ordered[j] for j in b) for b in pi.blocks): (-1) ** (pi.num_blocks - 1)
+                    for pi in all_partitions(r)
+                    if is_interval(pi) and all(len(b) > 1 for b in pi.blocks)
+                }
+                assert got == expected, support
 
 
 def shuffled_caterpillar():
