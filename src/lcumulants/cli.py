@@ -535,6 +535,8 @@ def _suite_hmm(args) -> list[dict]:
     import itertools as it
 
     n = args.n
+    if n < 1 or args.trials < 0:
+        raise SystemExit2("verify hmm needs --n of at least 1 and a nonnegative --trials")
     seeds = _trial_seeds(args.seed, args.trials + 1)
     items = [(trial, s, n) for trial, s in enumerate(seeds[:-1])]
     results = _run_trials(_hmm_trial, items, args.jobs)

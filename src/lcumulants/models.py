@@ -29,7 +29,14 @@ from .trees import GMMParams, exact_sqrt, subset_tree_cumulants
 
 
 def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribution:
-    """Leaf marginal of the binary Bayesian network on a rooted tree."""
+    """Leaf marginal of the binary Bayesian network on a rooted tree.
+
+    One upward (sum-product) pass: a node's message maps each state of the
+    leaves below it to their probabilities given the node in state 0 and
+    in state 1.  It is the outer product of the children's messages, each
+    summed over the child's state through its edge table, and the root
+    distribution closes the pass.
+    """
     if tree.root is None:
         raise ValueError("the model is parametrized from a root")
     if not all(0 <= p <= 1 for p in params.root_dist):
@@ -37,25 +44,29 @@ def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribut
     for edge, row in params.tables.items():
         if not all(0 <= p <= 1 for p in row):
             raise ValueError(f"conditional table of edge {edge} outside [0, 1]")
-    parents = tree.parent_map()
-    inner = [v for v in tree.nodes if not isinstance(v, int)]
-    order = sorted(tree.nodes, key=lambda v: len(tree.path(tree.root, v)))
-    n = tree.num_leaves
-    space = StateSpace.binary(n)
-    table: dict[tuple[int, ...], Fraction] = {x: Fraction(0) for x in space.states()}
-    for hidden in itertools.product((0, 1), repeat=len(inner)):
-        state: dict[object, int] = dict(zip(inner, hidden))
-        for leaf_assign in itertools.product((0, 1), repeat=n):
-            state.update({i + 1: leaf_assign[i] for i in range(n)})
-            p = params.root_dist[state[tree.root]]
-            for v in order:
-                if v == tree.root or p == 0:
-                    continue
-                row = params.tables[(parents[v], v)]
-                p1 = row[state[parents[v]]]
-                p *= p1 if state[v] == 1 else 1 - p1
-            table[leaf_assign] += p
-    return DiscreteDistribution(space, table)
+    children: dict[object, list[object]] = {v: [] for v in tree.nodes}
+    for child, parent in tree.parent_map().items():
+        children[parent].append(child)
+
+    def upward(v: object) -> tuple[tuple[int, ...], dict]:
+        # A leaf shows its own state, also when it is the root.
+        leaves, msg = ((v,), {(0,): (1, 0), (1,): (0, 1)}) if isinstance(v, int) else ((), {(): (1, 1)})
+        for c in children[v]:
+            c_leaves, c_msg = upward(c)
+            p0, p1 = params.tables[(v, c)]
+            c_msg = {k: ((1 - p0) * q0 + p0 * q1, (1 - p1) * q0 + p1 * q1) for k, (q0, q1) in c_msg.items()}
+            leaves += c_leaves
+            msg = {
+                k + ck: (a0 * b0, a1 * b1) for k, (a0, a1) in msg.items() for ck, (b0, b1) in c_msg.items()
+            }
+        return leaves, msg
+
+    leaves, msg = upward(tree.root)
+    position = {i + 1: i for i in range(tree.num_leaves)}  # KeyError on a leaf label beyond n
+    perm = sorted(range(len(leaves)), key=lambda j: position[leaves[j]])
+    r0, r1 = params.root_dist
+    table = {tuple(key[j] for j in perm): r0 * q0 + r1 * q1 for key, (q0, q1) in msg.items()}
+    return DiscreteDistribution(StateSpace.binary(tree.num_leaves), table)
 
 
 def random_gmm_params(tree: TreeTopology, rng, denominator: int = 24) -> GMMParams:
@@ -197,7 +208,8 @@ def verify_split_binomials(
 
     For nonempty I, I' in A and J, J' in B the residual is
     t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
-    points of a tree model realizing the split across an edge.
+    points of a tree model realizing the split across an edge.  The
+    flattening matrix of t(I+J) is read once, then every minor in turn.
     """
     if isinstance(tree_cums, CoordinateVector):
         values = {
@@ -208,21 +220,16 @@ def verify_split_binomials(
     side_a, side_b = tuple(sorted(side_a)), tuple(sorted(side_b))
     if set(side_a) & set(side_b):
         raise ValueError("split sides overlap")
-
-    def t(*sets: tuple[int, ...]) -> Fraction:
-        merged = tuple(sorted(itertools.chain(*sets)))
-        return values[merged]
-
-    violations = []
-    checked = 0
     subsets_a = _nonempty_subsets(side_a)
     subsets_b = _nonempty_subsets(side_b)
-    for I, I2 in itertools.product(subsets_a, repeat=2):
-        for J, J2 in itertools.product(subsets_b, repeat=2):
-            residual = t(I, J) * t(I2, J2) - t(I, J2) * t(I2, J)
-            checked += 1
+    flat = [[values[tuple(sorted(I + J))] for J in subsets_b] for I in subsets_a]
+    violations = []
+    for (I, row), (I2, row2) in itertools.product(zip(subsets_a, flat), repeat=2):
+        for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
+            residual = row[j] * row2[j2] - row[j2] * row2[j]
             if residual != 0:
-                violations.append(((I, J, I2, J2), residual))
+                violations.append(((I, subsets_b[j], I2, subsets_b[j2]), residual))
+    checked = len(subsets_a) ** 2 * len(subsets_b) ** 2
     return BinomialReport((side_a, side_b), checked, violations)
 
 

@@ -9,10 +9,14 @@ that repeats variable ``i`` exactly ``x_i`` times.  With that aliasing the
 box is simultaneously the state space and the moment index set, and all
 changes of coordinates are exact polynomial maps over ``Fraction``.
 
-The raw-moment map is the tensor product of one Vandermonde matrix per
-variable (row k holds the k-th powers of the level values).  It and its
-inverse are applied one axis at a time, at O(|box| * sum r_i) products,
-never as a sum over pairs of box states.
+Every change of coordinates here is per-axis: the tensor product of one
+small r_i x r_i matrix per variable, applied one axis at a time at
+O(|box| * sum r_i) products, never as a sum over pairs of box states or
+over sub-exponents.  Raw moments use the Vandermonde matrix of the level
+values (row k holds their k-th powers) and the inverse map its inverse;
+central moments from the table use the Vandermonde matrix of the centred
+values; central moments from raw moments and affine value changes use the
+matrix whose row k expands (scale*v + shift)^k in the powers of v.
 
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
@@ -231,9 +235,11 @@ class CoordinateVector:
     family: object | None = None
 
     def __post_init__(self):
-        missing = [x for x in self.space.states() if x not in self.entries]
-        if missing:
-            raise ValueError(f"missing entries, e.g. {missing[0]}")
+        # Lazy: on a huge box with a small table, a missing state turns up
+        # among the first len(entries) + 1 states.
+        missing = next((x for x in self.space.states() if x not in self.entries), None)
+        if missing is not None:
+            raise ValueError(f"missing entries, e.g. {missing}")
         if len(self.entries) != self.space.size:
             extra = set(self.entries) - set(self.space.states())
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
@@ -320,6 +326,14 @@ def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
     return [[v**k for v in values] for k in range(len(values))]
 
 
+def _shift_matrix(r: int, scale: Fraction, shift: Fraction) -> list[list[Fraction]]:
+    """Row k holds the coefficients of v^j in (scale*v + shift)^k."""
+    return [
+        [Fraction(comb(k, j)) * scale**j * shift ** (k - j) if j <= k else Fraction(0) for j in range(r)]
+        for k in range(r)
+    ]
+
+
 def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
     """Raw moments over the box: entry at x is E of prod values^x.
 
@@ -365,66 +379,38 @@ def distribution_from_moments(mv: CoordinateVector, algebraic: bool = False) -> 
 
 
 def central_moments(mv: CoordinateVector) -> CoordinateVector:
-    """Central moments from raw moments by the subset expansion.
+    """Central moments from raw moments, one shift matrix per variable.
 
-    For an index multiset A the value is the alternating sum over
-    sub-multisets B of mu_B times the product of first moments over the
-    dropped positions.  Grouping equal sub-multisets turns the sum over
-    position subsets into one over componentwise-smaller exponents with
-    binomial weights.
+    Expanding prod (X_i - m_i)^{x_i} binomially writes each central moment
+    as a combination of raw moments at componentwise-smaller exponents, and
+    that combination is the tensor product of the per-variable matrices of
+    :func:`_shift_matrix` with scale 1 and shift -m_i.  The zero exponent
+    is set to 1 and first-order indices to 0 whatever the raw entries hold.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
-    mean = [mv.entries[_unit(space.n, i)] for i in range(space.n)]
-    entries: dict[Exponent, Fraction] = {}
-    for x in space.states():
-        d = sum(x)
-        if d == 0:
-            entries[x] = Fraction(1)
-            continue
-        if d == 1:
-            entries[x] = Fraction(0)
-            continue
-        total = Fraction(0)
-        for y in itertools.product(*[range(e + 1) for e in x]):
-            weight = Fraction((-1) ** (d - sum(y)))
-            for xi, yi in zip(x, y):
-                weight *= comb(xi, yi)
-            term = weight * mv.entries[tuple(y)]
-            for i, (xi, yi) in enumerate(zip(x, y)):
-                if xi - yi:
-                    term *= mean[i] ** (xi - yi)
-            total += term
-        entries[x] = total
+    units = [_unit(space.n, i) for i in range(space.n)]
+    matrices = [_shift_matrix(r, Fraction(1), -mv.entries[u]) for r, u in zip(space.arities, units)]
+    entries = _per_axis(space, mv.entries, matrices)
+    entries[(0,) * space.n] = Fraction(1)
+    for u in units:
+        entries[u] = Fraction(0)
     return CoordinateVector(space, CENTRAL_MOMENTS, entries)
 
 
 def central_moments_direct(dist: DiscreteDistribution) -> CoordinateVector:
-    """Central moments as expectations of centered products over the table.
+    """Central moments as expectations of centred products over the table.
 
-    It reads the distribution directly, for any arities;
-    ``trees.subset_tree_cumulants`` uses it, and the tests check
-    :func:`central_moments` against it.
+    The map is the raw-moment map with every level value centred at its
+    mean: one Vandermonde matrix of the centred values per variable,
+    applied one axis at a time.  It reads the distribution directly, for
+    any arities; ``trees.subset_tree_cumulants`` uses it.
     """
     space = dist.space
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
-    entries: dict[Exponent, Fraction] = {}
-    for x in space.states():
-        if sum(x) == 0:
-            entries[x] = Fraction(1)
-            continue
-        total = Fraction(0)
-        for y, p in dist.table.items():
-            if p == 0:
-                continue
-            term = p
-            for i, e in enumerate(x):
-                if e:
-                    term *= (space.values[i][y[i]] - mean[i]) ** e
-            total += term
-        entries[x] = total
-    return CoordinateVector(space, CENTRAL_MOMENTS, entries)
+    matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
+    return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
 
 
 def _unit(n: int, i: int) -> Exponent:
@@ -491,29 +477,22 @@ def transform_values(
 ) -> CoordinateVector:
     """Moments of the componentwise image scale*X + shift.
 
-    Works by binomial expansion on the moment coordinates, not by touching
-    any table, so it applies to algebraic points as well.
+    Works on the moment coordinates, one :func:`_shift_matrix` per
+    variable, not by touching any table, so it applies to algebraic points
+    as well.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
-    lam = [
-        _frac(scale[i]) if scale is not None else Fraction(1) for i in range(space.n)
+    matrices = [
+        _shift_matrix(
+            r,
+            _frac(scale[i]) if scale is not None else Fraction(1),
+            _frac(shift[i]) if shift is not None else Fraction(0),
+        )
+        for i, r in enumerate(space.arities)
     ]
-    off = [
-        _frac(shift[i]) if shift is not None else Fraction(0) for i in range(space.n)
-    ]
-    entries: dict[Exponent, Fraction] = {}
-    for x in space.states():
-        total = Fraction(0)
-        for y in itertools.product(*[range(e + 1) for e in x]):
-            coeff = Fraction(1)
-            for xi, yi, l, a in zip(x, y, lam, off):
-                coeff *= comb(xi, yi) * l**yi * a ** (xi - yi)
-            if coeff:
-                total += coeff * mv.entries[tuple(y)]
-        entries[x] = total
-    return CoordinateVector(space, MOMENTS, entries)
+    return CoordinateVector(space, MOMENTS, _per_axis(space, mv.entries, matrices))
 
 
 # -- independence ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -144,6 +145,15 @@ class TestTransform:
         assert main(["transform", "-i", str(path), "--to", "moments"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_huge_box_with_a_small_table_is_a_usage_error(self, capsys, tmp_path):
+        # 2^40 box states: the missing entry must be found without listing them.
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"arities": [2] * 40, "system": "moments", "table": {",".join("0" * 40): "1"}}))
+        assert main(["transform", "-i", str(path), "--to", "central_moments"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing entries")
+        assert "Traceback" not in err
+
     def test_central_moments_target(self, capsys, moment_file):
         code, data = run_json(capsys, "transform", "-i", str(moment_file), "--to", "central_moments")
         assert code == 0
@@ -285,6 +295,11 @@ class TestVerify:
         assert code == 0
         assert data["passed"] is True
 
+    @pytest.mark.parametrize("extra", [["--n", "0", "--trials", "0"], ["--trials", "-1"]], ids=["n0", "negative-trials"])
+    def test_hmm_bad_sizes_are_usage_errors(self, capsys, extra):
+        assert main(["verify", "hmm", *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: verify hmm needs")
+
     def test_split_binomials_suite(self, capsys, tmp_path):
         params = tmp_path / "p.json"
         params.write_text(json.dumps(GMM_PARAMS))
@@ -345,3 +360,112 @@ class TestVerify:
         code = main(["verify", "weisner", "--family", "interval", "--n", "3", "-o", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["passed"] is True
+
+
+LEAF_ROOT_PARAMS = {
+    "root": "1",
+    "root_dist": ["2/5", "3/5"],
+    "edges": [
+        {"u": "1", "v": "h1", "table": [["3/4", "1/4"], ["1/3", "2/3"]]},
+        {"u": "h1", "v": "2", "table": [["5/6", "1/6"], ["2/7", "5/7"]]},
+        {"u": "h1", "v": "h2", "table": [["1/2", "1/2"], ["1/5", "4/5"]]},
+        {"u": "h2", "v": "3", "table": [["7/8", "1/8"], ["3/8", "5/8"]]},
+        {"u": "h2", "v": "h3", "table": [["2/3", "1/3"], ["1/4", "3/4"]]},
+        {"u": "h3", "v": "4", "table": [["4/5", "1/5"], ["1/6", "5/6"]]},
+        {"u": "h3", "v": "5", "table": [["3/5", "2/5"], ["2/9", "7/9"]]},
+    ],
+}
+
+DEGREE_FOUR_PARAMS = {
+    "root": "a",
+    "root_dist": ["1/3", "2/3"],
+    "edges": [
+        {"u": "a", "v": "1", "table": [["3/4", "1/4"], ["1/3", "2/3"]]},
+        {"u": "a", "v": "2", "table": [["5/6", "1/6"], ["2/7", "5/7"]]},
+        {"u": "a", "v": "r", "table": [["1/2", "1/2"], ["1/5", "4/5"]]},
+        {"u": "r", "v": "3", "table": [["7/8", "1/8"], ["3/8", "5/8"]]},
+        {"u": "r", "v": "4", "table": [["2/3", "1/3"], ["1/4", "3/4"]]},
+        {"u": "r", "v": "b", "table": [["4/5", "1/5"], ["1/6", "5/6"]]},
+        {"u": "b", "v": "5", "table": [["3/5", "2/5"], ["2/9", "7/9"]]},
+        {"u": "b", "v": "6", "table": [["1/2", "1/2"], ["1/9", "8/9"]]},
+    ],
+}
+
+_WEIGHT_TOTAL = sum(1 + a + 2 * b + 3 * c for a in range(3) for b in range(2) for c in range(2))
+VALUED_TABLE = {
+    "arities": [3, 2, 2],
+    "system": "probabilities",
+    "values": [["-1", "1/2", "3"], ["0", "2"], ["-2/3", "5"]],
+    "table": {
+        f"{a},{b},{c}": f"{1 + a + 2 * b + 3 * c}/{_WEIGHT_TOTAL}" for a in range(3) for b in range(2) for c in range(2)
+    },
+}
+
+RELABELLED_CATERPILLAR = "(4,2,(6,(1,(3,5)h4)h3)h2)h1;"
+DEGREE_FOUR_TREE = "((1,2)a,3,4,(5,6)b)r;"
+
+
+class TestGoldenBytes:
+    """Output digests recorded before the moment maps and the GMM law became per-axis and upward passes.
+
+    ``verify gmm`` needs a trivalent tree for its closed form, so the
+    degree-4 tree is pinned through ``verify split-binomials`` and
+    ``model gmm`` instead.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["verify", "gmm", "--tree", RELABELLED_CATERPILLAR, "--trials", "2"],
+                "e7b710fa40a5f50e6b74cb872badfcc9601e8e74b21d89e9a0e1985dd1077c45",
+            ),
+            (
+                ["verify", "split-binomials", "--tree", DEGREE_FOUR_TREE, "--seed", "3"],
+                "14c068d6d4beb7e49a245d3b4719f03074ef2bf6a5d03a76c5c5283693583ce7",
+            ),
+            (
+                ["model", "gmm", "--tree", DEGREE_FOUR_TREE, "--params", "degree4.json", "--emit", "distribution"],
+                "742df9e82a8e48627d2e9637316036eba134c9e444b2a4a4ead065e99c109420",
+            ),
+            (
+                ["verify", "hmm", "--n", "7", "--trials", "1"],
+                "600d05a3a314153bb51dbde0b410c482ace31059b3635febf5e8cb6dfc81c7c3",
+            ),
+            (
+                ["verify", "secant", "--n", "6", "--trials", "1"],
+                "403e59615207f976d62fa6a7b442f7bbda5843f7812835eeac3dd39d48bb992b",
+            ),
+            (
+                ["verify", "split-binomials", "--tree", "caterpillar5", "--params", "params.json"],
+                "75cf006f36f47498c6be0a943200df66a3e25e88341d5c384d58dc43f8389d3c",
+            ),
+            (
+                ["model", "gmm", "--tree", "caterpillar5", "--params", "params.json", "--emit", "distribution"],
+                "44c9cd28bd51762b4f0aaab2bd82788acee25982ea970084fbd000ce44bdc31f",
+            ),
+            (
+                ["transform", "-i", "valued.json", "--to", "central_moments"],
+                "936dbe6497bf2ffb12cb0731a7d0e62162dcc054c2b9a79289b4848ca92ced48",
+            ),
+        ],
+        ids=[
+            "verify-gmm-relabelled-caterpillar",
+            "verify-split-binomials-degree-four",
+            "model-gmm-degree-four",
+            "verify-hmm-n7",
+            "verify-secant-n6",
+            "verify-split-binomials-leaf-root",
+            "model-gmm-leaf-root",
+            "transform-central-moments-values",
+        ],
+    )
+    def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        # Relative paths: the verify report echoes its options.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(json.dumps(LEAF_ROOT_PARAMS))
+        (tmp_path / "degree4.json").write_text(json.dumps(DEGREE_FOUR_PARAMS))
+        (tmp_path / "valued.json").write_text(json.dumps(VALUED_TABLE))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

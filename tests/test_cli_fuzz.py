@@ -1,8 +1,9 @@
-"""Fuzzed command lines and input files for ``transform``, ``model`` and ``lattice``.
+"""Fuzzed command lines and input files for ``transform``, ``model``, ``lattice`` and ``verify``.
 
 Whatever the arguments and file contents, the CLI must finish with exit
 code 0, 1 or 2 and print no traceback.  The inputs stay small (boxes of at
-most 27 states, ground sets of at most four points, trees with few leaves),
+most 27 states, ground sets of at most four points, trees with few leaves,
+at most five variables and two trials for ``verify``),
 so each example runs in milliseconds, and the examples are derandomized so
 every run of the suite checks the same ones.
 """
@@ -174,4 +175,27 @@ def test_lattice(capsys, data):
             "--float": None,
         },
     )
+    run(capsys, argv)
+
+
+@FUZZ
+@given(data=st.data())
+def test_verify(capsys, input_file, data):
+    # Never --jobs: the suite must not start worker processes.
+    draw = data.draw
+    suite = draw(st.sampled_from(["gmm", "hmm", "secant", "split-binomials"]))
+    argv = ["verify", suite]
+    argv += options(
+        draw,
+        {
+            "--n": st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["", "x"])),
+            "--trials": st.integers(-1, 2).map(str),
+            "--seed": st.integers(-2, 2**64).map(str),
+            "--tree": tree_texts,
+            "--timing": None,
+        },
+    )
+    if suite == "split-binomials" and draw(st.booleans()):
+        input_file.write_text(json.dumps(draw(gmm_files())))
+        argv += ["--params", str(input_file)]
     run(capsys, argv)

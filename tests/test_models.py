@@ -29,7 +29,7 @@ from lcumulants.models import (
     verify_split_binomials,
 )
 from lcumulants.partition import SetPartition
-from lcumulants.topology import caterpillar, quartet, star
+from lcumulants.topology import caterpillar, edge_splits, from_newick, quartet, star
 from lcumulants.trees import (
     GMMParams,
     normalized_tree_cumulants,
@@ -84,6 +84,73 @@ class TestLatentTreeDistribution:
             retree, reparams = reroot_params(q, params, node)
             assert gmm_distribution(retree, reparams) == dist
             assert gmm_tree_cumulants(retree, reparams).entries == coords.entries
+
+
+def gmm_distribution_by_enumeration(tree, params):
+    """Leaf law summed over all 2^(inner + leaves) joint states; the oracle."""
+    parents = tree.parent_map()
+    inner = [v for v in tree.nodes if not isinstance(v, int)]
+    order = sorted(tree.nodes, key=lambda v: len(tree.path(tree.root, v)))
+    n = tree.num_leaves
+    space = StateSpace.binary(n)
+    table = {x: Fraction(0) for x in space.states()}
+    for hidden in itertools.product((0, 1), repeat=len(inner)):
+        state = dict(zip(inner, hidden))
+        for leaf_assign in itertools.product((0, 1), repeat=n):
+            state.update({i + 1: leaf_assign[i] for i in range(n)})
+            p = params.root_dist[state[tree.root]]
+            for v in order:
+                if v == tree.root or p == 0:
+                    continue
+                row = params.tables[(parents[v], v)]
+                p1 = row[state[parents[v]]]
+                p *= p1 if state[v] == 1 else 1 - p1
+            table[leaf_assign] += p
+    return DiscreteDistribution(space, table)
+
+
+ORACLE_TREES = {
+    "quartet": quartet(),
+    "caterpillar6": caterpillar(6),
+    "relabelled-caterpillar": from_newick("(4,2,(6,(1,(3,5)h4)h3)h2)h1;"),
+    "balanced7": from_newick("(((1,2)a,(3,4)b)l,((5,6)c,7)d)r;"),
+    "degree-four": from_newick("((1,2)a,3,4,(5,6)b)r;"),
+}
+
+
+class TestUpwardPass:
+    """The sum-product GMM law against enumeration of every joint state."""
+
+    @pytest.mark.parametrize("name", ORACLE_TREES)
+    def test_matches_enumeration(self, name, rng):
+        tree = ORACLE_TREES[name]
+        params = random_gmm_params(tree, rng)
+        assert gmm_distribution(tree, params) == gmm_distribution_by_enumeration(tree, params)
+
+    @pytest.mark.parametrize("name", ["quartet", "caterpillar6", "relabelled-caterpillar", "degree-four"])
+    def test_every_reroot_matches_enumeration(self, name, rng):
+        tree = ORACLE_TREES[name]
+        params = random_gmm_params(tree, rng)
+        dist = gmm_distribution(tree, params)
+        for node in sorted(tree.nodes, key=str):
+            retree, reparams = reroot_params(tree, params, node)
+            redist = gmm_distribution(retree, reparams)
+            assert redist == gmm_distribution_by_enumeration(retree, reparams), node
+            assert redist == dist, node
+
+    def test_balanced_reroots_keep_the_law(self, rng):
+        tree = ORACLE_TREES["balanced7"]
+        params = random_gmm_params(tree, rng)
+        dist = gmm_distribution(tree, params)
+        for node in sorted(tree.nodes, key=str):
+            assert gmm_distribution(*reroot_params(tree, params, node)) == dist, node
+
+    @pytest.mark.parametrize("name", ORACLE_TREES)
+    def test_tree_rooted_at_a_leaf(self, name, rng):
+        # The root leaf has a child, so the pass must not stop at int nodes.
+        tree = ORACLE_TREES[name].rooted_at(1)
+        params = random_gmm_params(tree, rng)
+        assert gmm_distribution(tree, params) == gmm_distribution_by_enumeration(tree, params)
 
 
 class TestSecant:
@@ -186,6 +253,53 @@ class TestSplitBinomials:
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError):
             verify_split_binomials({}, (1, 2), (2, 3))
+
+
+def split_binomials_by_lookup(values, side_a, side_b):
+    """Every 2x2 minor with four sorted lookups each; the oracle."""
+
+    def t(*sets):
+        return values[tuple(sorted(itertools.chain(*sets)))]
+
+    violations = []
+    checked = 0
+    subsets_a = [c for r in range(1, len(side_a) + 1) for c in itertools.combinations(side_a, r)]
+    subsets_b = [c for r in range(1, len(side_b) + 1) for c in itertools.combinations(side_b, r)]
+    for I, I2 in itertools.product(subsets_a, repeat=2):
+        for J, J2 in itertools.product(subsets_b, repeat=2):
+            residual = t(I, J) * t(I2, J2) - t(I, J2) * t(I2, J)
+            checked += 1
+            if residual != 0:
+                violations.append(((I, J, I2, J2), residual))
+    return checked, violations
+
+
+class TestSplitBinomialMatrix:
+    """The flattening-matrix walk against four lookups per minor."""
+
+    @pytest.mark.parametrize("split", [((1, 2), (3, 4, 5)), ((2, 5), (1, 3, 4)), ((1, 3), (2, 4, 5))], ids=str)
+    def test_off_model_violations_in_order(self, split, rng):
+        values = {
+            c: rng.fraction(11, signed=True)
+            for r in range(1, 6)
+            for c in itertools.combinations(range(1, 6), r)
+        }
+        report = verify_split_binomials(values, *split)
+        checked, violations = split_binomials_by_lookup(values, *split)
+        assert violations
+        assert (report.checked, report.violations) == (checked, violations)
+
+    def test_model_point_and_perturbed_point(self, rng):
+        tree = caterpillar(5)
+        tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
+        values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
+        for split in edge_splits(tree):
+            report = verify_split_binomials(tv, *split)
+            assert (report.checked, report.violations) == split_binomials_by_lookup(values, *split)
+        values[(2, 4)] += Fraction(1, 7)
+        report = verify_split_binomials(values, (1, 2), (3, 4, 5))
+        assert report.violations
+        assert (report.checked, report.violations) == split_binomials_by_lookup(values, (1, 2), (3, 4, 5))
 
 
 class TestHiddenChainDistribution:

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,132 @@ class TestPerAxisMoments:
         )
         dist = random_distribution(space, rng, algebraic=True)
         assert moments_from_distribution(dist).entries == moments_by_double_loop(dist)
+
+
+def central_moments_by_expansion(mv):
+    """Central moments from raw moments, summed over sub-exponents; the oracle."""
+    space = mv.space
+    mean = [mv.entries[unit(space.n, i)] for i in range(space.n)]
+    entries = {}
+    for x in space.states():
+        d = sum(x)
+        if d == 0:
+            entries[x] = Fraction(1)
+            continue
+        if d == 1:
+            entries[x] = Fraction(0)
+            continue
+        total = Fraction(0)
+        for y in itertools.product(*[range(e + 1) for e in x]):
+            weight = Fraction((-1) ** (d - sum(y)))
+            for xi, yi in zip(x, y):
+                weight *= comb(xi, yi)
+            term = weight * mv.entries[tuple(y)]
+            for i, (xi, yi) in enumerate(zip(x, y)):
+                if xi - yi:
+                    term *= mean[i] ** (xi - yi)
+            total += term
+        entries[x] = total
+    return entries
+
+
+def central_moments_by_double_loop(dist):
+    """Central moments as a sum over every pair of box states; the oracle."""
+    space = dist.space
+    mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
+    entries = {}
+    for x in space.states():
+        if sum(x) == 0:
+            entries[x] = Fraction(1)
+            continue
+        total = Fraction(0)
+        for y, p in dist.table.items():
+            if p == 0:
+                continue
+            term = p
+            for i, e in enumerate(x):
+                if e:
+                    term *= (space.values[i][y[i]] - mean[i]) ** e
+            total += term
+        entries[x] = total
+    return entries
+
+
+def transform_values_by_expansion(mv, scale=None, shift=None):
+    """Moments of scale*X + shift, summed over sub-exponents; the oracle."""
+    space = mv.space
+    lam = [Fraction(scale[i]) if scale is not None else Fraction(1) for i in range(space.n)]
+    off = [Fraction(shift[i]) if shift is not None else Fraction(0) for i in range(space.n)]
+    entries = {}
+    for x in space.states():
+        total = Fraction(0)
+        for y in itertools.product(*[range(e + 1) for e in x]):
+            coeff = Fraction(1)
+            for xi, yi, l, a in zip(x, y, lam, off):
+                coeff *= comb(xi, yi) * l**yi * a ** (xi - yi)
+            if coeff:
+                total += coeff * mv.entries[tuple(y)]
+        entries[x] = total
+    return entries
+
+
+ORACLE_SPACES = {
+    "3x2x2": StateSpace.of([3, 2, 2]),
+    "2^5": StateSpace.binary(5),
+    "3x2x2-values": StateSpace.of(
+        [3, 2, 2], values=[[-1, Fraction(1, 2), 3], [0, 2], [Fraction(-2, 3), 5]]
+    ),
+    "2^5-values": StateSpace.binary(5, values=[[-1, 1], [0, 2], [Fraction(1, 3), -4], [5, 7], [-2, Fraction(3, 4)]]),
+}
+
+
+class TestPerAxisCentralAndAffine:
+    """The per-axis central-moment and affine maps against the old loops."""
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    @pytest.mark.parametrize("algebraic", [False, True], ids=["probabilities", "signed"])
+    def test_central_moments_match_expansion(self, name, algebraic, rng):
+        for _ in range(3):
+            dist = random_distribution(ORACLE_SPACES[name], rng, algebraic=algebraic)
+            mv = moments_from_distribution(dist)
+            assert central_moments(mv).entries == central_moments_by_expansion(mv)
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    @pytest.mark.parametrize("algebraic", [False, True], ids=["probabilities", "signed"])
+    def test_direct_central_moments_match_double_loop(self, name, algebraic, rng):
+        for _ in range(3):
+            dist = random_distribution(ORACLE_SPACES[name], rng, algebraic=algebraic)
+            assert central_moments_direct(dist).entries == central_moments_by_double_loop(dist)
+
+    def test_central_conventions_on_an_arbitrary_vector(self, rng):
+        # Neither the zero exponent nor the means come from a distribution.
+        space = ORACLE_SPACES["3x2x2"]
+        mv = CoordinateVector(space, MOMENTS, {x: rng.fraction(7, signed=True) for x in space.states()})
+        cm = central_moments(mv)
+        assert cm.entries == central_moments_by_expansion(mv)
+        assert cm[(0, 0, 0)] == 1
+        assert cm[(1, 0, 0)] == cm[(0, 1, 0)] == cm[(0, 0, 1)] == 0
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    @pytest.mark.parametrize(
+        "scale, shift",
+        [(None, None), ("zero", None), (None, "zero"), ("rational", "rational"), ("rational", None), (None, "rational")],
+    )
+    def test_transform_values_matches_expansion(self, name, scale, shift, rng):
+        space = ORACLE_SPACES[name]
+        n = space.n
+        # Non-unit scales and shifts, with a zero and a unit among them.
+        choices = {
+            None: (None, None),
+            "zero": ([0] * n, [0] * n),
+            "rational": (
+                [Fraction(3), 0, Fraction(-1, 2), 1, Fraction(5, 7)][:n],
+                [Fraction(2, 7), Fraction(-3, 5), 0, 4, Fraction(-1, 9)][:n],
+            ),
+        }
+        scale, shift = choices[scale][0], choices[shift][1]
+        mv = moments_from_distribution(random_distribution(space, rng, algebraic=True))
+        assert transform_values(mv, scale=scale, shift=shift).entries == transform_values_by_expansion(mv, scale, shift)
 
 
 class TestMomentInversion:
