@@ -87,6 +87,13 @@ def _capacity() -> int:
     return int(raw) if raw else 12
 
 
+def _within_capacity(size: int, what: str) -> None:
+    """Refuse a suite whose ground set is over the cap before any trial runs."""
+    cap = _capacity()
+    if size > cap:
+        raise CapacityError(f"{what} of {size} exceeds the cap of {cap}")
+
+
 def _family_from_args(name: str, tree_file: str | None, tree_text: str | None = None) -> Family:
     name = name.lower()
     if name in (FULL, NONCROSSING, INTERVAL, ONECLUSTER):
@@ -474,6 +481,7 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
 
 
 def _suite_secant(args) -> list[dict]:
+    _within_capacity(args.n, "--n")
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.n) for trial, s in enumerate(seeds)]
     return _run_trials(_secant_trial, items, args.jobs)
@@ -518,6 +526,7 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
 
 
 def _suite_gmm(args) -> list[dict]:
+    _within_capacity((_load_tree(args.tree) if args.tree else quartet()).num_leaves, "the tree's leaf count")
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.tree) for trial, s in enumerate(seeds)]
     return _run_trials(_gmm_trial, items, args.jobs)
@@ -537,6 +546,7 @@ def _suite_hmm(args) -> list[dict]:
     n = args.n
     if n < 1 or args.trials < 0:
         raise SystemExit2("verify hmm needs --n of at least 1 and a nonnegative --trials")
+    _within_capacity(n, "--n")
     seeds = _trial_seeds(args.seed, args.trials + 1)
     items = [(trial, s, n) for trial, s in enumerate(seeds[:-1])]
     results = _run_trials(_hmm_trial, items, args.jobs)
@@ -605,6 +615,7 @@ def _suite_conditions(args) -> list[dict]:
 
 def _suite_split_binomials(args) -> list[dict]:
     tree = _load_tree(args.tree) if args.tree else quartet()
+    _within_capacity(tree.num_leaves, "the tree's leaf count")
     if args.params:
         params, root = _load_gmm_params(args.params)
         if root is not None:

@@ -18,12 +18,17 @@ The Moebius memo table is filled lazily.  Writes are idempotent (a key is
 always recomputed to the same value), so concurrent readers may at worst
 duplicate work; no locking is required under the usual dict atomicity.
 
-Callers that need only the weights mu(pi, top), such as the forward and
-inverse transforms, use :func:`mobius_weights` instead of a lattice.  It
-builds no order: full, interval and one-cluster lattices have closed
+Two order-free tables serve callers that need no lattice.  The forward
+and inverse transforms and the tree singleton-free sums read
+:func:`first_blocks`: for each block B holding the first position, the
+position sets the other blocks must stay inside.  That is the blockwise
+product property (C0) written out per family.  Cumulant tensors and the
+conditional-independence collapse read :func:`mobius_weights`, the pairs
+(pi, mu(pi, top)): full, interval and one-cluster lattices have closed
 forms, and non-crossing and tree lattices recurse down from the top over
-coarsenings generated as partitions of blocks.  Its tables are cached for
-the whole process in a bounded LRU keyed by (family, ground set).
+coarsenings generated as partitions of blocks.  Both kinds of table are
+cached for the whole process in bounded LRUs keyed by (family, ground
+set), and the cap is checked before either is read.
 """
 
 from __future__ import annotations
@@ -207,7 +212,7 @@ class PartitionLattice:
             value = 1
         else:
             # Recursing at the upper end keeps the weights to the top, which
-            # the transforms use, to one memo entry per element.
+            # mobius_to_top reads, to one memo entry per element.
             between = self._above[lo_id] & self._below[hi_id]
             value = -sum(self._mobius_ids(mid, hi_id) for mid in between if mid != lo_id)
         self._mobius[key] = value
@@ -374,7 +379,7 @@ def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartiti
 Weights = tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
 
 # Weight tables live for the whole process, keyed by (family, ground), so
-# a session's later transforms on the same family and sizes reuse them.
+# a session's later calls on the same family and sizes reuse them.
 WEIGHT_CACHE_SIZE = 512
 
 # The recursion is exact for these families too, but it visits Bell(k)
@@ -401,6 +406,10 @@ def mobius_weights(
     order is built: full, interval and one-cluster lattices have closed
     forms, and the others recurse over generated coarsenings.  Tables are
     cached per size for size-indexed families and per leaf tuple for trees.
+
+    The transforms do not read these tables; they run the first-block
+    recursion of :func:`first_blocks`.  ``lcumulant.cumulant_tensor`` and
+    ``lcumulant.conditional_collapse`` still sum over the weights.
     """
     labels = _ground_labels(fam, ground, capacity)
     return _cached_weights(fam, len(labels) if fam.size_indexed else labels)
@@ -437,6 +446,114 @@ def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
             total += mu.get(tuple(beta[b] for b in p.rgs), 0)
         mu[p.rgs] = -total if k > 1 else 1
     return [mu[p.rgs] for p in elements]
+
+
+# -- first blocks ---------------------------------------------------------------
+
+FirstBlocks = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+
+# Keyed like the weight tables: per size for size-indexed families, per
+# leaf tuple for trees.
+FIRST_BLOCK_CACHE_SIZE = 512
+
+
+def first_blocks(
+    fam: Family,
+    ground: int | Sequence[int],
+    capacity: int | None = DEFAULT_CAPACITY,
+) -> FirstBlocks:
+    """``(B, rest)`` for every proper block B holding position 0.
+
+    Every family here has the blockwise product property (C0), so the
+    elements whose block at position 0 is B are the products of the
+    family lattices on the position sets of ``rest``.  The moments are
+    zeta sums of cumulant products, so this gives
+    ``m(A) = kappa(A) + sum over B of kappa(B) * prod over S in rest of m(S)``,
+    the classical first-block recursion.  Only ``rest`` depends on the
+    family:
+
+    * ``full``: every other position, as one set,
+    * ``interval``: the same, with B an initial segment,
+    * ``noncrossing``: the gaps between consecutive members of B, and the
+      gap after its last member,
+    * ``onecluster``: the other positions as one set when B is position 0
+      alone; otherwise each other position alone,
+    * ``tree``: the leaves of each component left when the span of B is
+      removed from the tree.
+
+    Position tuples are increasing.  The top block (all positions) is left
+    out.  The cap is checked before the cached table is read.
+    """
+    labels = _ground_labels(fam, ground, capacity)
+    return _cached_first_blocks(fam, len(labels) if fam.size_indexed else labels)
+
+
+@lru_cache(maxsize=FIRST_BLOCK_CACHE_SIZE)
+def _cached_first_blocks(fam: Family, ground: int | tuple[int, ...]) -> FirstBlocks:
+    d = ground if isinstance(ground, int) else len(ground)
+    if fam.kind == INTERVAL:
+        return tuple((tuple(range(k)), (tuple(range(k, d)),)) for k in range(1, d))
+    if fam.kind == TREE:
+        assert fam.tree is not None and isinstance(ground, tuple)
+        rest_of = _tree_rest(fam.tree, ground)
+    else:
+        rest_of = _REST[fam.kind]
+    out = []
+    for size in range(d - 1):
+        for tail in itertools.combinations(range(1, d), size):
+            block = (0, *tail)
+            others = tuple(j for j in range(1, d) if j not in tail)
+            out.append((block, rest_of(block, others)))
+    return tuple(out)
+
+
+def _noncrossing_rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    gaps = []
+    for lo, hi in zip(block, block[1:] + (len(block) + len(others),)):
+        gap = tuple(range(lo + 1, hi))
+        if gap:
+            gaps.append(gap)
+    return tuple(gaps)
+
+
+_REST: dict[str, Callable[[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]] = {
+    FULL: lambda block, others: (others,),
+    NONCROSSING: _noncrossing_rest,
+    ONECLUSTER: lambda block, others: (others,) if len(block) == 1 else tuple((j,) for j in others),
+}
+
+
+def _tree_rest(tree: TreeTopology, labels: tuple[int, ...]) -> Callable:
+    """The rest rule of a tree family on one leaf tuple.
+
+    The span of B is the union of the paths from its first leaf to the
+    others.  Two other leaves share a component exactly when the path
+    between them avoids that span; each component is found by one search
+    of the tree that does not enter the span.
+    """
+    paths = [frozenset(tree.path(labels[0], leaf)) for leaf in labels]
+    position = {leaf: j for j, leaf in enumerate(labels)}
+
+    def rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        seen = set().union(*(paths[j] for j in block))  # the span of B
+        parts = []
+        for start in others:
+            if labels[start] in seen:
+                continue
+            part, stack = [], [labels[start]]
+            seen.add(labels[start])
+            while stack:
+                node = stack.pop()
+                if node in position:
+                    part.append(position[node])
+                for nxt in tree.neighbors(node):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            parts.append(tuple(sorted(part)))
+        return tuple(parts)
+
+    return rest
 
 
 def custom_lattice(elements: Iterable[SetPartition], labels: Sequence[int] | None = None) -> PartitionLattice:

@@ -8,14 +8,15 @@ Boolean cumulants, non-crossing partitions give free cumulants, one
 cluster partitions give central moments, and tree partitions give the
 coordinates adapted to latent tree models.
 
-The inverse solves the forward sums for the moments by increasing index
-size.  The system is triangular for every family, so the solve is exact
-without any condition on the lattice.
-
-Both transforms need only the pairs (pi, mu(pi, top)) of each lattice, not
-its order.  They read them from the process-wide weight tables of
-:func:`lattice.mobius_weights` and build no lattice, so repeated calls on
-the same family and index sizes share their weights.
+Every family here has the blockwise product property (C0), so the
+moments are the zeta sums of cumulant products, and splitting off the
+block B that holds A's first position gives the first-block recursion
+``m(A) = kappa(A) + sum over proper B of kappa(B) * prod over S of m(S)``
+with S running over ``lattice.first_blocks``.  Both transforms run this
+one loop by increasing index size: the forward map solves it for
+kappa(A), the inverse for m(A).  It visits about 2^(|A|-1) first blocks
+per index instead of the Bell-many lattice elements, and builds neither
+a lattice nor a Moebius table.
 
 Also here: the classical-cumulant bridge, cumulant tensors with their
 multilinear transformation law, shift (semi-)invariance, detection of
@@ -35,9 +36,10 @@ from .lattice import (
     INTERVAL,
     TREE,
     Family,
+    FirstBlocks,
     PartitionLattice,
-    Weights,
     build,
+    first_blocks,
     mobius_weights,
 )
 from .moments import (
@@ -64,8 +66,8 @@ class LCumulantSystem:
 
     Size-indexed families key a ground set by the index size; tree
     families key it by the leaf subset.  The forward and inverse
-    transforms read :meth:`weights`, the process-wide Moebius weight
-    tables of :func:`lattice.mobius_weights`, and build no lattice.
+    transforms read :meth:`first_blocks`, the process-wide tables of
+    :func:`lattice.first_blocks`, and build no lattice.
     Operations that need the order itself use :meth:`lattice`, which
     builds each lattice once per system.  Cache fills are idempotent, so
     concurrent readers may duplicate work but never see torn values.
@@ -91,9 +93,9 @@ class LCumulantSystem:
             raise UnsupportedFamilyError("tree lattices are defined for plain index sets only")
         return support
 
-    def weights(self, multiset: Sequence[int]) -> Weights:
-        """``(blocks, mu(pi, top))`` over the lattice on the multiset's positions."""
-        return mobius_weights(self.family, self._ground(multiset), capacity=self.capacity)
+    def first_blocks(self, multiset: Sequence[int]) -> FirstBlocks:
+        """``(B, rest)`` over the lattice on the multiset's positions."""
+        return first_blocks(self.family, self._ground(multiset), capacity=self.capacity)
 
     def lattice(self, multiset: Sequence[int]) -> PartitionLattice:
         """The family lattice on the positions of an index multiset."""
@@ -114,26 +116,63 @@ def _moment_of_blocks(
     return out
 
 
+def _first_block_solve(
+    space: StateSpace,
+    given: Mapping[tuple[int, ...], Fraction],
+    tables: Callable[[tuple[int, ...]], FirstBlocks],
+    forward: bool,
+) -> dict[tuple[int, ...], Fraction]:
+    """Solve the first-block recursion for every state of the box.
+
+    ``given`` holds the moments when ``forward`` and the cumulants
+    otherwise; the other system is returned.  ``tables`` maps an index
+    multiset to its first blocks.  States are visited by increasing index
+    size, so every kappa(B) and m(S) the recursion reads for a proper
+    B or S is known by then.  Sub-multisets are looked up by their
+    position in the box, the sum of one stride per position.
+    """
+    states = list(space.states())  # product order: a state's position is its code
+    strides = [1] * space.n
+    for i in range(space.n - 2, -1, -1):
+        strides[i] = strides[i + 1] * space.arities[i + 1]
+    known = [given[x] for x in states]
+    solved: list[Fraction] = [Fraction(0)] * len(states)
+    moments, cumulants = (known, solved) if forward else (solved, known)
+    largest = space.index_multiset(states[-1])
+    if largest:  # its table first, so the cap refuses an oversized box before any work
+        tables(largest)
+    for code in sorted(range(len(states)), key=lambda c: sum(states[c])):
+        multiset = space.index_multiset(states[code])
+        if not multiset:
+            solved[code] = Fraction(0) if forward else Fraction(1)
+            continue
+        step = [strides[i - 1] for i in multiset]
+        lower = Fraction(0)
+        for block, rest in tables(multiset):
+            term = cumulants[sum(map(step.__getitem__, block))]
+            if not term:  # on central moments every singleton block is 0
+                continue
+            for part in rest:
+                term *= moments[sum(map(step.__getitem__, part))]
+            lower += term
+        solved[code] = known[code] - lower if forward else known[code] + lower
+    return dict(zip(states, solved))
+
+
 def to_lcumulants(
     mv: CoordinateVector,
     fam: Family,
     capacity: int | None = DEFAULT_CAPACITY,
     system: str = LCUMULANTS,
 ) -> CoordinateVector:
-    """Forward transform: raw moments to the family's cumulants."""
+    """Forward transform: raw moments to the family's cumulants.
+
+    kappa(A) is m(A) minus the first-block terms of its proper blocks.
+    """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     sys_ = LCumulantSystem(fam, mv.space, capacity)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in mv.space.states():
-        multiset = mv.space.index_multiset(x)
-        if not multiset:
-            entries[x] = Fraction(0)
-            continue
-        total = Fraction(0)
-        for blocks, weight in sys_.weights(multiset):
-            total += weight * _moment_of_blocks(mv, multiset, blocks)
-        entries[x] = total
+    entries = _first_block_solve(mv.space, mv.entries, sys_.first_blocks, forward=True)
     return CoordinateVector(mv.space, system, entries, family=fam)
 
 
@@ -148,36 +187,18 @@ def from_lcumulants(
 ) -> CoordinateVector:
     """Inverse transform: the family's cumulants back to raw moments.
 
-    Moments are solved for by increasing index size.  The top term of the
-    forward sum is the moment itself (Moebius value 1), and every other
-    term multiplies moments of strictly smaller indices, so the system is
-    triangular in the size filtration.
+    m(A) is kappa(A) plus the first-block terms of its proper blocks, each
+    a cumulant times moments of strictly smaller indices, so the moments
+    are solved for exactly by increasing index size.
     """
     if lv.system not in (LCUMULANTS, CLASSICAL_CUMULANTS):
         raise ValueError(f"expected a cumulant system, got {lv.system}")
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    space = lv.space
-    sys_ = LCumulantSystem(fam, space, capacity)
-    entries: dict[tuple[int, ...], Fraction] = {}
-
-    def lookup(multiset: Iterable[int]) -> Fraction:
-        return entries[space.exponent_of(multiset)]
-
-    for x in sorted(space.states(), key=lambda s: (sum(s), s)):
-        multiset = space.index_multiset(x)
-        if not multiset:
-            entries[x] = Fraction(1)
-            continue
-        lower = Fraction(0)
-        for blocks, weight in sys_.weights(multiset)[:-1]:  # all but the top
-            term = Fraction(weight)
-            for block in blocks:
-                term *= lookup(multiset[j] for j in block)
-            lower += term
-        entries[x] = lv.entries[x] - lower
-    return CoordinateVector(space, MOMENTS, entries)
+    sys_ = LCumulantSystem(fam, lv.space, capacity)
+    entries = _first_block_solve(lv.space, lv.entries, sys_.first_blocks, forward=False)
+    return CoordinateVector(lv.space, MOMENTS, entries)
 
 
 def l_from_classical(

@@ -39,6 +39,10 @@ def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribut
     """
     if tree.root is None:
         raise ValueError("the model is parametrized from a root")
+    n = tree.num_leaves
+    for label in tree.leaves:
+        if not 1 <= label <= n:
+            raise ValueError(f"leaf {label} is not in 1..{n}: the leaves of an n-leaf tree must be labelled 1..n")
     if not all(0 <= p <= 1 for p in params.root_dist):
         raise ValueError("root distribution outside [0, 1]")
     for edge, row in params.tables.items():
@@ -62,11 +66,10 @@ def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribut
         return leaves, msg
 
     leaves, msg = upward(tree.root)
-    position = {i + 1: i for i in range(tree.num_leaves)}  # KeyError on a leaf label beyond n
-    perm = sorted(range(len(leaves)), key=lambda j: position[leaves[j]])
+    perm = sorted(range(len(leaves)), key=lambda j: leaves[j])
     r0, r1 = params.root_dist
     table = {tuple(key[j] for j in perm): r0 * q0 + r1 * q1 for key, (q0, q1) in msg.items()}
-    return DiscreteDistribution(StateSpace.binary(tree.num_leaves), table)
+    return DiscreteDistribution(StateSpace.binary(n), table)
 
 
 def random_gmm_params(tree: TreeTopology, rng, denominator: int = 24) -> GMMParams:

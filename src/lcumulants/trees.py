@@ -4,10 +4,10 @@ The partitions of a leaf subset I induced by cutting edges of the minimal
 subtree over I form a lattice; the associated cumulants are the
 coordinates in which marginal independence across any edge split of the
 tree shows up as vanishing.  From central moments only the singleton-free
-tree partitions contribute, each with its Moebius weight to the top,
-read from the cached weight tables of :func:`lattice.mobius_weights`.
-A caterpillar needs no path of its own: there these elements are the
-singleton-free interval partitions in spine order, with Boolean weights.
+tree partitions contribute, since a centred singleton is 0 (C1).  So the
+forward first-block recursion of :mod:`lcumulant`, run on the central
+moments, gives that singleton-free sum on every leaf subset; it reads the
+tree's first-block tables and builds no lattice or weight table.
 
 For a tree whose inner nodes are binary latent variables (the general
 Markov construction), every coordinate of the observed leaf vector is,
@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Sequence
 
-from .lattice import TREE, Family, mobius_weights
+from .lattice import TREE, Family, first_blocks
+from .lcumulant import _first_block_solve, to_lcumulants
 from .moments import (
     LCUMULANTS,
     MOMENTS,
@@ -43,33 +44,25 @@ TREE_CUMULANTS = LCUMULANTS  # tree cumulants are the lattice cumulants of a tre
 
 def tree_cumulants(mv: CoordinateVector, tree: TreeTopology, capacity: int | None = DEFAULT_CAPACITY) -> CoordinateVector:
     """Tree cumulants of a binary vector from its raw moments."""
-    from .lcumulant import to_lcumulants
-
     return to_lcumulants(mv, Family(TREE, tree), capacity)
 
 
 def _singleton_free_sums(
-    tree: TreeTopology, supports: Sequence[tuple[int, ...]], cm: CoordinateVector, capacity: int | None
+    tree: TreeTopology, cm: CoordinateVector, capacity: int | None
 ) -> dict[tuple[int, ...], Fraction]:
-    """Sum over the singleton-free tree partitions of each leaf subset.
+    """Sum over the singleton-free tree partitions of every leaf subset.
 
     Each partition contributes its Moebius weight to the top times the
-    central moments ``cm`` of its blocks; partitions and weights come from
-    the tree family's weight table on the support.
+    central moments ``cm`` of its blocks.  The forward recursion on ``cm``
+    gives the sum over all tree partitions, and every term with a
+    singleton block holds a centred first moment, which is 0.  The
+    subsets are the 0/1 exponents of ``cm``'s box, read as a binary box.
     """
     fam = Family(TREE, tree)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for support in supports:
-        total = Fraction(0)
-        for blocks, weight in mobius_weights(fam, support, capacity):
-            if any(len(b) == 1 for b in blocks):
-                continue
-            term = Fraction(weight)
-            for block in blocks:
-                term *= cm.of_multiset(support[j] for j in block)
-            total += term
-        out[support] = total
-    return out
+    space = StateSpace.binary(cm.space.n)
+    given = {x: cm.entries[x] for x in space.states()}
+    sums = _first_block_solve(space, given, lambda leaves: first_blocks(fam, leaves, capacity), forward=True)
+    return {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
 
 
 def tree_cumulants_via_central(
@@ -85,11 +78,10 @@ def tree_cumulants_via_central(
     space = mv.space
     if any(r != 2 for r in space.arities):
         raise ValueError("tree cumulants need a binary state space")
-    cm = central_moments(mv)
-    supports = {x: tuple(i + 1 for i, e in enumerate(x) if e) for x in space.states()}
-    sums = _singleton_free_sums(tree, [s for s in supports.values() if len(s) > 1], cm, capacity)
+    sums = _singleton_free_sums(tree, central_moments(mv), capacity)
     entries: dict[tuple[int, ...], Fraction] = {}
-    for x, support in supports.items():
+    for x in space.states():
+        support = tuple(i + 1 for i, e in enumerate(x) if e)
         if len(support) > 1:
             entries[x] = sums[support]
         elif support:
@@ -108,11 +100,8 @@ def subset_tree_cumulants(
     this works for any finite emission alphabet: the value at I is the
     alternating central-moment sum over singleton-free tree partitions.
     """
-    cm = central_moments_direct(dist)
-    n = dist.space.n
-    out = {(i,): dist.raw_moment((i,)) for i in range(1, n + 1)}
-    supports = [s for r in range(2, n + 1) for s in itertools.combinations(range(1, n + 1), r)]
-    out.update(_singleton_free_sums(tree, supports, cm, capacity))
+    out = {(i,): dist.raw_moment((i,)) for i in range(1, dist.space.n + 1)}
+    out.update(_singleton_free_sums(tree, central_moments_direct(dist), capacity))
     return out
 
 

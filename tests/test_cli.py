@@ -254,6 +254,20 @@ class TestModelVerbs:
         assert main(["model", *verb, "--params", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_gmm_leaves_outside_one_to_n(self, capsys, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "root": "a",
+            "root_dist": ["1/2", "1/2"],
+            "edges": [
+                {"u": "a", "v": leaf, "table": [["3/4", "1/4"], ["1/5", "4/5"]]} for leaf in (1, 2, 5)
+            ],
+        }))
+        assert main(["model", "gmm", "--tree", "(1,2,5)a;", "--params", str(params)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: leaf 5 is not in 1..3")
+        assert "labelled 1..n" in err
+
 
 class TestVerify:
     def test_secant_suite_passes(self, capsys):
@@ -294,6 +308,25 @@ class TestVerify:
         code, data = run_json(capsys, "verify", "hmm", "--n", "3", "--seed", "5", "--trials", "1")
         assert code == 0
         assert data["passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hmm", "--n", "13"],
+            ["secant", "--n", "13"],
+            ["gmm", "--tree", "caterpillar13"],
+            ["split-binomials", "--tree", "caterpillar13"],
+        ],
+        ids=["hmm", "secant", "gmm", "split-binomials"],
+    )
+    def test_oversized_suite_is_refused_before_any_trial(self, capsys, monkeypatch, argv):
+        import time
+
+        monkeypatch.delenv("LCUM_CAPACITY", raising=False)
+        start = time.perf_counter()
+        assert main(["verify", *argv, "--trials", "1"]) == 2
+        assert time.perf_counter() - start < 3
+        assert capsys.readouterr().err.rstrip().endswith("of 13 exceeds the cap of 12")
 
     @pytest.mark.parametrize("extra", [["--n", "0", "--trials", "0"], ["--trials", "-1"]], ids=["n0", "negative-trials"])
     def test_hmm_bad_sizes_are_usage_errors(self, capsys, extra):

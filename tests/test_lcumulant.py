@@ -188,6 +188,7 @@ class TestInverse:
             raise AssertionError("the transforms must not build a lattice")
 
         lcumulants.lattice._cached_weights.cache_clear()
+        lcumulants.lattice._cached_first_blocks.cache_clear()
         monkeypatch.setattr(lcumulants.lattice, "build", refuse)
         monkeypatch.setattr(lcumulants.lcumulant, "build", refuse)
         mv = random_moments(StateSpace.of([3, 2, 2, 2]) if fam.size_indexed else StateSpace.binary(4), rng)
