@@ -453,8 +453,11 @@ def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
 FirstBlocks = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 # Keyed like the weight tables: per size for size-indexed families, per
-# leaf tuple for trees.
-FIRST_BLOCK_CACHE_SIZE = 512
+# leaf tuple for trees.  Sized so that every leaf subset of one tree at the
+# default cap stays cached: with 512 entries a repeat singleton-free sum on
+# caterpillar(10) rebuilt all 1023 tables (0.35 s; 0.045 s once they fit).
+# All the tables of a 12-leaf caterpillar hold about 90 MiB (tracemalloc).
+FIRST_BLOCK_CACHE_SIZE = 2**DEFAULT_CAPACITY
 
 
 def first_blocks(

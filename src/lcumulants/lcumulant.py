@@ -16,7 +16,9 @@ with S running over ``lattice.first_blocks``.  Both transforms run this
 one loop by increasing index size: the forward map solves it for
 kappa(A), the inverse for m(A).  It visits about 2^(|A|-1) first blocks
 per index instead of the Bell-many lattice elements, and builds neither
-a lattice nor a Moebius table.
+a lattice nor a Moebius table.  The cumulants are multilinear, so
+scaling every variable by d scales each coordinate of A by d^|A|; the
+loop runs on the integers d^|A| * given(A) and divides once per entry.
 
 Also here: the classical-cumulant bridge, cumulant tensors with their
 multilinear transformation law, shift (semi-)invariance, detection of
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -50,6 +53,7 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     distribution_from_moments,
+    _exact_parts,
 )
 from .partition import DEFAULT_CAPACITY, SetPartition, all_partitions, refines
 from .topology import is_caterpillar
@@ -130,24 +134,38 @@ def _first_block_solve(
     size, so every kappa(B) and m(S) the recursion reads for a proper
     B or S is known by then.  Sub-multisets are looked up by their
     position in the box, the sum of one stride per position.
+
+    The recursion runs on integers.  Scaling every variable by d scales
+    m(A) and kappa(A) by d^|A|, and every term for A has degree |A|,
+    since B and the parts of rest(A, B) partition A.  So d is chosen
+    with d^|A| * given(A) integral for every nonempty A, the recursion
+    runs on those integers, and each solved entry is divided by its
+    d^|A| once at the end.
     """
     states = list(space.states())  # product order: a state's position is its code
-    strides = [1] * space.n
-    for i in range(space.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * space.arities[i + 1]
-    known = [given[x] for x in states]
-    solved: list[Fraction] = [Fraction(0)] * len(states)
-    moments, cumulants = (known, solved) if forward else (solved, known)
     largest = space.index_multiset(states[-1])
     if largest:  # its table first, so the cap refuses an oversized box before any work
         tables(largest)
-    for code in sorted(range(len(states)), key=lambda c: sum(states[c])):
+    strides = [1] * space.n
+    for i in range(space.n - 2, -1, -1):
+        strides[i] = strides[i + 1] * space.arities[i + 1]
+    parts = [_exact_parts(given[x], x) for x in states]
+    sizes = [sum(x) for x in states]
+    d = 1
+    for (_, den), size in zip(parts, sizes):
+        if size:  # multiply in the part of den that d^size misses
+            d *= den // gcd(den, d**size)
+    powers = [d**k for k in range(max(sizes) + 1)]
+    known = [num * (powers[size] // den) for (num, den), size in zip(parts, sizes)]
+    solved = [0] * len(states)
+    moments, cumulants = (known, solved) if forward else (solved, known)
+    for code in sorted(range(len(states)), key=sizes.__getitem__):
         multiset = space.index_multiset(states[code])
         if not multiset:
-            solved[code] = Fraction(0) if forward else Fraction(1)
+            solved[code] = 0 if forward else 1
             continue
         step = [strides[i - 1] for i in multiset]
-        lower = Fraction(0)
+        lower = 0
         for block, rest in tables(multiset):
             term = cumulants[sum(map(step.__getitem__, block))]
             if not term:  # on central moments every singleton block is 0
@@ -156,7 +174,7 @@ def _first_block_solve(
                 term *= moments[sum(map(step.__getitem__, part))]
             lower += term
         solved[code] = known[code] - lower if forward else known[code] + lower
-    return dict(zip(states, solved))
+    return {x: Fraction(v, powers[size]) for x, v, size in zip(states, solved, sizes)}
 
 
 def to_lcumulants(

@@ -20,6 +20,7 @@ from .moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _scaled_integers,
 )
 from .topology import TreeTopology, caterpillar
 from .trees import GMMParams, exact_sqrt, subset_tree_cumulants
@@ -212,7 +213,9 @@ def verify_split_binomials(
     For nonempty I, I' in A and J, J' in B the residual is
     t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
     points of a tree model realizing the split across an edge.  The
-    flattening matrix of t(I+J) is read once, then every minor in turn.
+    flattening matrix of t(I+J) is read once and scaled by the lcm L of
+    its denominators, then every minor is taken in turn on integers; a
+    nonzero integer minor r is the residual r / L^2.
     """
     if isinstance(tree_cums, CoordinateVector):
         values = {
@@ -225,13 +228,15 @@ def verify_split_binomials(
         raise ValueError("split sides overlap")
     subsets_a = _nonempty_subsets(side_a)
     subsets_b = _nonempty_subsets(side_b)
-    flat = [[values[tuple(sorted(I + J))] for J in subsets_b] for I in subsets_a]
+    keys = [[tuple(sorted(I + J)) for J in subsets_b] for I in subsets_a]
+    ints, scale = _scaled_integers(((key, values[key]) for row in keys for key in row), "index")
+    flat = [[ints[key] for key in row] for row in keys]
     violations = []
     for (I, row), (I2, row2) in itertools.product(zip(subsets_a, flat), repeat=2):
         for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
             residual = row[j] * row2[j2] - row[j2] * row2[j]
-            if residual != 0:
-                violations.append(((I, subsets_b[j], I2, subsets_b[j2]), residual))
+            if residual:
+                violations.append(((I, subsets_b[j], I2, subsets_b[j2]), Fraction(residual, scale * scale)))
     checked = len(subsets_a) ** 2 * len(subsets_b) ** 2
     return BinomialReport((side_a, side_b), checked, violations)
 

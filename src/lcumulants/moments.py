@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partition import SetPartition
@@ -52,10 +52,35 @@ def within_tolerance(left, right, tol: float = FLOAT_TOLERANCE) -> bool:
     return abs(float(left) - float(right)) <= tol
 
 
+_FLOAT_MESSAGE = "floats are not allowed in exact mode; pass Fraction, int or 'p/q'"
+
+
 def _frac(value) -> Fraction:
     if isinstance(value, float):
-        raise TypeError("floats are not allowed in exact mode; pass Fraction, int or 'p/q'")
+        raise TypeError(_FLOAT_MESSAGE)
     return Fraction(value)
+
+
+def _scaled_integers(entries: Iterable[tuple[object, object]], what: str = "state") -> tuple[dict, int]:
+    """Exact entries as integers over their least common denominator.
+
+    Returns ``({key: numerator * (L // denominator)}, L)``, so each entry
+    is its integer divided by L.  A float or other inexact entry raises
+    TypeError naming its key.
+    """
+    parts = {key: _exact_parts(value, key, what) for key, value in entries}
+    scale = lcm(*(den for _, den in parts.values()))
+    return {key: num * (scale // den) for key, (num, den) in parts.items()}, scale
+
+
+def _exact_parts(value, key: object, what: str = "state") -> tuple[int, int]:
+    """Numerator and denominator of an int or Fraction entry at ``key``."""
+    if isinstance(value, float):
+        raise TypeError(f"{_FLOAT_MESSAGE}; got {value!r} at {what} {key}")
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"expected an int or Fraction at {what} {key}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -306,19 +331,30 @@ def _per_axis(
 
     After axis i, the entry at x is the sum over levels l of
     ``matrices[i][x_i][l]`` times the entry at x with x_i set to l, so the
-    whole pass costs O(|box| * sum r_i) products.
+    whole pass costs O(|box| * sum r_i) products.  The map is linear in
+    the data and in each matrix, so it runs on integers: the data scaled
+    by the lcm of its denominators, each matrix by the lcm of its
+    entries' denominators.  One division by the product of the scales
+    per entry gives the exact result.
     """
-    out = dict(data)
+    states = list(space.states())
+    out, denominator = _scaled_integers((x, data[x]) for x in states)
     for i, matrix in enumerate(matrices):
-        new: dict[Exponent, Fraction] = {}
-        for x in space.states():
-            total = Fraction(0)
-            for level, coeff in enumerate(matrix[x[i]]):
+        ints, scale = _scaled_integers(
+            (((k, l), v) for k, row in enumerate(matrix) for l, v in enumerate(row)),
+            f"axis {i + 1} matrix entry",
+        )
+        rows = [[ints[k, l] for l in range(len(row))] for k, row in enumerate(matrix)]
+        denominator *= scale
+        new: dict[Exponent, int] = {}
+        for x in states:
+            total = 0
+            for level, coeff in enumerate(rows[x[i]]):
                 if coeff:
                     total += coeff * out[x[:i] + (level,) + x[i + 1 :]]
             new[x] = total
         out = new
-    return out
+    return {x: Fraction(v, denominator) for x, v in out.items()}
 
 
 def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
