@@ -27,7 +27,6 @@ from .lattice import (
 )
 from .lcumulant import (
     CumulantTensor,
-    LCumulantSystem,
     UnsupportedFamilyError,
     brillinger,
     classical_cumulants,

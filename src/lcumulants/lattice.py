@@ -1,8 +1,6 @@
-"""Explicit partition lattices, their Moebius functions, and structure checks.
+"""Partition-lattice families: order-free tables, explicit lattices, structure checks.
 
-A :class:`PartitionLattice` holds a deduplicated element list (partitions of
-positions ``0..d-1``), the refinement order as explicit up/down sets, and a
-memoized Moebius table.  Five families are built in:
+Five families are built in:
 
 * ``full``         all partitions,
 * ``noncrossing``  no interleaved pair of blocks (free-cumulant lattice),
@@ -14,21 +12,25 @@ All families contain the all-singletons bottom and the one-block top, and
 are closed under common refinement, so meets inside the lattice agree with
 meets in the full partition lattice.
 
-The Moebius memo table is filled lazily.  Writes are idempotent (a key is
-always recomputed to the same value), so concurrent readers may at worst
-duplicate work; no locking is required under the usual dict atomicity.
+Two order-free tables serve every reader.  :func:`first_blocks` gives, for
+each block B holding the first position, the position sets the other
+blocks must stay inside: the blockwise product property (C0) written out
+per family.  The transforms and the tree singleton-free sums read it.
+:func:`mobius_weights` gives the pairs (pi, mu(pi, top)), finest first,
+and is the one source of mu(pi, top): the ``lattice`` dump
+(:func:`weights_json`), the Weisner fibres (:func:`weisner_fibres`),
+tensors, the conditional formulas and independence detection read it, and
+test the order with ``partition.refines`` where they need it.  Full,
+interval and one-cluster lattices have closed forms; the others recurse
+down from the top over coarsenings generated as partitions of blocks.
+Both tables live in bounded process LRUs keyed by (family, ground set),
+and the cap is checked before either is read.
 
-Two order-free tables serve callers that need no lattice.  The forward
-and inverse transforms and the tree singleton-free sums read
-:func:`first_blocks`: for each block B holding the first position, the
-position sets the other blocks must stay inside.  That is the blockwise
-product property (C0) written out per family.  Cumulant tensors and the
-conditional-independence collapse read :func:`mobius_weights`, the pairs
-(pi, mu(pi, top)): full, interval and one-cluster lattices have closed
-forms, and non-crossing and tree lattices recurse down from the top over
-coarsenings generated as partitions of blocks.  Both kinds of table are
-cached for the whole process in bounded LRUs keyed by (family, ground
-set), and the cap is checked before either is read.
+A :class:`PartitionLattice` holds the elements, the refinement order as
+explicit up/down sets (one refinement test per pair) and a lazily filled
+Moebius memo, whose idempotent writes need no lock.  Only the C0..C3
+checks, :func:`build` and :func:`custom_lattice` build one; the tests use
+it as the oracle for the tables.
 """
 
 from __future__ import annotations
@@ -281,13 +283,20 @@ class PartitionLattice:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "family": str(self.family) if self.family is not None else "custom",
-            "ground_size": self.size,
-            "elements": [",".join(str(v) for v in p.rgs) for p in self.elements],
-            "partitions": [format_partition(p, self.labels) for p in self.elements],
-            "mobius_to_top": [str(Fraction(self.mobius_to_top(p))) for p in self.elements],
-        }
+        return weights_json(self.family, self.labels, [(p, self.mobius_to_top(p)) for p in self.elements])
+
+
+def weights_json(
+    family: Family | None, labels: Sequence[int], weights: Sequence[tuple[SetPartition, int]]
+) -> dict:
+    """The JSON dump of a lattice from its ``(pi, mu(pi, top))`` pairs, in order."""
+    return {
+        "family": str(family) if family is not None else "custom",
+        "ground_size": weights[0][0].size,
+        "elements": [",".join(str(v) for v in p.rgs) for p, _ in weights],
+        "partitions": [format_partition(p, labels) for p, _ in weights],
+        "mobius_to_top": [str(Fraction(mu)) for _, mu in weights],
+    }
 
 
 # -- construction --------------------------------------------------------
@@ -376,7 +385,7 @@ def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartiti
 
 # -- Moebius weights without the order ---------------------------------------
 
-Weights = tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
+Weights = tuple[tuple[SetPartition, int], ...]
 
 # Weight tables live for the whole process, keyed by (family, ground), so
 # a session's later calls on the same family and sizes reuse them.
@@ -399,17 +408,14 @@ def mobius_weights(
     ground: int | Sequence[int],
     capacity: int | None = DEFAULT_CAPACITY,
 ) -> Weights:
-    """``(blocks, mu(pi, top))`` for every element pi of the family lattice.
+    """``(pi, mu(pi, top))`` for every element pi of the family lattice.
 
     The pairs come in :attr:`PartitionLattice.elements` order (finest
-    first) and agree with ``build(fam, ground).mobius_to_top``, but no
-    order is built: full, interval and one-cluster lattices have closed
-    forms, and the others recurse over generated coarsenings.  Tables are
-    cached per size for size-indexed families and per leaf tuple for trees.
-
-    The transforms do not read these tables; they run the first-block
-    recursion of :func:`first_blocks`.  ``lcumulant.cumulant_tensor`` and
-    ``lcumulant.conditional_collapse`` still sum over the weights.
+    first, the top last) and agree with ``build(fam, ground).mobius_to_top``,
+    but no order is built: full, interval and one-cluster lattices have
+    closed forms, and the others recurse over generated coarsenings.
+    Tables are cached per size for size-indexed families and per leaf tuple
+    for trees.  The transforms read :func:`first_blocks` instead.
     """
     labels = _ground_labels(fam, ground, capacity)
     return _cached_weights(fam, len(labels) if fam.size_indexed else labels)
@@ -424,7 +430,7 @@ def _cached_weights(fam: Family, ground: int | tuple[int, ...]) -> Weights:
         weights = [closed(p.num_blocks, len(labels)) for p in elements]
     else:
         weights = _weights_from_coarsenings(elements)
-    return tuple((p.blocks, w) for p, w in zip(elements, weights))
+    return tuple(zip(elements, weights))
 
 
 def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
@@ -446,6 +452,19 @@ def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
             total += mu.get(tuple(beta[b] for b in p.rgs), 0)
         mu[p.rgs] = -total if k > 1 else 1
     return [mu[p.rgs] for p in elements]
+
+
+def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, int]:
+    """:meth:`PartitionLattice.weisner_sum` of pi0 at every delta, in one pass.
+
+    Built-in families are closed under common refinement, so the lattice
+    meet is the common refinement.  A delta with no key has an empty fibre.
+    """
+    fibres: dict[SetPartition, int] = {}
+    for p, mu in weights:
+        delta = meet(p, pi0)
+        fibres[delta] = fibres.get(delta, 0) + mu
+    return fibres
 
 
 # -- first blocks ---------------------------------------------------------------

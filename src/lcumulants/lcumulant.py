@@ -24,6 +24,9 @@ Also here: the classical-cumulant bridge, cumulant tensors with their
 multilinear transformation law, shift (semi-)invariance, detection of
 independence structure from vanishing coordinates, the conditional
 cumulant (Brillinger) formula, and the conditional-independence collapse.
+These read the pairs (pi, mu(pi, top)) of ``lattice.mobius_weights`` and
+test the order with ``partition.refines`` where they need it; nothing in
+this module builds a lattice order.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .lattice import (
     TREE,
     Family,
     FirstBlocks,
-    PartitionLattice,
-    build,
     first_blocks,
     mobius_weights,
 )
@@ -65,50 +66,24 @@ class UnsupportedFamilyError(ValueError):
     """The requested operation is not defined for this lattice family."""
 
 
-class LCumulantSystem:
-    """One family's lattices over one state space, by index multiset.
+def _ground_of(fam: Family, space: StateSpace) -> Callable[[Sequence[int]], int | tuple[int, ...]]:
+    """An index's ground set: its size, or for a tree its leaves (a binary box's index)."""
+    if fam.size_indexed:
+        return len
+    if any(r != 2 for r in space.arities):
+        raise UnsupportedFamilyError("tree families require a binary state space")
+    assert fam.tree is not None
+    if set(range(1, space.n + 1)) - set(fam.tree.leaves):
+        raise UnsupportedFamilyError("tree leaves must cover the variables")
+    return tuple
 
-    Size-indexed families key a ground set by the index size; tree
-    families key it by the leaf subset.  The forward and inverse
-    transforms read :meth:`first_blocks`, the process-wide tables of
-    :func:`lattice.first_blocks`, and build no lattice.
-    Operations that need the order itself use :meth:`lattice`, which
-    builds each lattice once per system.  Cache fills are idempotent, so
-    concurrent readers may duplicate work but never see torn values.
-    """
 
-    def __init__(self, fam: Family, space: StateSpace, capacity: int | None = DEFAULT_CAPACITY):
-        if fam.kind == TREE:
-            if any(r != 2 for r in space.arities):
-                raise UnsupportedFamilyError("tree families require a binary state space")
-            assert fam.tree is not None
-            if set(range(1, space.n + 1)) - set(fam.tree.leaves):
-                raise UnsupportedFamilyError("tree leaves must cover the variables")
-        self.family = fam
-        self.space = space
-        self.capacity = capacity
-        self._cache: dict[int | tuple[int, ...], PartitionLattice] = {}
-
-    def _ground(self, multiset: Sequence[int]) -> int | tuple[int, ...]:
-        if self.family.size_indexed:
-            return len(multiset)
-        support = tuple(sorted(set(multiset)))
-        if len(support) != len(multiset):
-            raise UnsupportedFamilyError("tree lattices are defined for plain index sets only")
-        return support
-
-    def first_blocks(self, multiset: Sequence[int]) -> FirstBlocks:
-        """``(B, rest)`` over the lattice on the multiset's positions."""
-        return first_blocks(self.family, self._ground(multiset), capacity=self.capacity)
-
-    def lattice(self, multiset: Sequence[int]) -> PartitionLattice:
-        """The family lattice on the positions of an index multiset."""
-        ground = self._ground(multiset)
-        found = self._cache.get(ground)
-        if found is None:
-            found = build(self.family, ground, capacity=self.capacity)
-            self._cache[ground] = found
-        return found
+def _first_block_tables(
+    fam: Family, space: StateSpace, capacity: int | None
+) -> Callable[[Sequence[int]], FirstBlocks]:
+    """The ``(B, rest)`` table of the family lattice on an index's positions."""
+    ground = _ground_of(fam, space)
+    return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
 
 
 def _moment_of_blocks(
@@ -189,8 +164,8 @@ def to_lcumulants(
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
-    sys_ = LCumulantSystem(fam, mv.space, capacity)
-    entries = _first_block_solve(mv.space, mv.entries, sys_.first_blocks, forward=True)
+    tables = _first_block_tables(fam, mv.space, capacity)
+    entries = _first_block_solve(mv.space, mv.entries, tables, forward=True)
     return CoordinateVector(mv.space, system, entries, family=fam)
 
 
@@ -214,8 +189,8 @@ def from_lcumulants(
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    sys_ = LCumulantSystem(fam, lv.space, capacity)
-    entries = _first_block_solve(lv.space, lv.entries, sys_.first_blocks, forward=False)
+    tables = _first_block_tables(fam, lv.space, capacity)
+    entries = _first_block_solve(lv.space, lv.entries, tables, forward=False)
     return CoordinateVector(lv.space, MOMENTS, entries)
 
 
@@ -232,17 +207,17 @@ def l_from_classical(
     """
     if kv.system != CLASSICAL_CUMULANTS:
         raise ValueError(f"expected classical cumulants, got {kv.system}")
-    sys_ = LCumulantSystem(fam, kv.space, capacity)
+    ground = _ground_of(fam, kv.space)
     entries: dict[tuple[int, ...], Fraction] = {}
     for x in kv.space.states():
         multiset = kv.space.index_multiset(x)
         if not multiset:
             entries[x] = Fraction(0)
             continue
-        lat = sys_.lattice(multiset)
+        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
         total = Fraction(0)
         for pi in all_partitions(len(multiset), capacity=None):
-            upper = [nu for nu in lat.elements if refines(pi, nu)]
+            upper = [nu for nu, _ in weights if refines(pi, nu)]
             if len(upper) == 1:  # only the top block survives above pi
                 total += _moment_of_blocks(kv, multiset, pi.blocks)
         entries[x] = total
@@ -302,9 +277,9 @@ def cumulant_tensor(
     entries: dict[tuple[int, ...], Fraction] = {}
     for idx in itertools.product(range(1, n + 1), repeat=order):
         total = Fraction(0)
-        for blocks, weight in weights:
+        for pi, weight in weights:
             term = Fraction(weight)
-            for block in blocks:
+            for block in pi.blocks:
                 term *= moment_fn([idx[j] for j in block])
             total += term
         entries[idx] = total
@@ -431,11 +406,11 @@ def detect_independence_structure(
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    lat = LCumulantSystem(fam, lv.space, capacity).lattice(tuple(range(1, lv.space.n + 1)))
-    for pi0 in lat.elements:  # enumeration order is finest-first
+    ground = _ground_of(fam, lv.space)(tuple(range(1, lv.space.n + 1)))
+    for pi0, _ in mobius_weights(fam, ground, capacity=capacity):  # finest first
         if vanishes_outside(lv, pi0):
             return pi0
-    return lat.top
+    return SetPartition.one_block(lv.space.n)
 
 
 # -- conditional cumulants ----------------------------------------------------
@@ -487,18 +462,19 @@ def brillinger(
     space = next(iter(cond.values())).space
     if any(vec.space != space for vec in cond.values()):
         raise ValueError("conditional cumulant vectors live on different state spaces")
-    sys_ = LCumulantSystem(fam, space, capacity)
+    ground = _ground_of(fam, space)
     entries: dict[tuple[int, ...], Fraction] = {}
     for x in space.states():
         multiset = space.index_multiset(x)
         if not multiset:
             entries[x] = Fraction(0)
             continue
-        lat = sys_.lattice(multiset)
+        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
         total = Fraction(0)
-        for delta in lat.elements:
-            for nu in lat.interval(delta, lat.top):
-                weight = lat.mobius_to_top(nu)
+        for delta, _ in weights:
+            for nu, weight in weights:
+                if not refines(delta, nu):
+                    continue
                 term = Fraction(weight)
                 for group in nu.blocks:
                     inner_blocks = [
@@ -535,9 +511,9 @@ def conditional_collapse(
     means = {y: [Fraction(v) for v in conditional_means[y]] for y, _ in ys}
     n = len(next(iter(means.values())))
     total = Fraction(0)
-    for blocks, weight in mobius_weights(fam, n, capacity=capacity):
+    for pi, weight in mobius_weights(fam, n, capacity=capacity):
         term = Fraction(weight)
-        for block in blocks:
+        for block in pi.blocks:
             mean = Fraction(0)
             for y, p in ys:
                 if p == 0:

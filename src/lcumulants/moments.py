@@ -441,7 +441,8 @@ def central_moments_direct(dist: DiscreteDistribution) -> CoordinateVector:
     The map is the raw-moment map with every level value centred at its
     mean: one Vandermonde matrix of the centred values per variable,
     applied one axis at a time.  It reads the distribution directly, for
-    any arities; ``trees.subset_tree_cumulants`` uses it.
+    any arities, and takes each mean by its own scan of the table; the
+    tests compare :func:`central_moments` against it.
     """
     space = dist.space
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]

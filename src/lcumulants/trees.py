@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Sequence
 
-from .lattice import TREE, Family, first_blocks
-from .lcumulant import _first_block_solve, to_lcumulants
+from .lattice import TREE, Family
+from .lcumulant import _first_block_solve, _first_block_tables, to_lcumulants
 from .moments import (
     LCUMULANTS,
     MOMENTS,
@@ -34,7 +34,7 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     central_moments,
-    central_moments_direct,
+    moments_from_distribution,
 )
 from .partition import DEFAULT_CAPACITY
 from .topology import TreeTopology, induced_subtree
@@ -58,10 +58,9 @@ def _singleton_free_sums(
     singleton block holds a centred first moment, which is 0.  The
     subsets are the 0/1 exponents of ``cm``'s box, read as a binary box.
     """
-    fam = Family(TREE, tree)
     space = StateSpace.binary(cm.space.n)
     given = {x: cm.entries[x] for x in space.states()}
-    sums = _first_block_solve(space, given, lambda leaves: first_blocks(fam, leaves, capacity), forward=True)
+    sums = _first_block_solve(space, given, _first_block_tables(Family(TREE, tree), space, capacity), forward=True)
     return {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
 
 
@@ -99,9 +98,11 @@ def subset_tree_cumulants(
     Only simple (repeat-free) indices make sense against a leaf tree, so
     this works for any finite emission alphabet: the value at I is the
     alternating central-moment sum over singleton-free tree partitions.
+    The means and the central moments come from one moment pass.
     """
-    out = {(i,): dist.raw_moment((i,)) for i in range(1, dist.space.n + 1)}
-    out.update(_singleton_free_sums(tree, central_moments_direct(dist), capacity))
+    mv = moments_from_distribution(dist)
+    out = {(i,): mv.of_multiset((i,)) for i in range(1, dist.space.n + 1)}
+    out.update(_singleton_free_sums(tree, central_moments(mv), capacity))
     return out
 
 

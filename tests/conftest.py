@@ -22,3 +22,15 @@ def random_distribution(space: StateSpace, rng: SplitMix64, algebraic: bool = Fa
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+@pytest.fixture
+def no_lattice_order(monkeypatch):
+    """Make building a lattice order fail, through ``build`` or the class itself."""
+    import lcumulants.lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice order was built")
+
+    monkeypatch.setattr(lcumulants.lattice, "build", refuse)
+    monkeypatch.setattr(lcumulants.lattice.PartitionLattice, "__init__", refuse)

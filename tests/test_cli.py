@@ -290,6 +290,20 @@ class TestVerify:
         assert row["holds"] is False
         assert row["witness"]
 
+    @pytest.mark.parametrize(
+        "argv, witness",
+        [
+            (["--n", "7"], "size 7 above the exhaustive-check limit"),
+            (["--family", "tree", "--tree", "caterpillar6"], "tree with 6 leaves exceeds the requested size 4"),
+        ],
+        ids=["above-the-check-limit", "tree-wider-than-n"],
+    )
+    def test_conditions_checked_nothing_is_a_usage_error(self, capsys, argv, witness):
+        assert main(["verify", "conditions", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {witness}\n"
+
     def test_conditions_expectation_flag(self, capsys):
         code, data = run_json(
             capsys,

@@ -60,9 +60,9 @@ def weight_sum_forward(mv, fam):
         multiset = mv.space.index_multiset(x)
         total = Fraction(0)
         if multiset:
-            for blocks, weight in mobius_weights(fam, _ground(fam, multiset)):
+            for pi, weight in mobius_weights(fam, _ground(fam, multiset)):
                 term = Fraction(weight)
-                for block in blocks:
+                for block in pi.blocks:
                     term *= mv.of_multiset(multiset[j] for j in block)
                 total += term
         entries[x] = total
@@ -79,9 +79,9 @@ def weight_sum_inverse(lv, fam):
             entries[x] = Fraction(1)
             continue
         lower = Fraction(0)
-        for blocks, weight in mobius_weights(fam, _ground(fam, multiset))[:-1]:  # all but the top
+        for pi, weight in mobius_weights(fam, _ground(fam, multiset))[:-1]:  # all but the top
             term = Fraction(weight)
-            for block in blocks:
+            for block in pi.blocks:
                 term *= entries[space.exponent_of(multiset[j] for j in block)]
             lower += term
         entries[x] = lv.entries[x] - lower
@@ -96,11 +96,11 @@ def weight_sum_singleton_free(tree, cm):
     for r in range(2, n + 1):
         for support in itertools.combinations(range(1, n + 1), r):
             total = Fraction(0)
-            for blocks, weight in mobius_weights(fam, support):
-                if any(len(b) == 1 for b in blocks):
+            for pi, weight in mobius_weights(fam, support):
+                if any(len(b) == 1 for b in pi.blocks):
                     continue
                 term = Fraction(weight)
-                for block in blocks:
+                for block in pi.blocks:
                     term *= cm.of_multiset(support[j] for j in block)
                 total += term
             out[support] = total

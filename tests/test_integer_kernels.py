@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family, first_blocks
-from lcumulants.lcumulant import LCumulantSystem, _first_block_solve, from_lcumulants, to_lcumulants
+from lcumulants.lcumulant import _first_block_solve, _first_block_tables, from_lcumulants, to_lcumulants
 from lcumulants.models import gmm_distribution, random_gmm_params, verify_split_binomials
 from lcumulants.moments import (
     LCUMULANTS,
@@ -66,7 +66,7 @@ def assert_same(got, want):
 
 def _solve_both_ways(space, fam, given_moments):
     """Forward then inverse through the kernel, each against the oracle."""
-    tables = LCumulantSystem(fam, space, None).first_blocks
+    tables = _first_block_tables(fam, space, None)
     kappa = _first_block_solve(space, given_moments, tables, forward=True)
     assert_same(kappa, oracles.first_block_solve(space, given_moments, tables, forward=True))
     back = _first_block_solve(space, kappa, tables, forward=False)
@@ -144,7 +144,7 @@ class TestFirstBlockSolve:
         space = StateSpace.of([3, 2, 2, 2])
         given = _coprime_entries(space)
         _solve_both_ways(space, Family(kind), given)
-        tables = LCumulantSystem(Family(kind), space, None).first_blocks
+        tables = _first_block_tables(Family(kind), space, None)
         assert_same(
             _first_block_solve(space, given, tables, forward=False),
             oracles.first_block_solve(space, given, tables, forward=False),
@@ -164,7 +164,7 @@ class TestFirstBlockSolve:
         kappa = {x: Fraction(k + 1, 3 ** (sum(x) ** 2) * 2 ** sum(x)) for k, x in enumerate(space.states())}
         kappa[(0,) * space.n] = Fraction(0)
         lv = CoordinateVector(space, LCUMULANTS, kappa, family=fam)
-        tables = LCumulantSystem(fam, space, None).first_blocks
+        tables = _first_block_tables(fam, space, None)
         want = oracles.first_block_solve(space, kappa, tables, forward=False)
         assert_same(dict(from_lcumulants(lv, capacity=None).entries), want)
 

@@ -207,7 +207,7 @@ class TestMobiusWeights:
     @staticmethod
     def oracle(fam, ground):
         lat = build(fam, ground)
-        return tuple((p.blocks, lat.mobius_to_top(p)) for p in lat.elements)
+        return tuple((p, lat.mobius_to_top(p)) for p in lat.elements)
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("kind", [FULL, NONCROSSING, INTERVAL, ONECLUSTER])

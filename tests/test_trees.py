@@ -127,9 +127,9 @@ class TestTreePartitionLattices:
         for r in range(2, len(spine) + 1):
             for support in itertools.combinations(sorted(spine), r):
                 got = {
-                    frozenset(frozenset(support[j] for j in b) for b in blocks): weight
-                    for blocks, weight in mobius_weights(fam, support)
-                    if all(len(b) > 1 for b in blocks)
+                    frozenset(frozenset(support[j] for j in b) for b in pi.blocks): weight
+                    for pi, weight in mobius_weights(fam, support)
+                    if all(len(b) > 1 for b in pi.blocks)
                 }
                 ordered = [leaf for leaf in spine if leaf in support]
                 expected = {
