@@ -581,6 +581,8 @@ def _suite_hmm(args) -> list[dict]:
 def _suite_weisner(args) -> list[dict]:
     fam = _family_from_args(args.family, args.tree)
     weights = lat_mod.mobius_weights(fam, _labels(fam, args.n), capacity=_capacity())
+    if len(weights) < 2:
+        raise SystemExit2("a one-element lattice has no meet-fiber sum to check")
     worst = 0
     for pi0, _ in weights[:-1]:  # the top comes last; empty fibres sum to 0
         worst = max(worst, *map(abs, lat_mod.weisner_fibres(weights, pi0).values()))

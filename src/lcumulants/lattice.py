@@ -15,22 +15,23 @@ meets in the full partition lattice.
 Two order-free tables serve every reader.  :func:`first_blocks` gives, for
 each block B holding the first position, the position sets the other
 blocks must stay inside: the blockwise product property (C0) written out
-per family.  The transforms and the tree singleton-free sums read it.
-:func:`mobius_weights` gives the pairs (pi, mu(pi, top)), finest first,
-and is the one source of mu(pi, top): the ``lattice`` dump
-(:func:`weights_json`), the Weisner fibres (:func:`weisner_fibres`),
-tensors, the conditional formulas and independence detection read it, and
-test the order with ``partition.refines`` where they need it.  Full,
-interval and one-cluster lattices have closed forms; the others recurse
-down from the top over coarsenings generated as partitions of blocks.
-Both tables live in bounded process LRUs keyed by (family, ground set),
-and the cap is checked before either is read.
+per family, and the one definition of a family.  The transforms and the
+tree singleton-free sums read it.  :func:`mobius_weights` gives the pairs
+(pi, mu(pi, top)), finest first, and is the one source of mu(pi, top): the
+``lattice`` dump (:func:`weights_json`), the Weisner fibres
+(:func:`weisner_fibres`), tensors, the conditional formulas and
+independence detection read it, and test the order with
+``partition.refines`` where they need it.  Its elements are generated from
+the first blocks (C0 read forward); mu has closed forms for full, interval
+and one-cluster lattices and is pushed up from the first blocks for the
+others.  Both tables live in bounded process LRUs keyed by (family, ground
+set), and the cap is checked before either is read.
 
 A :class:`PartitionLattice` holds the elements, the refinement order as
 explicit up/down sets (one refinement test per pair) and a lazily filled
 Moebius memo, whose idempotent writes need no lock.  Only the C0..C3
 checks, :func:`build` and :func:`custom_lattice` build one; the tests use
-it as the oracle for the tables.
+its Moebius recursion as the oracle for the weights.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -46,29 +47,19 @@ from .partition import (
     DEFAULT_CAPACITY,
     CapacityError,
     SetPartition,
-    all_partitions,
+    _canonical,
     format_partition,
-    is_interval,
-    is_noncrossing,
-    is_one_cluster,
     meet,
     refines,
     restrict,
 )
-from .topology import TreeTopology, induced_subtree
+from .topology import TreeTopology
 
 FULL = "full"
 NONCROSSING = "noncrossing"
 INTERVAL = "interval"
 ONECLUSTER = "onecluster"
 TREE = "tree"
-
-_PREDICATES: dict[str, Callable[[SetPartition], bool]] = {
-    FULL: lambda p: True,
-    NONCROSSING: is_noncrossing,
-    INTERVAL: is_interval,
-    ONECLUSTER: is_one_cluster,
-}
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,7 @@ class Family:
         if self.kind == TREE:
             if self.tree is None:
                 raise ValueError("tree family needs a topology")
-        elif self.kind not in _PREDICATES:
+        elif self.kind not in (FULL, NONCROSSING, INTERVAL, ONECLUSTER):
             raise ValueError(f"unknown family kind {self.kind!r}")
         elif self.tree is not None:
             raise ValueError("only tree families carry a topology")
@@ -329,13 +320,38 @@ def _ground_labels(
     return labels
 
 
+def _sub_ground(fam: Family, ground: int | tuple[int, ...], part: tuple[int, ...]) -> int | tuple[int, ...]:
+    """The ground of the family lattice on a position set of ``ground``."""
+    return len(part) if fam.size_indexed else tuple(ground[j] for j in part)
+
+
 def _elements(fam: Family, labels: tuple[int, ...]) -> list[SetPartition]:
-    """The family's partitions of the ground set, in lattice order."""
-    if fam.kind == TREE:
-        assert fam.tree is not None
-        return _tree_elements(fam.tree, labels)
-    predicate = _PREDICATES[fam.kind]
-    return [p for p in all_partitions(len(labels), capacity=None) if predicate(p)]
+    """The family's partitions of the ground set, in lattice order.
+
+    C0 read forward: besides the top, the elements whose first block is B
+    are B together with one family element on each part of its ``rest``
+    in :func:`first_blocks`, so each element is generated once.
+    """
+
+    @cache  # sub-ground elements, for the span of this call
+    def generate(ground: int | tuple[int, ...]) -> list[tuple[int, ...]]:
+        d = ground if isinstance(ground, int) else len(ground)
+        out, raw = [(0,) * d], [0] * d
+        for block, rest in _cached_first_blocks(fam, ground):
+            for j in block:
+                raw[j] = 0
+            subs = [generate(_sub_ground(fam, ground, part)) for part in rest]
+            for choice in itertools.product(*subs):
+                offset = 1
+                for part, sigma in zip(rest, choice):
+                    for j, v in zip(part, sigma):
+                        raw[j] = offset + v
+                    offset += max(sigma) + 1
+                out.append(_canonical(raw))
+        return out
+
+    found = generate(len(labels) if fam.size_indexed else labels)
+    return [SetPartition(rgs) for rgs in sorted(found, key=lambda rgs: (-max(rgs), rgs))]
 
 
 def build(
@@ -348,41 +364,6 @@ def build(
     return PartitionLattice(_elements(fam, labels), family_tag=fam, labels=labels)
 
 
-def _tree_elements(tree: TreeTopology, labels: Sequence[int]) -> list[SetPartition]:
-    """Partitions of the leaf subset induced by cutting edges of the subtree.
-
-    A partition qualifies exactly when the minimal subtrees spanning its
-    non-singleton blocks are pairwise node-disjoint: the spanning subtrees
-    then serve as the connected components, and a leaf never sits on the
-    path between two other leaves, so no foreign leaf is swept in.
-    """
-    if len(labels) == 1:
-        return [SetPartition.singletons(1)]
-    sub = induced_subtree(tree, labels)
-    span_cache: dict[tuple[int, ...], frozenset] = {}
-
-    def span(block_labels: tuple[int, ...]) -> frozenset:
-        if block_labels not in span_cache:
-            nodes: set = set()
-            base = block_labels[0]
-            for other in block_labels[1:]:
-                nodes.update(sub.path(base, other))
-            span_cache[block_labels] = frozenset(nodes)
-        return span_cache[block_labels]
-
-    out = []
-    for p in all_partitions(len(labels), capacity=None):
-        spans = [span(tuple(labels[i] for i in block)) for block in p.blocks if len(block) > 1]
-        ok = True
-        for a, b in itertools.combinations(spans, 2):
-            if a & b:
-                ok = False
-                break
-        if ok:
-            out.append(p)
-    return out
-
-
 # -- Moebius weights without the order ---------------------------------------
 
 Weights = tuple[tuple[SetPartition, int], ...]
@@ -391,9 +372,10 @@ Weights = tuple[tuple[SetPartition, int], ...]
 # a session's later calls on the same family and sizes reuse them.
 WEIGHT_CACHE_SIZE = 512
 
-# The recursion is exact for these families too, but it visits Bell(k)
-# merges per element of k blocks; for the full lattice at d = 10 that is
-# about twenty times the cost of enumerating the elements.
+# The first-block push is exact for these families too, and the tests
+# check the closed forms against it; for the full lattice at d = 10 it
+# takes 2.1 s where the closed form takes 0.12 s
+# (Python 3.11, one core of a 2-vCPU x86 machine).
 _CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
     FULL: lambda k, d: (-1) ** (k - 1) * factorial(k - 1),
     INTERVAL: lambda k, d: (-1) ** (k - 1),
@@ -413,9 +395,10 @@ def mobius_weights(
     The pairs come in :attr:`PartitionLattice.elements` order (finest
     first, the top last) and agree with ``build(fam, ground).mobius_to_top``,
     but no order is built: full, interval and one-cluster lattices have
-    closed forms, and the others recurse over generated coarsenings.
-    Tables are cached per size for size-indexed families and per leaf tuple
-    for trees.  The transforms read :func:`first_blocks` instead.
+    closed forms, and the others are pushed up from the first blocks
+    (:func:`_pushed_weights`).  Tables are cached per size for
+    size-indexed families and per leaf tuple for trees.  The transforms
+    read :func:`first_blocks` instead.
     """
     labels = _ground_labels(fam, ground, capacity)
     return _cached_weights(fam, len(labels) if fam.size_indexed else labels)
@@ -427,31 +410,37 @@ def _cached_weights(fam: Family, ground: int | tuple[int, ...]) -> Weights:
     elements = _elements(fam, labels)
     closed = _CLOSED_FORMS.get(fam.kind)
     if closed is not None:
-        weights = [closed(p.num_blocks, len(labels)) for p in elements]
-    else:
-        weights = _weights_from_coarsenings(elements)
-    return tuple(zip(elements, weights))
+        return tuple((p, closed(p.num_blocks, len(labels))) for p in elements)
+    mu = _pushed_weights(fam, ground)
+    return tuple((p, mu.get(p.rgs, 0)) for p in elements)
 
 
-def _weights_from_coarsenings(elements: Sequence[SetPartition]) -> list[int]:
-    """Moebius weights to the top by recursion down from the top.
+def _pushed_weights(fam: Family, ground: int | tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """mu(pi, top) keyed by RGS, from the moment expansion of the forward recursion.
 
-    mu(pi, top) is minus the sum of mu(sigma, top) over the proper
-    coarsenings sigma of pi in the family.  The coarsenings of pi are the
-    partitions of its blocks, so they are generated and looked up among
-    the elements already done; no pair of elements is compared.
+    ``kappa(A) = m(A) - sum over (B, rest) of kappa(B) * prod over S in rest of m(S)``.
+    Writing kappa(B) as the sum of mu_B(sigma, top) times the block moments
+    of sigma gives ``mu_A(pi) = [pi = top] - sum of mu_B(sigma)`` over the
+    (B, sigma) for which pi is sigma on B with each rest part one block.
+    By C0 every such pi is an element of the family.
     """
-    mu: dict[tuple[int, ...], int] = {}
-    merges: dict[int, list[tuple[int, ...]]] = {}
-    for p in reversed(elements):  # coarsest first
-        k = p.num_blocks
-        if k not in merges:
-            merges[k] = [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
-        total = 0
-        for beta in merges[k]:
-            total += mu.get(tuple(beta[b] for b in p.rgs), 0)
-        mu[p.rgs] = -total if k > 1 else 1
-    return [mu[p.rgs] for p in elements]
+
+    @cache  # sub-ground weights, for the span of this call
+    def push(ground: int | tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        d = ground if isinstance(ground, int) else len(ground)
+        mu, raw = {(0,) * d: 1}, [0] * d
+        for block, rest in _cached_first_blocks(fam, ground):
+            for t, part in enumerate(rest):
+                for j in part:
+                    raw[j] = d + t  # above every label of sigma
+            for sigma, weight in push(_sub_ground(fam, ground, block)).items():
+                for j, v in zip(block, sigma):
+                    raw[j] = v
+                key = _canonical(raw)
+                mu[key] = mu.get(key, 0) - weight
+        return mu
+
+    return push(ground)
 
 
 def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, int]:
@@ -632,11 +621,14 @@ def check_condition(
         family lattice of the block count (conditional cumulant formula).
 
     Verification is exhaustive for the given sizes and never extrapolates:
-    sizes above :data:`CONDITION_CHECK_LIMIT` return ``holds=None``.
+    sizes above :data:`CONDITION_CHECK_LIMIT`, and sizes below 1, which
+    check nothing, return ``holds=None``.
     """
     which = which.upper()
     if which not in {"C0", "C1", "C2", "C3"}:
         raise ValueError(f"unknown condition {which!r}")
+    if max_size < 1:
+        return ConditionReport(which, None, f"size {max_size} leaves no ground set to check", ())
     if max_size > CONDITION_CHECK_LIMIT:
         return ConditionReport(which, None, f"size {max_size} above the exhaustive-check limit", ())
     sizes = _lattice_family_sizes(fam, max_size)

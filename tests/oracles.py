@@ -1,15 +1,25 @@
-"""The Fraction bodies of the integer kernels, kept as their oracles.
+"""Slow paths kept as the oracles of the fast ones that replaced them.
 
 ``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
 of ``models.verify_split_binomials`` compute on integers scaled by a
-common denominator.  These are the same loops on ``Fraction`` entries, as
-they ran before; the kernels must return the same values.
+common denominator.  The first three functions here are the same loops on
+``Fraction`` entries, as they ran before; the kernels must return the same
+values.
+
+``lattice._elements`` and ``lattice._pushed_weights`` derive a family's
+elements and mu(pi, top) from its first-block table.  The last two
+functions here are the routes they replaced: a span test on every
+partition of a tree's leaves, and the recursion down from the top over
+coarsenings.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from lcumulants.partition import SetPartition, all_partitions
+from lcumulants.topology import induced_subtree
 
 
 def first_block_solve(space, given, tables, forward):
@@ -69,3 +79,46 @@ def split_minors(values, side_a, side_b):
             if residual != 0:
                 violations.append(((I, subsets_b[j], I2, subsets_b[j2]), residual))
     return len(subsets_a) ** 2 * len(subsets_b) ** 2, violations
+
+
+def tree_elements(tree, labels):
+    """Partitions of the leaf subset induced by cutting edges of the subtree.
+
+    A partition qualifies exactly when the minimal subtrees spanning its
+    non-singleton blocks are pairwise node-disjoint: the spanning subtrees
+    then serve as the connected components, and a leaf never sits on the
+    path between two other leaves, so no foreign leaf is swept in.
+    """
+    if len(labels) == 1:
+        return [SetPartition.singletons(1)]
+    sub = induced_subtree(tree, labels)
+
+    def span(block_labels):
+        nodes = set()
+        for other in block_labels[1:]:
+            nodes.update(sub.path(block_labels[0], other))
+        return frozenset(nodes)
+
+    out = []
+    for p in all_partitions(len(labels), capacity=None):
+        spans = [span([labels[i] for i in block]) for block in p.blocks if len(block) > 1]
+        if not any(a & b for a, b in itertools.combinations(spans, 2)):
+            out.append(p)
+    return out
+
+
+def weights_from_coarsenings(elements):
+    """mu(pi, top) for elements listed finest first, by recursion down from the top.
+
+    mu(pi, top) is minus the sum of mu(sigma, top) over the proper
+    coarsenings sigma of pi in the family.  The coarsenings of pi are the
+    partitions of its blocks, so they are generated and looked up among
+    the elements already done.
+    """
+    mu, merges = {}, {}
+    for p in reversed(elements):  # coarsest first
+        k = p.num_blocks
+        if k not in merges:
+            merges[k] = [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
+        mu[p.rgs] = -sum(mu.get(tuple(beta[b] for b in p.rgs), 0) for beta in merges[k]) if k > 1 else 1
+    return [mu[p.rgs] for p in elements]

@@ -281,6 +281,18 @@ class TestVerify:
         assert code == 0
         assert data["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--family", kind, "--n", "1"] for kind in ("full", "noncrossing", "interval", "onecluster")]
+        + [["--family", "tree", "--tree", "(1)r;"]],
+        ids=["full", "noncrossing", "interval", "onecluster", "one-leaf-tree"],
+    )
+    def test_weisner_on_one_element_checks_nothing(self, capsys, argv):
+        assert main(["verify", "weisner", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a one-element lattice has no meet-fiber sum to check\n"
+
     def test_conditions_failure_reports_witness(self, capsys):
         code, data = run_json(
             capsys, "verify", "conditions", "--family", "onecluster", "--n", "4", "--which", "C3"
@@ -295,8 +307,10 @@ class TestVerify:
         [
             (["--n", "7"], "size 7 above the exhaustive-check limit"),
             (["--family", "tree", "--tree", "caterpillar6"], "tree with 6 leaves exceeds the requested size 4"),
+            (["--n", "0"], "size 0 leaves no ground set to check"),
+            (["--n", "-3"], "size -3 leaves no ground set to check"),
         ],
-        ids=["above-the-check-limit", "tree-wider-than-n"],
+        ids=["above-the-check-limit", "tree-wider-than-n", "zero-size", "negative-size"],
     )
     def test_conditions_checked_nothing_is_a_usage_error(self, capsys, argv, witness):
         assert main(["verify", "conditions", *argv]) == 2

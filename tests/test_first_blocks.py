@@ -3,7 +3,9 @@
 The transforms and the tree singleton-free sums run one first-block loop
 (``lattice.first_blocks``).  The weight-table sums they used before are
 kept here as oracles, and the tables themselves are checked against the
-explicit lattices.
+explicit lattices.  The elements and the pushed Moebius weights derived
+from the tables are checked against the routes they replaced
+(``tests/oracles.py``).
 """
 
 import itertools
@@ -13,6 +15,7 @@ import pytest
 
 import lcumulants.lattice
 import lcumulants.lcumulant
+import oracles
 from lcumulants.lattice import (
     FULL,
     INTERVAL,
@@ -32,7 +35,14 @@ from lcumulants.moments import (
     central_moments_direct,
     moments_from_distribution,
 )
-from lcumulants.partition import CapacityError, SetPartition
+from lcumulants.partition import (
+    CapacityError,
+    SetPartition,
+    all_partitions,
+    is_interval,
+    is_noncrossing,
+    is_one_cluster,
+)
 from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums, subset_tree_cumulants
 
@@ -47,6 +57,11 @@ TREES = {
     "relabelled-caterpillar6": from_newick("(4,2,(6,(1,(3,5)h4)h3)h2)h1;"),
     "balanced7": from_newick("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;"),
 }
+# A degree-six node and two cherries: every cut through its hub leaves
+# several components, each a rest part of its own.
+ORACLE_TREES = dict(TREES, hub8=from_newick("((1,2,3,4,5)a,6,(7,8)b)r;"))
+
+PREDICATES = {FULL: lambda p: True, NONCROSSING: is_noncrossing, INTERVAL: is_interval, ONECLUSTER: is_one_cluster}
 
 
 def _ground(fam, multiset):
@@ -201,3 +216,50 @@ class TestTables:
         first_blocks(Family(FULL), 4)
         with pytest.raises(CapacityError):
             first_blocks(Family(FULL), 4, capacity=3)
+
+
+class TestDerivedFromTheTables:
+    """Elements and Moebius weights derived from the tables, against the old routes.
+
+    ``build`` shares the element generator, so the checks of the tables
+    against ``build`` above do not test membership on their own.
+    """
+
+    @staticmethod
+    def _leaf_subsets(tree):
+        for r in range(1, tree.num_leaves + 1):
+            yield from itertools.combinations(tree.leaves, r)
+
+    @staticmethod
+    def _check_weights(fam, ground):
+        labels = tuple(range(1, ground + 1)) if isinstance(ground, int) else ground
+        elements = lcumulants.lattice._elements(fam, labels)
+        want = oracles.weights_from_coarsenings(elements)
+        assert [mu for _, mu in mobius_weights(fam, ground)] == want, ground
+        pushed = lcumulants.lattice._pushed_weights(fam, ground)
+        assert [pushed.get(p.rgs, 0) for p in elements] == want, ground
+        assert set(pushed) <= {p.rgs for p in elements}, ground
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("kind", SIZE_INDEXED)
+    def test_size_indexed_elements_are_the_filtered_partitions(self, kind, d):
+        want = [p for p in all_partitions(d) if PREDICATES[kind](p)]
+        assert lcumulants.lattice._elements(Family(kind), tuple(range(1, d + 1))) == want
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TREES))
+    def test_tree_elements_are_the_span_filtered_partitions(self, name):
+        tree = ORACLE_TREES[name]
+        for support in self._leaf_subsets(tree):
+            got = lcumulants.lattice._elements(Family(TREE, tree), support)
+            assert got == oracles.tree_elements(tree, support), support
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("kind", SIZE_INDEXED)
+    def test_size_indexed_weights(self, kind, d):
+        self._check_weights(Family(kind), d)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TREES))
+    def test_tree_weights(self, name):
+        tree = ORACLE_TREES[name]
+        for support in self._leaf_subsets(tree):
+            self._check_weights(Family(TREE, tree), support)
