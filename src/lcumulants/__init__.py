@@ -52,7 +52,6 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     central_moments,
-    central_moments_direct,
     conditional_moments,
     distribution_from_moments,
     distribution_from_vector,
@@ -118,7 +117,6 @@ from .trees import (
     normalized_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
-    tree_cumulants_via_central,
     trivalent_refinement,
     variances_from_distribution,
     variances_from_moments,

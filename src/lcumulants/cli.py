@@ -484,7 +484,13 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
     return results
 
 
+def _positive_trials(suite: str, trials: int) -> None:
+    if trials < 1:
+        raise SystemExit2(f"verify {suite} needs a positive --trials")
+
+
 def _suite_secant(args) -> list[dict]:
+    _positive_trials("secant", args.trials)
     _within_capacity(args.n, "--n")
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.n) for trial, s in enumerate(seeds)]
@@ -530,6 +536,7 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
 
 
 def _suite_gmm(args) -> list[dict]:
+    _positive_trials("gmm", args.trials)
     _within_capacity((_load_tree(args.tree) if args.tree else quartet()).num_leaves, "the tree's leaf count")
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.tree) for trial, s in enumerate(seeds)]

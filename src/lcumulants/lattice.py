@@ -178,9 +178,6 @@ class PartitionLattice:
     def top(self) -> SetPartition:
         return self.elements[self.top_id]
 
-    def leq(self, p: SetPartition, q: SetPartition) -> bool:
-        return self.id_of(p) in self._below[self.id_of(q)]
-
     def interval(self, lo: SetPartition, hi: SetPartition) -> list[SetPartition]:
         """All elements between lo and hi inclusive, in enumeration order."""
         lo_id, hi_id = self.id_of(lo), self.id_of(hi)

@@ -20,13 +20,15 @@ a lattice nor a Moebius table.  The cumulants are multilinear, so
 scaling every variable by d scales each coordinate of A by d^|A|; the
 loop runs on the integers d^|A| * given(A) and divides once per entry.
 
-Also here: the classical-cumulant bridge, cumulant tensors with their
-multilinear transformation law, shift (semi-)invariance, detection of
-independence structure from vanishing coordinates, the conditional
-cumulant (Brillinger) formula, and the conditional-independence collapse.
-These read the pairs (pi, mu(pi, top)) of ``lattice.mobius_weights`` and
-test the order with ``partition.refines`` where they need it; nothing in
-this module builds a lattice order.
+The classical-cumulant bridge composes the two transforms: the classical
+cumulants fix the moments, and the moments fix the family cumulants.  The
+conditional-independence collapse runs the forward recursion on the
+moments of the conditional-mean vector.  Also here: cumulant tensors with
+their multilinear transformation law, shift (semi-)invariance, detection
+of independence structure from vanishing coordinates, and the conditional
+cumulant (Brillinger) formula.  These read the pairs (pi, mu(pi, top)) of
+``lattice.mobius_weights`` and test the order with ``partition.refines``
+where they need it; nothing in this module builds a lattice order.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd, prod
+from typing import Callable, Mapping, Sequence
 
 from .lattice import (
     FULL,
@@ -56,7 +58,7 @@ from .moments import (
     distribution_from_moments,
     _exact_parts,
 )
-from .partition import DEFAULT_CAPACITY, SetPartition, all_partitions, refines
+from .partition import DEFAULT_CAPACITY, SetPartition, refines
 from .topology import is_caterpillar
 
 MomentFunction = Callable[[Sequence[int]], Fraction]
@@ -84,15 +86,6 @@ def _first_block_tables(
     """The ``(B, rest)`` table of the family lattice on an index's positions."""
     ground = _ground_of(fam, space)
     return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
-
-
-def _moment_of_blocks(
-    values: CoordinateVector, multiset: tuple[int, ...], blocks: Iterable[Sequence[int]]
-) -> Fraction:
-    out = Fraction(1)
-    for block in blocks:
-        out *= values.of_multiset(multiset[j] for j in block)
-    return out
 
 
 def _first_block_solve(
@@ -201,27 +194,14 @@ def l_from_classical(
 ) -> CoordinateVector:
     """Family cumulants as sums of products of classical cumulants.
 
-    For each index, the partitions that see no family element between
-    themselves and the top contribute the product of their blockwise
-    classical cumulants.  The full family therefore returns its input.
+    The paper's sum runs over the partitions that see no family element
+    between themselves and the top.  It equals the composition of the two
+    transforms: the classical cumulants fix the moments, and the moments
+    fix the family cumulants.  The full family therefore returns its input.
     """
     if kv.system != CLASSICAL_CUMULANTS:
         raise ValueError(f"expected classical cumulants, got {kv.system}")
-    ground = _ground_of(fam, kv.space)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in kv.space.states():
-        multiset = kv.space.index_multiset(x)
-        if not multiset:
-            entries[x] = Fraction(0)
-            continue
-        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
-        total = Fraction(0)
-        for pi in all_partitions(len(multiset), capacity=None):
-            upper = [nu for nu, _ in weights if refines(pi, nu)]
-            if len(upper) == 1:  # only the top block survives above pi
-                total += _moment_of_blocks(kv, multiset, pi.blocks)
-        entries[x] = total
-    return CoordinateVector(kv.space, LCUMULANTS, entries, family=fam)
+    return to_lcumulants(from_lcumulants(kv, Family(FULL), capacity), fam, capacity)
 
 
 # -- cumulant tensors ---------------------------------------------------------
@@ -427,9 +407,17 @@ def _brillinger_supported(fam: Family) -> bool:
 
 
 def _y_table(y_dist) -> list[tuple[object, Fraction]]:
+    """The mixing law as ``(y, p(y))`` pairs; it must be nonempty with mass 1."""
     if isinstance(y_dist, DiscreteDistribution):
-        return [(x, p) for x, p in sorted(y_dist.table.items())]
-    return [(y, Fraction(p)) for y, p in y_dist.items()]
+        ys = [(x, p) for x, p in sorted(y_dist.table.items())]
+    else:
+        ys = [(y, Fraction(p)) for y, p in y_dist.items()]
+    if not ys:
+        raise ValueError("empty mixing distribution")
+    total_mass = sum(p for _, p in ys)
+    if total_mass != 1:
+        raise ValueError(f"mixing weights sum to {total_mass}, not 1")
+    return ys
 
 
 def brillinger(
@@ -453,11 +441,6 @@ def brillinger(
             f"conditional cumulants are supported for {_BRILLINGER_FAMILIES}"
         )
     ys = _y_table(y_dist)
-    if not ys:
-        raise ValueError("empty mixing distribution")
-    total_mass = sum(p for _, p in ys)
-    if total_mass != 1:
-        raise ValueError(f"mixing weights sum to {total_mass}, not 1")
     cond = {y: conditional_cumulants[y] for y, _ in ys}
     space = next(iter(cond.values())).space
     if any(vec.space != space for vec in cond.values()):
@@ -506,22 +489,19 @@ def conditional_collapse(
 
     Equals the family cumulant of the vector of conditional means, whose
     joint moments are plain expectations over Y; valid for every family.
+    Those moments m(S) = E_Y[prod over j in S of mean_j(Y)] fill a binary
+    box, one exponent per subset S, and the forward recursion runs on it.
     """
     ys = _y_table(y_dist)
     means = {y: [Fraction(v) for v in conditional_means[y]] for y, _ in ys}
     n = len(next(iter(means.values())))
-    total = Fraction(0)
-    for pi, weight in mobius_weights(fam, n, capacity=capacity):
-        term = Fraction(weight)
-        for block in pi.blocks:
-            mean = Fraction(0)
-            for y, p in ys:
-                if p == 0:
-                    continue
-                prod = p
-                for j in block:
-                    prod *= means[y][j]
-                mean += prod
-            term *= mean
-        total += term
-    return total
+    if any(len(row) != n for row in means.values()):
+        raise ValueError("conditional mean lists differ in length")
+    space = StateSpace.binary(n)
+    # The top index's table checks the family and the cap before the 2^n box is filled.
+    _first_block_tables(fam, space, capacity)(tuple(range(1, n + 1)))
+    entries = {
+        x: sum((prod((v for v, e in zip(means[y], x) if e), start=p) for y, p in ys if p), Fraction(0))
+        for x in space.states()
+    }
+    return to_lcumulants(CoordinateVector(space, MOMENTS, entries), fam, capacity).entries[(1,) * n]

@@ -14,9 +14,8 @@ small r_i x r_i matrix per variable, applied one axis at a time at
 O(|box| * sum r_i) products, never as a sum over pairs of box states or
 over sub-exponents.  Raw moments use the Vandermonde matrix of the level
 values (row k holds their k-th powers) and the inverse map its inverse;
-central moments from the table use the Vandermonde matrix of the centred
-values; central moments from raw moments and affine value changes use the
-matrix whose row k expands (scale*v + shift)^k in the powers of v.
+central moments and affine value changes use the matrix whose row k
+expands (scale*v + shift)^k in the powers of v.
 
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
@@ -433,21 +432,6 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
     for u in units:
         entries[u] = Fraction(0)
     return CoordinateVector(space, CENTRAL_MOMENTS, entries)
-
-
-def central_moments_direct(dist: DiscreteDistribution) -> CoordinateVector:
-    """Central moments as expectations of centred products over the table.
-
-    The map is the raw-moment map with every level value centred at its
-    mean: one Vandermonde matrix of the centred values per variable,
-    applied one axis at a time.  It reads the distribution directly, for
-    any arities, and takes each mean by its own scan of the table; the
-    tests compare :func:`central_moments` against it.
-    """
-    space = dist.space
-    mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
-    matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
-    return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
 
 
 def _unit(n: int, i: int) -> Exponent:

@@ -64,32 +64,6 @@ def _singleton_free_sums(
     return {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
 
 
-def tree_cumulants_via_central(
-    mv: CoordinateVector, tree: TreeTopology, capacity: int | None = DEFAULT_CAPACITY
-) -> CoordinateVector:
-    """Tree cumulants through central moments; must agree with the direct sum.
-
-    Centering kills every term with a singleton block, so only the
-    singleton-free tree partitions contribute.
-    """
-    if mv.system != MOMENTS:
-        raise ValueError(f"expected moments, got {mv.system}")
-    space = mv.space
-    if any(r != 2 for r in space.arities):
-        raise ValueError("tree cumulants need a binary state space")
-    sums = _singleton_free_sums(tree, central_moments(mv), capacity)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in space.states():
-        support = tuple(i + 1 for i, e in enumerate(x) if e)
-        if len(support) > 1:
-            entries[x] = sums[support]
-        elif support:
-            entries[x] = mv.entries[x]
-        else:
-            entries[x] = Fraction(0)
-    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
-
-
 def subset_tree_cumulants(
     dist: DiscreteDistribution, tree: TreeTopology, capacity: int | None = DEFAULT_CAPACITY
 ) -> dict[tuple[int, ...], Fraction]:

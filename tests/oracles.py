@@ -2,15 +2,25 @@
 
 ``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
 of ``models.verify_split_binomials`` compute on integers scaled by a
-common denominator.  The first three functions here are the same loops on
-``Fraction`` entries, as they ran before; the kernels must return the same
-values.
+common denominator.  ``first_block_solve``, ``per_axis`` and
+``split_minors`` here are the same loops on ``Fraction`` entries, as they
+ran before; the kernels must return the same values.
 
 ``lattice._elements`` and ``lattice._pushed_weights`` derive a family's
-elements and mu(pi, top) from its first-block table.  The last two
-functions here are the routes they replaced: a span test on every
-partition of a tree's leaves, and the recursion down from the top over
-coarsenings.
+elements and mu(pi, top) from its first-block table.  ``tree_elements``
+and ``weights_from_coarsenings`` are the routes they replaced: a span
+test on every partition of a tree's leaves, and the recursion down from
+the top over coarsenings.
+
+``lcumulant.l_from_classical`` and ``lcumulant.conditional_collapse`` run
+the first-block transforms.  The functions of those names here are the
+paper's sums they replaced: products of classical cumulants over the
+partitions with only the top above them in the family, and the Moebius
+weight table summed against moments of the conditional means.
+``tree_cumulants_via_central`` and ``central_moments_direct`` are second
+routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
+singleton-free sum over central moments, and the per-axis pass of the
+centred values over the probability table.
 """
 
 from __future__ import annotations
@@ -18,8 +28,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from lcumulants.partition import SetPartition, all_partitions
+from lcumulants.lattice import TREE, Family, mobius_weights
+from lcumulants.lcumulant import _ground_of, _y_table
+from lcumulants.moments import (
+    CENTRAL_MOMENTS,
+    CLASSICAL_CUMULANTS,
+    LCUMULANTS,
+    MOMENTS,
+    CoordinateVector,
+    _per_axis,
+    _vandermonde,
+    central_moments,
+)
+from lcumulants.partition import DEFAULT_CAPACITY, SetPartition, all_partitions, refines
 from lcumulants.topology import induced_subtree
+from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
 
 
 def first_block_solve(space, given, tables, forward):
@@ -122,3 +145,100 @@ def weights_from_coarsenings(elements):
             merges[k] = [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
         mu[p.rgs] = -sum(mu.get(tuple(beta[b] for b in p.rgs), 0) for beta in merges[k]) if k > 1 else 1
     return [mu[p.rgs] for p in elements]
+
+
+def _moment_of_blocks(values, multiset, blocks):
+    out = Fraction(1)
+    for block in blocks:
+        out *= values.of_multiset(multiset[j] for j in block)
+    return out
+
+
+def l_from_classical(kv, fam, capacity=DEFAULT_CAPACITY):
+    """Family cumulants as sums of products of classical cumulants.
+
+    For each index, the partitions that see no family element between
+    themselves and the top contribute the product of their blockwise
+    classical cumulants.  The full family therefore returns its input.
+    """
+    if kv.system != CLASSICAL_CUMULANTS:
+        raise ValueError(f"expected classical cumulants, got {kv.system}")
+    ground = _ground_of(fam, kv.space)
+    entries = {}
+    for x in kv.space.states():
+        multiset = kv.space.index_multiset(x)
+        if not multiset:
+            entries[x] = Fraction(0)
+            continue
+        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
+        total = Fraction(0)
+        for pi in all_partitions(len(multiset), capacity=None):
+            upper = [nu for nu, _ in weights if refines(pi, nu)]
+            if len(upper) == 1:  # only the top block survives above pi
+                total += _moment_of_blocks(kv, multiset, pi.blocks)
+        entries[x] = total
+    return CoordinateVector(kv.space, LCUMULANTS, entries, family=fam)
+
+
+def conditional_collapse(y_dist, conditional_means, fam, capacity=DEFAULT_CAPACITY):
+    """Top cumulant when all variables are independent given Y.
+
+    Equals the family cumulant of the vector of conditional means, whose
+    joint moments are plain expectations over Y; valid for every family.
+    """
+    ys = _y_table(y_dist)
+    means = {y: [Fraction(v) for v in conditional_means[y]] for y, _ in ys}
+    n = len(next(iter(means.values())))
+    total = Fraction(0)
+    for pi, weight in mobius_weights(fam, n, capacity=capacity):
+        term = Fraction(weight)
+        for block in pi.blocks:
+            mean = Fraction(0)
+            for y, p in ys:
+                if p == 0:
+                    continue
+                prod = p
+                for j in block:
+                    prod *= means[y][j]
+                mean += prod
+            term *= mean
+        total += term
+    return total
+
+
+def tree_cumulants_via_central(mv, tree, capacity=DEFAULT_CAPACITY):
+    """Tree cumulants through central moments; must agree with the direct sum.
+
+    Centering kills every term with a singleton block, so only the
+    singleton-free tree partitions contribute.
+    """
+    if mv.system != MOMENTS:
+        raise ValueError(f"expected moments, got {mv.system}")
+    space = mv.space
+    if any(r != 2 for r in space.arities):
+        raise ValueError("tree cumulants need a binary state space")
+    sums = _singleton_free_sums(tree, central_moments(mv), capacity)
+    entries = {}
+    for x in space.states():
+        support = tuple(i + 1 for i, e in enumerate(x) if e)
+        if len(support) > 1:
+            entries[x] = sums[support]
+        elif support:
+            entries[x] = mv.entries[x]
+        else:
+            entries[x] = Fraction(0)
+    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
+
+
+def central_moments_direct(dist):
+    """Central moments as expectations of centred products over the table.
+
+    The map is the raw-moment map with every level value centred at its
+    mean: one Vandermonde matrix of the centred values per variable,
+    applied one axis at a time.  It reads the distribution directly, for
+    any arities, and takes each mean by its own scan of the table.
+    """
+    space = dist.space
+    mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
+    matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
+    return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))

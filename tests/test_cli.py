@@ -356,10 +356,24 @@ class TestVerify:
         assert time.perf_counter() - start < 3
         assert capsys.readouterr().err.rstrip().endswith("of 13 exceeds the cap of 12")
 
-    @pytest.mark.parametrize("extra", [["--n", "0", "--trials", "0"], ["--trials", "-1"]], ids=["n0", "negative-trials"])
-    def test_hmm_bad_sizes_are_usage_errors(self, capsys, extra):
-        assert main(["verify", "hmm", *extra]) == 2
-        assert capsys.readouterr().err.startswith("error: verify hmm needs")
+    @pytest.mark.parametrize(
+        "suite, extra",
+        [
+            ("hmm", ["--n", "0", "--trials", "0"]),
+            ("hmm", ["--trials", "-1"]),
+            ("secant", ["--n", "4", "--trials", "0"]),
+            ("secant", ["--n", "4", "--trials", "-2"]),
+            ("gmm", ["--trials", "0"]),
+            ("gmm", ["--trials", "-1"]),
+        ],
+        ids=["hmm-n0", "hmm-negative-trials", "secant-zero-trials", "secant-negative-trials",
+             "gmm-zero-trials", "gmm-negative-trials"],
+    )
+    def test_bad_sizes_are_usage_errors(self, capsys, suite, extra):
+        assert main(["verify", suite, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: verify {suite} needs")
 
     def test_split_binomials_suite(self, capsys, tmp_path):
         params = tmp_path / "p.json"

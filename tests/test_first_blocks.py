@@ -32,7 +32,6 @@ from lcumulants.moments import (
     LCUMULANTS,
     CoordinateVector,
     StateSpace,
-    central_moments_direct,
     moments_from_distribution,
 )
 from lcumulants.partition import (
@@ -150,7 +149,7 @@ class TestAgainstWeightSums:
         n = tree.num_leaves
         for arities in ([2] * n, [3] + [2] * (n - 2) + [4]):
             dist = random_distribution(StateSpace.of(arities), rng, algebraic=signed)
-            cm = central_moments_direct(dist)
+            cm = oracles.central_moments_direct(dist)
             assert _singleton_free_sums(tree, cm, None) == weight_sum_singleton_free(tree, cm)
 
     def test_no_weight_table_is_read(self, rng, monkeypatch):

@@ -31,7 +31,6 @@ from lcumulants.moments import (
     _unit,
     _vandermonde,
     central_moments,
-    central_moments_direct,
     distribution_from_moments,
     moments_from_distribution,
     transform_values,
@@ -98,7 +97,7 @@ def _check_moment_maps(space, dist):
     assert_same(
         dict(distribution_from_moments(mv, algebraic=True).table), oracles.per_axis(space, mv.entries, inverses)
     )
-    assert_same(dict(central_moments_direct(dist).entries), oracles.per_axis(space, dist.table, centred))
+    assert_same(dict(oracles.central_moments_direct(dist).entries), oracles.per_axis(space, dist.table, centred))
     shifts = [_shift_matrix(r, Fraction(1), -mv.entries[_unit(space.n, i)]) for i, r in enumerate(space.arities)]
     want = oracles.per_axis(space, mv.entries, shifts)
     want[(0,) * space.n] = Fraction(1)
@@ -133,7 +132,7 @@ class TestFirstBlockSolve:
         space = StateSpace.binary(n)
         fam = Family(TREE, tree)
         dist = random_distribution(StateSpace.of([3] + [2] * (n - 2) + [4]), rng, algebraic=True)
-        cm = central_moments_direct(dist)
+        cm = oracles.central_moments_direct(dist)
         given = {x: cm.entries[x] for x in space.states()}
         sums = oracles.first_block_solve(space, given, lambda leaves: first_blocks(fam, leaves, None), True)
         want = {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family, build
 from lcumulants.lcumulant import (
     UnsupportedFamilyError,
@@ -283,6 +284,43 @@ class TestClassicalBridge:
             assert l_from_classical(kv, fam).entries == to_lcumulants(mv, fam).entries
 
 
+# The families the bridge and the collapse are compared with their oracles
+# on: the size-indexed ones, a caterpillar, a relabelled caterpillar and a
+# tree with a degree-six node, each where its leaves cover the variables.
+ORACLE_TREES = [from_newick("(3,1,(5,(2,4)h3)h2)h1;"), from_newick("((1,2,3,4,5)a,6,(7,8)b)r;")]
+
+
+def oracle_families(n, binary=True):
+    fams = [Family(kind) for kind in (FULL, NONCROSSING, INTERVAL, ONECLUSTER)]
+    if binary:
+        trees = [caterpillar(n)] if n >= 2 else []
+        trees += [t for t in ORACLE_TREES if set(range(1, n + 1)) <= set(t.leaves)]
+        fams += [Family(TREE, t) for t in trees]
+    return fams
+
+
+class TestClassicalBridgeOracle:
+    @pytest.mark.parametrize("box", [(3, 2, 2), (2,) * 5, (2,) * 6], ids=["3x2x2", "2^5", "2^6"])
+    def test_composition_equals_partition_formula(self, box, rng):
+        space = StateSpace.of(box)
+        kv = classical_cumulants(random_moments(space, rng, algebraic=True))
+        for fam in oracle_families(space.n, binary=set(box) == {2}):
+            got, want = l_from_classical(kv, fam), oracles.l_from_classical(kv, fam)
+            assert (got.system, got.family) == (want.system, want.family)
+            assert got.entries == want.entries, fam
+
+    def test_same_errors(self, rng):
+        kv = classical_cumulants(random_moments(StateSpace.of([3, 2, 2]), rng))
+        tree = Family(TREE, caterpillar(3))
+        for bridge in (l_from_classical, oracles.l_from_classical):
+            with pytest.raises(UnsupportedFamilyError):
+                bridge(kv, tree)
+            with pytest.raises(CapacityError):
+                bridge(kv, Family(NONCROSSING), capacity=2)
+            with pytest.raises(ValueError, match="expected classical cumulants"):
+                bridge(random_moments(StateSpace.binary(2), rng), Family(FULL))
+
+
 class TestTensors:
     def test_order_one_is_linear(self, rng):
         dist = random_distribution(StateSpace.of([2, 3]), rng)
@@ -513,3 +551,30 @@ class TestConditionalCumulants:
         assert conditional_collapse(y_dist, means, cat) == tree_cumulants(mv, caterpillar(4)).of_multiset((1, 2, 3, 4))
         assert conditional_collapse(y_dist, means, Family(ONECLUSTER)) == central_moments(mv)[(1, 1, 1, 1)]
         assert conditional_collapse(y_dist, means, Family(FULL)) == classical_cumulants(mv).of_multiset((1, 2, 3, 4))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_collapse_equals_weight_table_sum(self, n, rng):
+        weights = rng.weights(3)
+        y_dist = {0: weights[0], 1: weights[1], 2: Fraction(0), 3: weights[2]}
+        means = {y: [rng.fraction(9, signed=True) for _ in range(n)] for y in y_dist}
+        for fam in oracle_families(n):
+            want = oracles.conditional_collapse(y_dist, means, fam)
+            assert conditional_collapse(y_dist, means, fam) == want, fam
+
+    def test_collapse_over_the_cap_is_refused_before_the_box(self):
+        # 2^30 moments would be filled if the cap were checked only by the transform.
+        with pytest.raises(CapacityError):
+            conditional_collapse({0: Fraction(1)}, {0: [Fraction(1, 2)] * 30}, Family(FULL))
+
+    @pytest.mark.parametrize(
+        "y_dist, means, message",
+        [
+            ({0: Fraction(3, 10), 1: Fraction(2, 5)}, {0: [1, 2], 1: [3, 4]}, "sum to 7/10"),
+            ({}, {}, "empty mixing distribution"),
+            ({0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: [1, 2], 1: [3]}, "differ in length"),
+        ],
+        ids=["mass-7/10", "empty-law", "unequal-means"],
+    )
+    def test_collapse_rejects_a_bad_law(self, y_dist, means, message):
+        with pytest.raises(ValueError, match=message):
+            conditional_collapse(y_dist, means, Family(FULL))
