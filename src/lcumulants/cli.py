@@ -88,7 +88,7 @@ def _capacity() -> int:
 
 
 def _within_capacity(size: int, what: str) -> None:
-    """Refuse a suite whose ground set is over the cap before any trial runs."""
+    """Refuse a suite or model whose ground set is over the cap before any work."""
     cap = _capacity()
     if size > cap:
         raise CapacityError(f"{what} of {size} exceeds the cap of {cap}")
@@ -306,6 +306,7 @@ def _load_gmm_params(path: str) -> tuple[GMMParams, object]:
 
 def cmd_model_gmm(args) -> int:
     tree = _load_tree(args.tree)
+    _within_capacity(tree.num_leaves, "the tree's leaf count")
     params, root = _load_gmm_params(args.params)
     if root is not None:
         tree = tree.rooted_at(root)
@@ -324,6 +325,7 @@ def cmd_model_gmm(args) -> int:
 
 
 def cmd_model_secant(args) -> int:
+    _within_capacity(args.n, "--n")
     a = _fraction_list(args.a)
     b = _fraction_list(args.b)
     if args.n != len(a) or args.n != len(b):
@@ -347,6 +349,7 @@ def cmd_model_secant(args) -> int:
 def _load_hmm_params(path: str) -> HMMParams:
     data = _read_json_object(path)
     try:
+        _within_capacity(len(data["arities"]), "the length of arities")
         space = StateSpace.of(
             data["arities"],
             [[Fraction(v) for v in vm] for vm in data["values"]] if "values" in data else None,

@@ -24,8 +24,11 @@ independence detection read it, and test the order with
 ``partition.refines`` where they need it.  Its elements are generated from
 the first blocks (C0 read forward); mu has closed forms for full, interval
 and one-cluster lattices and is pushed up from the first blocks for the
-others.  Both tables live in bounded process LRUs keyed by (family, ground
-set), and the cap is checked before either is read.
+others.  Both tables live in bounded process LRUs keyed by the family kind
+and the ground's shape, ``(d, sides)``: the size alone for size-indexed
+families, and for a tree the splits of the subtree its leaves induce, so
+leaf sets of one shape share their tables (:func:`_sub_ground`).  The cap
+is checked before either is read.
 
 A :class:`PartitionLattice` holds the elements, the refinement order as
 explicit up/down sets (one refinement test per pair) and a lazily filled
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -53,7 +56,7 @@ from .partition import (
     refines,
     restrict,
 )
-from .topology import TreeTopology
+from .topology import TreeTopology, edge_splits
 
 FULL = "full"
 NONCROSSING = "noncrossing"
@@ -82,6 +85,16 @@ class Family:
     def size_indexed(self) -> bool:
         """Whether the lattice depends only on the ground-set size."""
         return self.kind != TREE
+
+    @cached_property
+    def splits(self) -> tuple[int, ...]:
+        """The tree's nontrivial edge splits, one side each as a bitmask of leaf labels.
+
+        Read once per family; size-indexed families have none.
+        """
+        if self.tree is None:
+            return ()
+        return tuple(sum(1 << leaf for leaf in a) for a, _ in edge_splits(self.tree) if len(a) > 1)
 
     def __str__(self) -> str:
         return self.kind
@@ -317,12 +330,32 @@ def _ground_labels(
     return labels
 
 
-def _sub_ground(fam: Family, ground: int | tuple[int, ...], part: tuple[int, ...]) -> int | tuple[int, ...]:
-    """The ground of the family lattice on a position set of ``ground``."""
-    return len(part) if fam.size_indexed else tuple(ground[j] for j in part)
+TableKey = tuple[int, tuple[int, ...]]
 
 
-def _elements(fam: Family, labels: tuple[int, ...]) -> list[SetPartition]:
+def _sub_ground(sides: Iterable[int], part: Sequence[int]) -> TableKey:
+    """The table key ``(d, sides)`` of the lattice on the positions ``part``.
+
+    ``sides`` are split sides as bitmasks of positions (of leaf labels for
+    :attr:`Family.splits`).  A tree with no degree-2 node is fixed by its
+    splits, so the key is the shape of the induced subtree: each side as
+    the positions of ``part`` on the side without position 0, keeping the
+    sides with two or more positions on each side.  Size-indexed families
+    have no sides, so their key is ``(d, ())``.
+    """
+    d = len(part)
+    full = (1 << d) - 1
+    cut = set()
+    for side in sides:
+        mask = sum(1 << k for k, j in enumerate(part) if side >> j & 1)
+        if mask & 1:
+            mask ^= full
+        if 2 <= mask.bit_count() <= d - 2:
+            cut.add(mask)
+    return d, tuple(sorted(cut))
+
+
+def _elements(kind: str, key: TableKey) -> list[SetPartition]:
     """The family's partitions of the ground set, in lattice order.
 
     C0 read forward: besides the top, the elements whose first block is B
@@ -331,13 +364,13 @@ def _elements(fam: Family, labels: tuple[int, ...]) -> list[SetPartition]:
     """
 
     @cache  # sub-ground elements, for the span of this call
-    def generate(ground: int | tuple[int, ...]) -> list[tuple[int, ...]]:
-        d = ground if isinstance(ground, int) else len(ground)
+    def generate(key: TableKey) -> list[tuple[int, ...]]:
+        d, sides = key
         out, raw = [(0,) * d], [0] * d
-        for block, rest in _cached_first_blocks(fam, ground):
+        for block, rest in _cached_first_blocks(kind, key):
             for j in block:
                 raw[j] = 0
-            subs = [generate(_sub_ground(fam, ground, part)) for part in rest]
+            subs = [generate(_sub_ground(sides, part)) for part in rest]
             for choice in itertools.product(*subs):
                 offset = 1
                 for part, sigma in zip(rest, choice):
@@ -347,7 +380,7 @@ def _elements(fam: Family, labels: tuple[int, ...]) -> list[SetPartition]:
                 out.append(_canonical(raw))
         return out
 
-    found = generate(len(labels) if fam.size_indexed else labels)
+    found = generate(key)
     return [SetPartition(rgs) for rgs in sorted(found, key=lambda rgs: (-max(rgs), rgs))]
 
 
@@ -358,15 +391,16 @@ def build(
 ) -> PartitionLattice:
     """Build the lattice of a family over a ground set (a size or labels)."""
     labels = _ground_labels(fam, ground, capacity)
-    return PartitionLattice(_elements(fam, labels), family_tag=fam, labels=labels)
+    elements = _elements(fam.kind, _sub_ground(fam.splits, labels))
+    return PartitionLattice(elements, family_tag=fam, labels=labels)
 
 
 # -- Moebius weights without the order ---------------------------------------
 
 Weights = tuple[tuple[SetPartition, int], ...]
 
-# Weight tables live for the whole process, keyed by (family, ground), so
-# a session's later calls on the same family and sizes reuse them.
+# Weight tables live for the whole process, keyed like the first-block
+# tables, so a session's later calls on the same family and shapes reuse them.
 WEIGHT_CACHE_SIZE = 512
 
 # The first-block push is exact for these families too, and the tests
@@ -393,26 +427,25 @@ def mobius_weights(
     first, the top last) and agree with ``build(fam, ground).mobius_to_top``,
     but no order is built: full, interval and one-cluster lattices have
     closed forms, and the others are pushed up from the first blocks
-    (:func:`_pushed_weights`).  Tables are cached per size for
-    size-indexed families and per leaf tuple for trees.  The transforms
-    read :func:`first_blocks` instead.
+    (:func:`_pushed_weights`).  Tables are cached per family kind and
+    shape (:func:`_sub_ground`), so tree leaf sets of one shape share one.
+    The transforms read :func:`first_blocks` instead.
     """
     labels = _ground_labels(fam, ground, capacity)
-    return _cached_weights(fam, len(labels) if fam.size_indexed else labels)
+    return _cached_weights(fam.kind, _sub_ground(fam.splits, labels))
 
 
 @lru_cache(maxsize=WEIGHT_CACHE_SIZE)
-def _cached_weights(fam: Family, ground: int | tuple[int, ...]) -> Weights:
-    labels = tuple(range(1, ground + 1)) if isinstance(ground, int) else ground
-    elements = _elements(fam, labels)
-    closed = _CLOSED_FORMS.get(fam.kind)
+def _cached_weights(kind: str, key: TableKey) -> Weights:
+    elements = _elements(kind, key)
+    closed = _CLOSED_FORMS.get(kind)
     if closed is not None:
-        return tuple((p, closed(p.num_blocks, len(labels))) for p in elements)
-    mu = _pushed_weights(fam, ground)
+        return tuple((p, closed(p.num_blocks, key[0])) for p in elements)
+    mu = _pushed_weights(kind, key)
     return tuple((p, mu.get(p.rgs, 0)) for p in elements)
 
 
-def _pushed_weights(fam: Family, ground: int | tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _pushed_weights(kind: str, key: TableKey) -> dict[tuple[int, ...], int]:
     """mu(pi, top) keyed by RGS, from the moment expansion of the forward recursion.
 
     ``kappa(A) = m(A) - sum over (B, rest) of kappa(B) * prod over S in rest of m(S)``.
@@ -423,21 +456,21 @@ def _pushed_weights(fam: Family, ground: int | tuple[int, ...]) -> dict[tuple[in
     """
 
     @cache  # sub-ground weights, for the span of this call
-    def push(ground: int | tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        d = ground if isinstance(ground, int) else len(ground)
+    def push(key: TableKey) -> dict[tuple[int, ...], int]:
+        d, sides = key
         mu, raw = {(0,) * d: 1}, [0] * d
-        for block, rest in _cached_first_blocks(fam, ground):
+        for block, rest in _cached_first_blocks(kind, key):
             for t, part in enumerate(rest):
                 for j in part:
                     raw[j] = d + t  # above every label of sigma
-            for sigma, weight in push(_sub_ground(fam, ground, block)).items():
+            for sigma, weight in push(_sub_ground(sides, block)).items():
                 for j, v in zip(block, sigma):
                     raw[j] = v
-                key = _canonical(raw)
-                mu[key] = mu.get(key, 0) - weight
+                rgs = _canonical(raw)
+                mu[rgs] = mu.get(rgs, 0) - weight
         return mu
 
-    return push(ground)
+    return push(key)
 
 
 def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, int]:
@@ -458,10 +491,11 @@ def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, in
 FirstBlocks = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
 
 # Keyed like the weight tables: per size for size-indexed families, per
-# leaf tuple for trees.  Sized so that every leaf subset of one tree at the
-# default cap stays cached: with 512 entries a repeat singleton-free sum on
-# caterpillar(10) rebuilt all 1023 tables (0.35 s; 0.045 s once they fit).
-# All the tables of a 12-leaf caterpillar hold about 90 MiB (tracemalloc).
+# shape of the induced subtree for trees.  Sized so that every shape of one
+# tree at the default cap stays cached.  The 4095 leaf subsets of a 12-leaf
+# tree induced 12 shapes for caterpillar(12) (1.8 MiB of tables,
+# tracemalloc), 365-584 for three relabellings of it (23-34 MiB), and 838
+# and 935 for two relabellings of a balanced tree (44 and 50 MiB).
 FIRST_BLOCK_CACHE_SIZE = 2**DEFAULT_CAPACITY
 
 
@@ -486,36 +520,35 @@ def first_blocks(
       gap after its last member,
     * ``onecluster``: the other positions as one set when B is position 0
       alone; otherwise each other position alone,
-    * ``tree``: the leaves of each component left when the span of B is
-      removed from the tree.
+    * ``tree``: the largest split sides of the induced subtree that miss
+      B, one for each component left when the span of B is removed.
 
     Position tuples are increasing.  The top block (all positions) is left
     out.  The cap is checked before the cached table is read.
     """
     labels = _ground_labels(fam, ground, capacity)
-    return _cached_first_blocks(fam, len(labels) if fam.size_indexed else labels)
+    return _cached_first_blocks(fam.kind, _sub_ground(fam.splits, labels))
 
 
 @lru_cache(maxsize=FIRST_BLOCK_CACHE_SIZE)
-def _cached_first_blocks(fam: Family, ground: int | tuple[int, ...]) -> FirstBlocks:
-    d = ground if isinstance(ground, int) else len(ground)
-    if fam.kind == INTERVAL:
+def _cached_first_blocks(kind: str, key: TableKey) -> FirstBlocks:
+    d, sides = key
+    if kind == INTERVAL:
         return tuple((tuple(range(k)), (tuple(range(k, d)),)) for k in range(1, d))
-    if fam.kind == TREE:
-        assert fam.tree is not None and isinstance(ground, tuple)
-        rest_of = _tree_rest(fam.tree, ground)
-    else:
-        rest_of = _REST[fam.kind]
+    rest_of = _REST[kind]
     out = []
     for size in range(d - 1):
         for tail in itertools.combinations(range(1, d), size):
             block = (0, *tail)
             others = tuple(j for j in range(1, d) if j not in tail)
-            out.append((block, rest_of(block, others)))
+            out.append((block, rest_of(block, others, sides)))
     return tuple(out)
 
 
-def _noncrossing_rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+Positions = tuple[int, ...]
+
+
+def _noncrossing_rest(block: Positions, others: Positions, sides: tuple[int, ...]) -> tuple[Positions, ...]:
     gaps = []
     for lo, hi in zip(block, block[1:] + (len(block) + len(others),)):
         gap = tuple(range(lo + 1, hi))
@@ -524,44 +557,35 @@ def _noncrossing_rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[
     return tuple(gaps)
 
 
-_REST: dict[str, Callable[[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]] = {
-    FULL: lambda block, others: (others,),
-    NONCROSSING: _noncrossing_rest,
-    ONECLUSTER: lambda block, others: (others,) if len(block) == 1 else tuple((j,) for j in others),
-}
+def _split_rest(block: Positions, others: Positions, sides: tuple[int, ...]) -> tuple[Positions, ...]:
+    """The tree rule: the maximal split sides that miss B, by first position.
 
-
-def _tree_rest(tree: TreeTopology, labels: tuple[int, ...]) -> Callable:
-    """The rest rule of a tree family on one leaf tuple.
-
-    The span of B is the union of the paths from its first leaf to the
-    others.  Two other leaves share a component exactly when the path
-    between them avoids that span; each component is found by one search
-    of the tree that does not enter the span.
+    Each component left when the span of B is removed hangs off the span by
+    one edge, and its leaves are that edge's side away from B.  Split sides
+    without position 0 are nested or disjoint, so the sides that hold a
+    position and miss B form a chain, and the largest is its component.  The
+    trivial sides complete the chain: a position alone, and every position
+    but 0, which misses B when B is position 0 alone.
     """
-    paths = [frozenset(tree.path(labels[0], leaf)) for leaf in labels]
-    position = {leaf: j for j, leaf in enumerate(labels)}
+    taken = sum(1 << j for j in block)
+    everything_else = (1 << (len(block) + len(others))) - 2
+    parts = []
+    for j in others:
+        if taken >> j & 1:
+            continue
+        # In a chain of sides the largest mask is the largest side.
+        part = max((s for s in (*sides, everything_else) if s >> j & 1 and not s & taken), default=1 << j)
+        taken |= part
+        parts.append(tuple(k for k in others if part >> k & 1))
+    return tuple(parts)
 
-    def rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        seen = set().union(*(paths[j] for j in block))  # the span of B
-        parts = []
-        for start in others:
-            if labels[start] in seen:
-                continue
-            part, stack = [], [labels[start]]
-            seen.add(labels[start])
-            while stack:
-                node = stack.pop()
-                if node in position:
-                    part.append(position[node])
-                for nxt in tree.neighbors(node):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            parts.append(tuple(sorted(part)))
-        return tuple(parts)
 
-    return rest
+_REST: dict[str, Callable[[Positions, Positions, tuple[int, ...]], tuple[Positions, ...]]] = {
+    FULL: lambda block, others, sides: (others,),
+    NONCROSSING: _noncrossing_rest,
+    ONECLUSTER: lambda block, others, sides: (others,) if len(block) == 1 else tuple((j,) for j in others),
+    TREE: _split_rest,
+}
 
 
 def custom_lattice(elements: Iterable[SetPartition], labels: Sequence[int] | None = None) -> PartitionLattice:

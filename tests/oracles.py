@@ -12,6 +12,11 @@ and ``weights_from_coarsenings`` are the routes they replaced: a span
 test on every partition of a tree's leaves, and the recursion down from
 the top over coarsenings.
 
+``lattice.first_blocks`` reads a tree's table off the splits of the
+subtree its leaves induce, one table per shape.  ``tree_first_blocks``
+builds it per leaf tuple, as it was built before, with ``tree_rest``: a
+search of the whole tree for each (leaf tuple, first block).
+
 ``lcumulant.l_from_classical`` and ``lcumulant.conditional_collapse`` run
 the first-block transforms.  The functions of those names here are the
 paper's sums they replaced: products of classical cumulants over the
@@ -128,6 +133,52 @@ def tree_elements(tree, labels):
         if not any(a & b for a, b in itertools.combinations(spans, 2)):
             out.append(p)
     return out
+
+
+def tree_rest(tree, labels):
+    """The rest rule of a tree family on one leaf tuple.
+
+    The span of B is the union of the paths from its first leaf to the
+    others.  Two other leaves share a component exactly when the path
+    between them avoids that span; each component is found by one search
+    of the tree that does not enter the span.
+    """
+    paths = [frozenset(tree.path(labels[0], leaf)) for leaf in labels]
+    position = {leaf: j for j, leaf in enumerate(labels)}
+
+    def rest(block: tuple[int, ...], others: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        seen = set().union(*(paths[j] for j in block))  # the span of B
+        parts = []
+        for start in others:
+            if labels[start] in seen:
+                continue
+            part, stack = [], [labels[start]]
+            seen.add(labels[start])
+            while stack:
+                node = stack.pop()
+                if node in position:
+                    part.append(position[node])
+                for nxt in tree.neighbors(node):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            parts.append(tuple(sorted(part)))
+        return tuple(parts)
+
+    return rest
+
+
+def tree_first_blocks(tree, labels):
+    """The ``(B, rest)`` table of a tree family on one leaf tuple, by ``tree_rest``."""
+    d = len(labels)
+    rest_of = tree_rest(tree, labels)
+    out = []
+    for size in range(d - 1):
+        for tail in itertools.combinations(range(1, d), size):
+            block = (0, *tail)
+            others = tuple(j for j in range(1, d) if j not in tail)
+            out.append((block, rest_of(block, others)))
+    return tuple(out)
 
 
 def weights_from_coarsenings(elements):

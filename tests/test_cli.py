@@ -356,6 +356,35 @@ class TestVerify:
         assert time.perf_counter() - start < 3
         assert capsys.readouterr().err.rstrip().endswith("of 13 exceeds the cap of 12")
 
+    @pytest.mark.parametrize("verb", ["secant", "hmm", "gmm"])
+    def test_oversized_model_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, verb):
+        # Valid 13-variable parameters: without the check each verb would
+        # build (and print) the whole 2^13 box.
+        import time
+
+        from lcumulants.topology import caterpillar
+
+        monkeypatch.delenv("LCUM_CAPACITY", raising=False)
+        params = tmp_path / "p.json"
+        if verb == "secant":
+            argv = ["--n", "13", "--t", "1/3", "--a", ",".join(["1/2"] * 13), "--b", ",".join(["1/5"] * 13)]
+        elif verb == "hmm":
+            chain = dict(HMM_PARAMS, arities=[2] * 13)
+            chain.update(transitions=HMM_PARAMS["transitions"][:1] * 12, emissions=HMM_PARAMS["emissions"][:1] * 13)
+            params.write_text(json.dumps(chain))
+            argv = ["--params", str(params), "--emit", "treecumulants"]
+        else:
+            tree = caterpillar(13)
+            edges = [{"u": u, "v": v, "table": [["3/4", "1/4"], ["1/5", "4/5"]]} for v, u in tree.parent_map().items()]
+            params.write_text(json.dumps({"root": "h1", "root_dist": ["2/3", "1/3"], "edges": edges}))
+            argv = ["--tree", "caterpillar13", "--params", str(params), "--emit", "treecumulants"]
+        start = time.perf_counter()
+        assert main(["model", verb, *argv]) == 2
+        assert time.perf_counter() - start < 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith("of 13 exceeds the cap of 12")
+
     @pytest.mark.parametrize(
         "suite, extra",
         [

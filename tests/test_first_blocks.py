@@ -5,7 +5,8 @@ The transforms and the tree singleton-free sums run one first-block loop
 kept here as oracles, and the tables themselves are checked against the
 explicit lattices.  The elements and the pushed Moebius weights derived
 from the tables are checked against the routes they replaced
-(``tests/oracles.py``).
+(``tests/oracles.py``), and so are the tree tables shared by the leaf
+sets that induce one shape.
 """
 
 import itertools
@@ -59,12 +60,21 @@ TREES = {
 # A degree-six node and two cherries: every cut through its hub leaves
 # several components, each a rest part of its own.
 ORACLE_TREES = dict(TREES, hub8=from_newick("((1,2,3,4,5)a,6,(7,8)b)r;"))
+# The relabelled caterpillar's 1023 leaf subsets induce 139 shapes.
+SHAPE_TREES = {
+    **ORACLE_TREES,
+    "relabelled-caterpillar10": from_newick("(7,2,(9,(1,(10,(4,(3,(8,(5,6)h8)h7)h6)h5)h4)h3)h2)h1;"),
+}
 
 PREDICATES = {FULL: lambda p: True, NONCROSSING: is_noncrossing, INTERVAL: is_interval, ONECLUSTER: is_one_cluster}
 
 
 def _ground(fam, multiset):
     return len(multiset) if fam.size_indexed else multiset
+
+
+def _key(fam, labels):
+    return lcumulants.lattice._sub_ground(fam.splits, labels)
 
 
 def weight_sum_forward(mv, fam):
@@ -232,10 +242,10 @@ class TestDerivedFromTheTables:
     @staticmethod
     def _check_weights(fam, ground):
         labels = tuple(range(1, ground + 1)) if isinstance(ground, int) else ground
-        elements = lcumulants.lattice._elements(fam, labels)
+        elements = lcumulants.lattice._elements(fam.kind, _key(fam, labels))
         want = oracles.weights_from_coarsenings(elements)
         assert [mu for _, mu in mobius_weights(fam, ground)] == want, ground
-        pushed = lcumulants.lattice._pushed_weights(fam, ground)
+        pushed = lcumulants.lattice._pushed_weights(fam.kind, _key(fam, labels))
         assert [pushed.get(p.rgs, 0) for p in elements] == want, ground
         assert set(pushed) <= {p.rgs for p in elements}, ground
 
@@ -243,13 +253,14 @@ class TestDerivedFromTheTables:
     @pytest.mark.parametrize("kind", SIZE_INDEXED)
     def test_size_indexed_elements_are_the_filtered_partitions(self, kind, d):
         want = [p for p in all_partitions(d) if PREDICATES[kind](p)]
-        assert lcumulants.lattice._elements(Family(kind), tuple(range(1, d + 1))) == want
+        assert lcumulants.lattice._elements(kind, (d, ())) == want
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TREES))
     def test_tree_elements_are_the_span_filtered_partitions(self, name):
         tree = ORACLE_TREES[name]
+        fam = Family(TREE, tree)
         for support in self._leaf_subsets(tree):
-            got = lcumulants.lattice._elements(Family(TREE, tree), support)
+            got = lcumulants.lattice._elements(TREE, _key(fam, support))
             assert got == oracles.tree_elements(tree, support), support
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -262,3 +273,27 @@ class TestDerivedFromTheTables:
         tree = ORACLE_TREES[name]
         for support in self._leaf_subsets(tree):
             self._check_weights(Family(TREE, tree), support)
+
+
+class TestShapeKeys:
+    """Tree tables keyed by the splits of the induced subtree, one per shape."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
+    def test_tables_equal_the_per_leaf_tuple_search(self, name):
+        tree = SHAPE_TREES[name]
+        fam = Family(TREE, tree)
+        for r in range(1, tree.num_leaves + 1):
+            for support in itertools.combinations(tree.leaves, r):
+                assert first_blocks(fam, support) == oracles.tree_first_blocks(tree, support), support
+
+    def test_leaf_sets_of_one_shape_share_a_table(self, rng):
+        # Every leaf subset of a caterpillar with leaves in spine order
+        # induces the caterpillar of its size: 8 tables for 255 subsets.
+        tree = caterpillar(8)
+        mv = moments_from_distribution(random_distribution(StateSpace.binary(8), rng))
+        cached = lcumulants.lattice._cached_first_blocks
+        cached.cache_clear()
+        to_lcumulants(mv, Family(TREE, tree))
+        assert cached.cache_info().currsize == 8
+        to_lcumulants(mv, Family(TREE, tree.rooted_at("h4")))
+        assert cached.cache_info().currsize == 8
