@@ -324,6 +324,12 @@ def cmd_model_gmm(args) -> int:
     return 0
 
 
+def _caterpillar_payload(closed: dict, n: int) -> dict:
+    """Closed-form tree cumulants of a chart or chain on caterpillar{n}."""
+    table = {",".join(map(str, ms)): str(v) for ms, v in sorted(closed.items())}
+    return {"system": TREECUMULANTS, "tree": f"caterpillar{n}", "table": table}
+
+
 def cmd_model_secant(args) -> int:
     _within_capacity(args.n, "--n")
     a = _fraction_list(args.a)
@@ -334,13 +340,7 @@ def cmd_model_secant(args) -> int:
     if args.emit == "moments":
         _emit(secant_moments(params).to_json(), args.output, args.float_mode)
     elif args.emit == TREECUMULANTS:
-        closed = secant_tree_cumulants(params)
-        payload = {
-            "system": TREECUMULANTS,
-            "tree": f"caterpillar{args.n}",
-            "table": {",".join(map(str, ms)): str(v) for ms, v in sorted(closed.items())},
-        }
-        _emit(payload, args.output, args.float_mode)
+        _emit(_caterpillar_payload(secant_tree_cumulants(params), args.n), args.output, args.float_mode)
     else:
         raise SystemExit2(f"unknown --emit {args.emit!r}")
     return 0
@@ -370,13 +370,7 @@ def cmd_model_hmm(args) -> int:
     if args.emit == "distribution":
         _emit(hmm_distribution(params).to_json(), args.output, args.float_mode)
     elif args.emit == TREECUMULANTS:
-        closed = hmm_tree_cumulants_closed(params)
-        payload = {
-            "system": TREECUMULANTS,
-            "tree": f"caterpillar{params.n}",
-            "table": {",".join(map(str, ms)): str(v) for ms, v in sorted(closed.items())},
-        }
-        _emit(payload, args.output, args.float_mode)
+        _emit(_caterpillar_payload(hmm_tree_cumulants_closed(params), params.n), args.output, args.float_mode)
     elif args.emit == "normalized":
         norm = hmm_normalized_tree_cumulants(params)
         payload = {

@@ -4,8 +4,10 @@ Three constructions are covered: the two-state latent tree model (a
 Bayesian network on a rooted binary tree, marginalized to the leaves),
 its one-latent-class special case written as a rank-two mixture chart,
 and processes whose observations are independent given an unobserved
-two-state Markov chain.  Verifiers return exact residuals rather than
-booleans so that callers in float mode can apply their own tolerance.
+two-state Markov chain, all three laws through one upward sum-product
+pass over binary latent nodes with the observed variables at the leaves.
+Verifiers return exact residuals rather than booleans so that callers in
+float mode can apply their own tolerance.
 """
 
 from __future__ import annotations
@@ -26,17 +28,46 @@ from .topology import TreeTopology, caterpillar
 from .trees import GMMParams, exact_sqrt, subset_tree_cumulants
 
 
+# -- the upward pass -------------------------------------------------------------
+
+
+def _upward_pass(children: Mapping, rows: Mapping, root: object, weights: Sequence) -> dict:
+    """Leaf-state table of a rooted tree of binary latent nodes.
+
+    Integer nodes are the observed leaves.  ``rows[(u, v)]`` weighs each
+    state of v given u in state 0 and in state 1: two states for a latent
+    child, one per level for a leaf.  A node's message maps each state of
+    the leaves below it to its two weights: the product of the children's
+    messages, each summed over the child's state through its rows.  The
+    root's ``weights`` close the pass; keys list the leaves by label.
+    """
+
+    def message(v: object) -> tuple[tuple[int, ...], dict]:
+        # A leaf shows its own state, also when it is the root.
+        leaves, msg = ((v,), {(0,): (1, 0), (1,): (0, 1)}) if isinstance(v, int) else ((), {(): (1, 1)})
+        for c in children.get(v, ()):
+            r0, r1 = rows[(v, c)]
+            if isinstance(c, int):
+                c_leaves, c_msg = (c,), {(s,): pair for s, pair in enumerate(zip(r0, r1))}
+            else:
+                c_leaves, c_msg = message(c)
+                c_msg = {k: (r0[0] * q0 + r0[1] * q1, r1[0] * q0 + r1[1] * q1) for k, (q0, q1) in c_msg.items()}
+            leaves += c_leaves
+            msg = {k + ck: (a0 * b0, a1 * b1) for k, (a0, a1) in msg.items() for ck, (b0, b1) in c_msg.items()}
+        return leaves, msg
+
+    leaves, msg = message(root)
+    perm = sorted(range(len(leaves)), key=leaves.__getitem__)
+    w0, w1 = weights
+    return {tuple(k[j] for j in perm): w0 * q0 + w1 * q1 for k, (q0, q1) in msg.items()}
+
+
 # -- latent tree distributions -------------------------------------------------
 
 
 def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribution:
-    """Leaf marginal of the binary Bayesian network on a rooted tree.
-
-    One upward (sum-product) pass: a node's message maps each state of the
-    leaves below it to their probabilities given the node in state 0 and
-    in state 1.  It is the outer product of the children's messages, each
-    summed over the child's state through its edge table, and the root
-    distribution closes the pass.
+    """Leaf marginal of the binary Bayesian network on a rooted tree: the
+    upward pass with rows ``(1 - p, p)`` read from the edge tables.
     """
     if tree.root is None:
         raise ValueError("the model is parametrized from a root")
@@ -51,26 +82,11 @@ def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribut
             raise ValueError(f"conditional table of edge {edge} outside [0, 1]")
     children: dict[object, list[object]] = {v: [] for v in tree.nodes}
     for child, parent in tree.parent_map().items():
+        if (parent, child) not in params.tables:
+            raise ValueError(f"no conditional table for the edge {parent} -> {child}")
         children[parent].append(child)
-
-    def upward(v: object) -> tuple[tuple[int, ...], dict]:
-        # A leaf shows its own state, also when it is the root.
-        leaves, msg = ((v,), {(0,): (1, 0), (1,): (0, 1)}) if isinstance(v, int) else ((), {(): (1, 1)})
-        for c in children[v]:
-            c_leaves, c_msg = upward(c)
-            p0, p1 = params.tables[(v, c)]
-            c_msg = {k: ((1 - p0) * q0 + p0 * q1, (1 - p1) * q0 + p1 * q1) for k, (q0, q1) in c_msg.items()}
-            leaves += c_leaves
-            msg = {
-                k + ck: (a0 * b0, a1 * b1) for k, (a0, a1) in msg.items() for ck, (b0, b1) in c_msg.items()
-            }
-        return leaves, msg
-
-    leaves, msg = upward(tree.root)
-    perm = sorted(range(len(leaves)), key=lambda j: leaves[j])
-    r0, r1 = params.root_dist
-    table = {tuple(key[j] for j in perm): r0 * q0 + r1 * q1 for key, (q0, q1) in msg.items()}
-    return DiscreteDistribution(StateSpace.binary(n), table)
+    rows = {edge: ((1 - p0, p0), (1 - p1, p1)) for edge, (p0, p1) in params.tables.items()}
+    return DiscreteDistribution(StateSpace.binary(n), _upward_pass(children, rows, tree.root, params.root_dist))
 
 
 def random_gmm_params(tree: TreeTopology, rng, denominator: int = 24) -> GMMParams:
@@ -139,20 +155,15 @@ class SecantParams:
 
 
 def secant_moments(params: SecantParams) -> CoordinateVector:
-    """Moments of the two-component mixture: (1-t) prod a + t prod b."""
-    n = params.n
-    space = StateSpace.binary(n)
+    """Moments of the two-component mixture: (1-t) prod a + t prod b.
+
+    The upward pass on a star whose leaf rows are the component moments
+    ``(1, a_i)`` and ``(1, b_i)``, with weights ``(1-t, t)``.
+    """
+    rows = {("h", i): ((1, a), (1, b)) for i, (a, b) in enumerate(zip(params.a, params.b), 1)}
     t = Fraction(params.t)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in space.states():
-        pa = Fraction(1)
-        pb = Fraction(1)
-        for i, e in enumerate(x):
-            if e:
-                pa *= params.a[i]
-                pb *= params.b[i]
-        entries[x] = (1 - t) * pa + t * pb
-    return CoordinateVector(space, MOMENTS, entries)
+    table = _upward_pass({"h": range(1, params.n + 1)}, rows, "h", (1 - t, t))
+    return CoordinateVector(StateSpace.binary(params.n), MOMENTS, table)
 
 
 def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fraction]:
@@ -264,13 +275,18 @@ class HMMParams:
         n = self.space.n
         if len(self.transitions) != n - 1 or len(self.emissions) != n:
             raise ValueError("need n-1 transition rows and n emission tables")
-        if sum(self.initial) != 1:
-            raise ValueError("initial distribution must sum to one")
-        for i, (row0, row1) in enumerate(self.emissions):
-            if len(row0) != self.space.arities[i] or len(row1) != self.space.arities[i]:
-                raise ValueError(f"emission table {i} does not match the arity")
-            if sum(row0) != 1 or sum(row1) != 1:
-                raise ValueError(f"emission rows of variable {i + 1} must sum to one")
+        rows = [("initial distribution", self.initial, 2, True)]
+        rows += [(f"transition row {i + 1}", row, 2, False) for i, row in enumerate(self.transitions)]
+        for i, (pair, r) in enumerate(zip(self.emissions, self.space.arities), 1):
+            rows += [(f"emission row {h} of variable {i}", pair[h], r, True) for h in (0, 1)]
+        for name, row, size, total in rows:
+            if len(row) != size:
+                raise ValueError(f"the {name} has {len(row)} entries, not {size}")
+            for j, p in enumerate(row):
+                if not 0 <= p <= 1:
+                    raise ValueError(f"entry {j} of the {name} is {p}, outside [0, 1]")
+            if total and sum(row) != 1:
+                raise ValueError(f"the {name} does not sum to one")
 
     @property
     def n(self) -> int:
@@ -379,29 +395,17 @@ def random_hmm_params(
 
 
 def hmm_distribution(params: HMMParams) -> DiscreteDistribution:
-    """Exact joint law of the observations by forward recursion."""
+    """Exact joint law of the observations: the upward pass on the chain
+    h1 ... hn, leaf i under h_i, from the initial distribution.
+    """
     if any(m in (0, 1) for m in params.hidden_means()):
         raise ValueError("degenerate hidden state")
-    space = params.space
-    n = params.n
-    table: dict[tuple[int, ...], Fraction] = {}
-    for x in space.states():
-        alpha = [
-            params.initial[h] * params.emissions[0][h][x[0]] for h in (0, 1)
-        ]
-        for i in range(1, n):
-            a0, a1 = params.transitions[i - 1]
-            step = ((1 - a0, a0), (1 - a1, a1))
-            alpha = [
-                sum(
-                    (alpha[h] * step[h][h2] for h in (0, 1)),
-                    Fraction(0),
-                )
-                * params.emissions[i][h2][x[i]]
-                for h2 in (0, 1)
-            ]
-        table[x] = alpha[0] + alpha[1]
-    return DiscreteDistribution(space, table)
+    hidden = [f"h{i}" for i in range(1, params.n + 1)]
+    children = {h: [i, *hidden[i : i + 1]] for i, h in enumerate(hidden, 1)}
+    rows = {(h, i): em for i, (h, em) in enumerate(zip(hidden, params.emissions), 1)}
+    for u, v, (a0, a1) in zip(hidden, hidden[1:], params.transitions):
+        rows[(u, v)] = ((1 - a0, a0), (1 - a1, a1))
+    return DiscreteDistribution(params.space, _upward_pass(children, rows, hidden[0], params.initial))
 
 
 def hmm_tree_cumulants_closed(params: HMMParams) -> dict[tuple[int, ...], Fraction]:

@@ -26,6 +26,12 @@ weight table summed against moments of the conditional means.
 routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
 singleton-free sum over central moments, and the per-axis pass of the
 centred values over the probability table.
+
+``models.hmm_distribution`` and ``models.secant_moments`` run the upward
+pass that ``models.gmm_distribution`` runs.  ``hmm_distribution_by_states``
+and ``secant_moments_by_states`` are the per-state loops they replaced: the
+forward recursion from the first position for each joint state, and one
+product of component means per state of the mixture.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from lcumulants.moments import (
     LCUMULANTS,
     MOMENTS,
     CoordinateVector,
+    DiscreteDistribution,
+    StateSpace,
     _per_axis,
     _vandermonde,
     central_moments,
@@ -293,3 +301,39 @@ def central_moments_direct(dist):
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
     matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
     return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
+
+
+def hmm_distribution_by_states(params):
+    """The joint law of the chain by a forward recursion per joint state."""
+    if any(m in (0, 1) for m in params.hidden_means()):
+        raise ValueError("degenerate hidden state")
+    space = params.space
+    n = params.n
+    table = {}
+    for x in space.states():
+        alpha = [params.initial[h] * params.emissions[0][h][x[0]] for h in (0, 1)]
+        for i in range(1, n):
+            a0, a1 = params.transitions[i - 1]
+            step = ((1 - a0, a0), (1 - a1, a1))
+            alpha = [
+                sum((alpha[h] * step[h][h2] for h in (0, 1)), Fraction(0)) * params.emissions[i][h2][x[i]]
+                for h2 in (0, 1)
+            ]
+        table[x] = alpha[0] + alpha[1]
+    return DiscreteDistribution(space, table)
+
+
+def secant_moments_by_states(params):
+    """The mixture moments (1-t) prod a + t prod b, one product per state."""
+    space = StateSpace.binary(params.n)
+    t = Fraction(params.t)
+    entries = {}
+    for x in space.states():
+        pa = Fraction(1)
+        pb = Fraction(1)
+        for i, e in enumerate(x):
+            if e:
+                pa *= params.a[i]
+                pb *= params.b[i]
+        entries[x] = (1 - t) * pa + t * pb
+    return CoordinateVector(space, MOMENTS, entries)

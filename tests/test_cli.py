@@ -254,6 +254,37 @@ class TestModelVerbs:
         assert main(["model", *verb, "--params", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("emit", ["distribution", "treecumulants"])
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"transitions": [["3/2", "1/4"], ["1/3", "3/5"]]}, "entry 0 of the transition row 1 is 3/2"),
+            ({"initial": ["-1/2", "3/2"]}, "entry 0 of the initial distribution is -1/2"),
+            (
+                {"emissions": [[["3/2", "-1/2"], ["1/6", "5/6"]], *HMM_PARAMS["emissions"][1:]]},
+                "entry 0 of the emission row 0 of variable 1 is 3/2",
+            ),
+            ({"initial": ["1/3", "1/3", "1/3"]}, "the initial distribution has 3 entries, not 2"),
+            ({"transitions": [["1/4", "2/3", "0"], ["1/3", "3/5"]]}, "the transition row 1 has 3 entries, not 2"),
+        ],
+        ids=["transition-above-one", "initial-negative", "emission-outside", "initial-three", "transition-three"],
+    )
+    def test_chain_that_is_not_a_probability_model(self, capsys, tmp_path, change, named, emit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**HMM_PARAMS, **change}))
+        assert main(["model", "hmm", "--params", str(bad), "--emit", emit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}")
+
+    def test_gmm_missing_edge_is_named(self, capsys, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({**GMM_PARAMS, "edges": GMM_PARAMS["edges"][1:]}))
+        assert main(["model", "gmm", "--tree", "quartet", "--params", str(params)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no conditional table for the edge a -> 1\n"
+
     def test_gmm_leaves_outside_one_to_n(self, capsys, tmp_path):
         params = tmp_path / "p.json"
         params.write_text(json.dumps({
@@ -508,9 +539,41 @@ VALUED_TABLE = {
 RELABELLED_CATERPILLAR = "(4,2,(6,(1,(3,5)h4)h3)h2)h1;"
 DEGREE_FOUR_TREE = "((1,2)a,3,4,(5,6)b)r;"
 
+RELABELLED_PARAMS = {
+    "root_dist": ["3/7", "4/7"],
+    "edges": [
+        {"u": "h1", "v": "4", "table": [["2/3", "1/3"], ["1/5", "4/5"]]},
+        {"u": "h1", "v": "2", "table": [["3/4", "1/4"], ["2/9", "7/9"]]},
+        {"u": "h1", "v": "h2", "table": [["5/8", "3/8"], ["1/6", "5/6"]]},
+        {"u": "h2", "v": "6", "table": [["4/7", "3/7"], ["1/3", "2/3"]]},
+        {"u": "h2", "v": "h3", "table": [["9/10", "1/10"], ["2/5", "3/5"]]},
+        {"u": "h3", "v": "1", "table": [["1/2", "1/2"], ["1/8", "7/8"]]},
+        {"u": "h3", "v": "h4", "table": [["5/6", "1/6"], ["3/10", "7/10"]]},
+        {"u": "h4", "v": "3", "table": [["7/9", "2/9"], ["1/4", "3/4"]]},
+        {"u": "h4", "v": "5", "table": [["3/5", "2/5"], ["1/7", "6/7"]]},
+    ],
+}
+
+MIXED_ARITY_HMM = {
+    "arities": [3, 2, 4, 2],
+    "values": [["-1", "1/2", "3"], ["0", "2"], ["-2", "0", "1/3", "5"], ["7", "-1/4"]],
+    "initial": ["2/5", "3/5"],
+    "transitions": [["1/4", "2/3"], ["1/3", "3/5"], ["5/7", "1/6"]],
+    "emissions": [
+        [["1/2", "1/3", "1/6"], ["1/8", "0", "7/8"]],
+        [["2/3", "1/3"], ["1/5", "4/5"]],
+        [["1/4", "1/4", "1/4", "1/4"], ["1/10", "2/5", "3/10", "1/5"]],
+        [["5/9", "4/9"], ["1/7", "6/7"]],
+    ],
+}
+
+SIGNED_SECANT = [
+    "--n", "6", "--t=-2/7", "--a", "1/2,-3,5/4,0,-1/6,2", "--b=-1/3,4,1/5,-7/2,3,-1",
+]
+
 
 class TestGoldenBytes:
-    """Output digests recorded before the moment maps and the GMM law became per-axis and upward passes.
+    """Output digests recorded before the moment maps and the model laws became per-axis and upward passes.
 
     ``verify gmm`` needs a trivalent tree for its closed form, so the
     degree-4 tree is pinned through ``verify split-binomials`` and
@@ -552,6 +615,22 @@ class TestGoldenBytes:
                 ["transform", "-i", "valued.json", "--to", "central_moments"],
                 "936dbe6497bf2ffb12cb0731a7d0e62162dcc054c2b9a79289b4848ca92ced48",
             ),
+            (
+                ["model", "hmm", "--params", "mixed.json", "--emit", "distribution"],
+                "9b0838de1d86a5a957b25922cab86a4988969591cebd173dab46f5fb1c9d19b7",
+            ),
+            (
+                ["model", "hmm", "--params", "mixed.json", "--emit", "treecumulants"],
+                "ebaad82c76962b6816f2e66f11169543f5a61933018b97ff481f5a47a2f263df",
+            ),
+            (
+                ["model", "secant", *SIGNED_SECANT, "--emit", "moments"],
+                "a186cb5d4597e85595dca32fb4a7860985435f1ad85734f471f646574488d09c",
+            ),
+            (
+                ["model", "gmm", "--tree", RELABELLED_CATERPILLAR, "--params", "relabelled.json", "--emit", "distribution"],
+                "2e1ad46c772b0971327c37a2ec9f07cf673c121174b1f8d22de6ad730dd4209d",
+            ),
         ],
         ids=[
             "verify-gmm-relabelled-caterpillar",
@@ -562,6 +641,10 @@ class TestGoldenBytes:
             "verify-split-binomials-leaf-root",
             "model-gmm-leaf-root",
             "transform-central-moments-values",
+            "model-hmm-mixed-arity",
+            "model-hmm-mixed-arity-treecumulants",
+            "model-secant-signed",
+            "model-gmm-relabelled-caterpillar",
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -570,6 +653,8 @@ class TestGoldenBytes:
         (tmp_path / "params.json").write_text(json.dumps(LEAF_ROOT_PARAMS))
         (tmp_path / "degree4.json").write_text(json.dumps(DEGREE_FOUR_PARAMS))
         (tmp_path / "valued.json").write_text(json.dumps(VALUED_TABLE))
+        (tmp_path / "mixed.json").write_text(json.dumps(MIXED_ARITY_HMM))
+        (tmp_path / "relabelled.json").write_text(json.dumps(RELABELLED_PARAMS))
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -37,6 +37,7 @@ from lcumulants.trees import (
     tree_cumulants,
 )
 
+import oracles
 from conftest import random_distribution
 
 
@@ -151,6 +152,37 @@ class TestUpwardPass:
         tree = ORACLE_TREES[name].rooted_at(1)
         params = random_gmm_params(tree, rng)
         assert gmm_distribution(tree, params) == gmm_distribution_by_enumeration(tree, params)
+
+
+class TestChainAndChartOracles:
+    """The HMM law and the mixture moments against their per-state loops, key order included."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_binary_chain(self, n, rng):
+        params = random_hmm_params(rng, n)
+        fast, slow = hmm_distribution(params), oracles.hmm_distribution_by_states(params)
+        assert list(fast.table.items()) == list(slow.table.items())
+
+    @pytest.mark.parametrize("arities", [[3, 2, 4, 2], [2, 5], [4, 3, 2, 3, 2], [3]])
+    def test_mixed_arity_chain_with_values_and_a_zero_emission(self, arities, rng):
+        drawn = random_hmm_params(rng, len(arities), arities)
+        values = [[Fraction(2 * k - 1, k + 2) for k in range(r)] for r in arities]
+        dead_level = (Fraction(0),) + tuple(rng.weights(arities[-1] - 1))
+        emissions = drawn.emissions[:-1] + ((dead_level, drawn.emissions[-1][1]),)
+        params = HMMParams(StateSpace.of(arities, values), drawn.initial, drawn.transitions, emissions)
+        fast, slow = hmm_distribution(params), oracles.hmm_distribution_by_states(params)
+        assert list(fast.table.items()) == list(slow.table.items())
+
+    @pytest.mark.parametrize("t", [0, 1, "random"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_secant_points(self, t, n, rng):
+        t = rng.fraction(30, signed=True) if t == "random" else t
+        ints = tuple(rng.randint(-4, 4) for _ in range(n))
+        signed = tuple(rng.fraction(20, signed=True) for _ in range(n))
+        for a, b in ((ints, signed), (signed, ints), (signed, signed[::-1])):
+            params = SecantParams(t, a, b)
+            fast, slow = secant_moments(params), oracles.secant_moments_by_states(params)
+            assert list(fast.entries.items()) == list(slow.entries.items())
 
 
 class TestSecant:
