@@ -22,13 +22,12 @@ tree singleton-free sums read it.  :func:`mobius_weights` gives the pairs
 (:func:`weisner_fibres`), tensors, the conditional formulas and
 independence detection read it, and test the order with
 ``partition.refines`` where they need it.  Its elements are generated from
-the first blocks (C0 read forward); mu has closed forms for full, interval
-and one-cluster lattices and is pushed up from the first blocks for the
-others.  Both tables live in bounded process LRUs keyed by the family kind
-and the ground's shape, ``(d, sides)``: the size alone for size-indexed
-families, and for a tree the splits of the subtree its leaves induce, so
-leaf sets of one shape share their tables (:func:`_sub_ground`).  The cap
-is checked before either is read.
+the first blocks (C0 read forward), and mu from one closed form per
+family (:data:`_CLOSED_FORMS`).  Both tables live in bounded process LRUs
+keyed by the family kind and the ground's shape, ``(d, sides)``: the size
+alone for size-indexed families, and for a tree the splits of the subtree
+its leaves induce, so leaf sets of one shape share their tables
+(:func:`_sub_ground`).  The cap is checked before either is read.
 
 A :class:`PartitionLattice` holds the elements, the refinement order as
 explicit up/down sets (one refinement test per pair) and a lazily filled
@@ -43,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from .partition import (
@@ -403,16 +402,65 @@ Weights = tuple[tuple[SetPartition, int], ...]
 # tables, so a session's later calls on the same family and shapes reuse them.
 WEIGHT_CACHE_SIZE = 512
 
-# The first-block push is exact for these families too, and the tests
-# check the closed forms against it; for the full lattice at d = 10 it
-# takes 2.1 s where the closed form takes 0.12 s
-# (Python 3.11, one core of a 2-vCPU x86 machine).
-_CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
-    FULL: lambda k, d: (-1) ** (k - 1) * factorial(k - 1),
-    INTERVAL: lambda k, d: (-1) ** (k - 1),
+
+def _kreweras_form(key: TableKey) -> Callable[[SetPartition], int]:
+    """Non-crossing: the product of (-1)^(|V|-1) Cat(|V|-1) over the cycles V
+    of pi^-1 gamma, the Kreweras complement (Nica-Speicher, Lecture 10), with
+    pi cycling each block upwards and gamma = (0 1 ... d-1).
+    """
+    d = key[0]
+
+    def mu(p: SetPartition) -> int:
+        back = {j: prev for block in p.blocks for prev, j in zip(block[-1:] + block[:-1], block)}  # pi^-1
+        value, seen = 1, set()
+        for start in range(d):
+            size, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                j, size = back[(j + 1) % d], size + 1
+            if size:
+                value *= (-1) ** (size - 1) * comb(2 * size - 2, size - 1) // size
+        return value
+
+    return mu
+
+
+def _tree_form(key: TableKey) -> Callable[[SetPartition], int]:
+    """Tree: (-1)^(|pi|-1) times branches(v) - 1 over the inner nodes v on no
+    block's span (Zwiernik-Smith 2012).  Rooted at 0, an inner node is a side
+    of two or more positions, or all but 0; its branches, read once per key,
+    are its maximal proper sub-sides, singletons included, and its complement.
+    """
+    d, sides = key
+    full = (1 << d) - 1
+    nodes = []
+    for s in (*sides, full ^ 1):
+        if s.bit_count() >= 2:
+            inside = [t for t in (*sides, *(1 << j for j in range(d))) if t & s == t != s]
+            children = [t for t in inside if not any(t & u == t != u for u in inside)]
+            nodes.append((*children, full ^ s))
+
+    def mu(p: SetPartition) -> int:
+        spans = [sum(1 << j for j in block) for block in p.blocks if len(block) > 1]
+        value = (-1) ** (p.num_blocks - 1)
+        for branches in nodes:
+            # The branches tile the ground: a block inside none meets two.
+            if all(any(m & b == m for b in branches) for m in spans):
+                value *= len(branches) - 1
+        return value
+
+    return mu
+
+
+# mu(pi, top) in closed form, from the table key once and then per element.
+_CLOSED_FORMS: dict[str, Callable[[TableKey], Callable[[SetPartition], int]]] = {
+    FULL: lambda key: lambda p: (-1) ** (p.num_blocks - 1) * factorial(p.num_blocks - 1),
+    INTERVAL: lambda key: lambda p: (-1) ** (p.num_blocks - 1),
     # Above any element but the bottom the one-cluster lattice is Boolean:
     # the points outside the cluster join it one at a time.
-    ONECLUSTER: lambda k, d: (-1) ** (d - 1) * (d - 1) if k == d >= 2 else (-1) ** (k - 1),
+    ONECLUSTER: lambda key: lambda p: (-1) ** (p.num_blocks - 1) * (max(key[0] - 1, 1) if p.num_blocks == key[0] else 1),
+    NONCROSSING: _kreweras_form,
+    TREE: _tree_form,
 }
 
 
@@ -425,11 +473,10 @@ def mobius_weights(
 
     The pairs come in :attr:`PartitionLattice.elements` order (finest
     first, the top last) and agree with ``build(fam, ground).mobius_to_top``,
-    but no order is built: full, interval and one-cluster lattices have
-    closed forms, and the others are pushed up from the first blocks
-    (:func:`_pushed_weights`).  Tables are cached per family kind and
-    shape (:func:`_sub_ground`), so tree leaf sets of one shape share one.
-    The transforms read :func:`first_blocks` instead.
+    but no order is built: every family has a closed form for mu
+    (:data:`_CLOSED_FORMS`).  Tables are cached per family kind and shape
+    (:func:`_sub_ground`), so tree leaf sets of one shape share one.  The
+    transforms read :func:`first_blocks` instead.
     """
     labels = _ground_labels(fam, ground, capacity)
     return _cached_weights(fam.kind, _sub_ground(fam.splits, labels))
@@ -437,40 +484,8 @@ def mobius_weights(
 
 @lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def _cached_weights(kind: str, key: TableKey) -> Weights:
-    elements = _elements(kind, key)
-    closed = _CLOSED_FORMS.get(kind)
-    if closed is not None:
-        return tuple((p, closed(p.num_blocks, key[0])) for p in elements)
-    mu = _pushed_weights(kind, key)
-    return tuple((p, mu.get(p.rgs, 0)) for p in elements)
-
-
-def _pushed_weights(kind: str, key: TableKey) -> dict[tuple[int, ...], int]:
-    """mu(pi, top) keyed by RGS, from the moment expansion of the forward recursion.
-
-    ``kappa(A) = m(A) - sum over (B, rest) of kappa(B) * prod over S in rest of m(S)``.
-    Writing kappa(B) as the sum of mu_B(sigma, top) times the block moments
-    of sigma gives ``mu_A(pi) = [pi = top] - sum of mu_B(sigma)`` over the
-    (B, sigma) for which pi is sigma on B with each rest part one block.
-    By C0 every such pi is an element of the family.
-    """
-
-    @cache  # sub-ground weights, for the span of this call
-    def push(key: TableKey) -> dict[tuple[int, ...], int]:
-        d, sides = key
-        mu, raw = {(0,) * d: 1}, [0] * d
-        for block, rest in _cached_first_blocks(kind, key):
-            for t, part in enumerate(rest):
-                for j in part:
-                    raw[j] = d + t  # above every label of sigma
-            for sigma, weight in push(_sub_ground(sides, block)).items():
-                for j, v in zip(block, sigma):
-                    raw[j] = v
-                rgs = _canonical(raw)
-                mu[rgs] = mu.get(rgs, 0) - weight
-        return mu
-
-    return push(key)
+    mu = _CLOSED_FORMS[kind](key)
+    return tuple((p, mu(p)) for p in _elements(kind, key))
 
 
 def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, int]:

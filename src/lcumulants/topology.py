@@ -66,7 +66,7 @@ class TreeTopology:
         return len(self._adj[v])
 
     def inner_nodes(self) -> tuple[object, ...]:
-        return tuple(sorted((v for v in self.nodes if v not in set(self.leaves)), key=str))
+        return tuple(sorted(self.nodes.difference(self.leaves), key=str))
 
     def is_trivalent(self) -> bool:
         return all(len(self._adj[v]) == 3 for v in self.inner_nodes())

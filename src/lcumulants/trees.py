@@ -36,8 +36,8 @@ from .moments import (
     central_moments,
     moments_from_distribution,
 )
-from .partition import DEFAULT_CAPACITY
-from .topology import TreeTopology, induced_subtree
+from .partition import DEFAULT_CAPACITY, CapacityError
+from .topology import TreeTopology
 
 TREE_CUMULANTS = LCUMULANTS  # tree cumulants are the lattice cumulants of a tree family
 
@@ -109,10 +109,7 @@ class GMMParams:
         if tree.root is None:
             raise ValueError("parameter propagation needs a rooted tree")
         means: dict[object, Fraction] = {tree.root: Fraction(self.root_dist[1])}
-        parents = tree.parent_map()
-        order = sorted(parents, key=lambda v: len(tree.path(tree.root, v)))
-        for v in order:
-            u = parents[v]
+        for v, u in tree.parent_map().items():  # each parent before its children
             t = self.tables[(u, v)]
             means[v] = means[u] * t[1] + (1 - means[u]) * t[0]
         return means
@@ -122,22 +119,6 @@ def _bar(mean: Fraction) -> Fraction:
     return 1 - 2 * mean
 
 
-def _meeting_root(tree: TreeTopology, sub: TreeTopology, support: Sequence[int]) -> object:
-    """The reference node of the induced subtree.
-
-    For a rooted tree this is the subtree node nearest the root (already
-    tracked by the induced subtree); unrooted trees use the inner node
-    adjacent to the smallest chosen leaf.  A leaf result steps to its
-    unique inner neighbour.
-    """
-    node = sub.root
-    if node is None:
-        node = sub.neighbors(min(support))[0]
-    if isinstance(node, int):
-        node = sub.neighbors(node)[0]
-    return node
-
-
 def gmm_tree_cumulants(
     tree: TreeTopology, params: GMMParams, capacity: int | None = DEFAULT_CAPACITY
 ) -> CoordinateVector:
@@ -145,44 +126,43 @@ def gmm_tree_cumulants(
 
     Every inner node of the tree must have degree at most three; inner
     nodes of higher degree need the contraction route through a trivalent
-    refinement.  Degree-2 nodes of an induced subtree contribute no mean
-    factor and their two edge slopes compose, so keeping them changes
-    nothing.
+    refinement.  A leaf set of two or more leaves gets (1 - bar(r)^2) / 4 at
+    the top node r of its span (a leaf root steps to its child), bar(v)^(k-2)
+    at each node v with k span edges and the slope of each span edge: the
+    edges u -> v with leaves of the set both below v and elsewhere.
     """
     if any(tree.degree(v) > 3 for v in tree.inner_nodes()):
         raise ValueError("inner degree above three; use contracted_tree_cumulants")
     if tree.root is None:
         raise ValueError("closed form needs the rooted parametrization")
     n = tree.num_leaves
+    if capacity is not None and n > capacity:
+        raise CapacityError(f"ground set of size {n} exceeds the cap of {capacity}")
     space = StateSpace.binary(n)
     means = params.node_means(tree)
-    parents = tree.parent_map()
+    parents = tree.parent_map()  # each parent before its children
+    below = {v: 1 << (v - 1) for v in tree.leaves}
+    for v, u in reversed(parents.items()):
+        below[u] = below.get(u, 0) | below[v]
+    edges = [(u, v, below[v], params.eta(u, v)) for v, u in parents.items()]
     entries: dict[tuple[int, ...], Fraction] = {}
     for x in space.states():
-        support = tuple(i + 1 for i, e in enumerate(x) if e)
-        d = len(support)
-        if d == 0:
-            entries[x] = Fraction(0)
+        mask = sum(e << i for i, e in enumerate(x))
+        if mask.bit_count() < 2:
+            entries[x] = means[x.index(1) + 1] if mask else Fraction(0)
             continue
-        if d == 1:
-            entries[x] = means[support[0]]
-            continue
-        sub = induced_subtree(tree, support)
-        r_node = _meeting_root(tree, sub, support)
-        value = Fraction(1, 4) * (1 - _bar(means[r_node]) ** 2)
-        for v in sub.nodes:
-            if isinstance(v, int):
-                continue
-            exponent = sub.degree(v) - 2
-            if exponent:
-                value *= _bar(means[v]) ** exponent
-        for e in sub.edges:
-            a, b = tuple(e)
-            if parents.get(a) == b:
-                parent, child = b, a
-            else:
-                parent, child = a, b
-            value *= params.eta(parent, child)
+        value, degree, top = Fraction(1, 4), dict.fromkeys(means, 0), None
+        for u, v, side, eta in edges:
+            if mask & side and mask & ~side:
+                if top is None:  # the first span edge leaves the top node
+                    top = v if isinstance(u, int) else u
+                value *= eta
+                degree[u] += 1
+                degree[v] += 1
+        value *= 1 - _bar(means[top]) ** 2
+        for v, k in degree.items():
+            if k > 2:  # a leaf has one span edge at most
+                value *= _bar(means[v]) ** (k - 2)
         entries[x] = value
     return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
 

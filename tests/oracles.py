@@ -6,11 +6,13 @@ common denominator.  ``first_block_solve``, ``per_axis`` and
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
 ran before; the kernels must return the same values.
 
-``lattice._elements`` and ``lattice._pushed_weights`` derive a family's
-elements and mu(pi, top) from its first-block table.  ``tree_elements``
-and ``weights_from_coarsenings`` are the routes they replaced: a span
-test on every partition of a tree's leaves, and the recursion down from
-the top over coarsenings.
+``lattice._elements`` derives a family's elements from its first-block
+table, and ``lattice.mobius_weights`` gives mu(pi, top) in closed form.
+``tree_elements`` is the route the elements replaced: a span test on
+every partition of a tree's leaves.  ``pushed_weights`` and
+``weights_from_coarsenings`` are the routes the non-crossing and tree
+closed forms replaced: mu pushed up through every first block, and the
+recursion down from the top over coarsenings.
 
 ``lattice.first_blocks`` reads a tree's table off the splits of the
 subtree its leaves induce, one table per shape.  ``tree_first_blocks``
@@ -27,6 +29,10 @@ routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
 singleton-free sum over central moments, and the per-axis pass of the
 centred values over the probability table.
 
+``trees.gmm_tree_cumulants`` reads the span of each leaf set off one
+bitmask per node.  ``gmm_tree_cumulants_by_subtree`` is the route it
+replaced: an induced subtree per leaf set, with its path walks.
+
 ``models.hmm_distribution`` and ``models.secant_moments`` run the upward
 pass that ``models.gmm_distribution`` runs.  ``hmm_distribution_by_states``
 and ``secant_moments_by_states`` are the per-state loops they replaced: the
@@ -36,10 +42,12 @@ product of component means per state of the mixture.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
-from lcumulants.lattice import TREE, Family, mobius_weights
+from lcumulants.lattice import TREE, Family, _cached_first_blocks, _sub_ground, mobius_weights
 from lcumulants.lcumulant import _ground_of, _y_table
 from lcumulants.moments import (
     CENTRAL_MOMENTS,
@@ -53,7 +61,7 @@ from lcumulants.moments import (
     _vandermonde,
     central_moments,
 )
-from lcumulants.partition import DEFAULT_CAPACITY, SetPartition, all_partitions, refines
+from lcumulants.partition import DEFAULT_CAPACITY, SetPartition, _canonical, all_partitions, refines
 from lcumulants.topology import induced_subtree
 from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
 
@@ -189,6 +197,36 @@ def tree_first_blocks(tree, labels):
     return tuple(out)
 
 
+@functools.cache  # shared by the keys of one family, which reuse each other's sub-keys
+def pushed_weights(kind, key):
+    """mu(pi, top) keyed by RGS, from the moment expansion of the forward recursion.
+
+    ``kappa(A) = m(A) - sum over (B, rest) of kappa(B) * prod over S in rest of m(S)``.
+    Writing kappa(B) as the sum of mu_B(sigma, top) times the block moments
+    of sigma gives ``mu_A(pi) = [pi = top] - sum of mu_B(sigma)`` over the
+    (B, sigma) for which pi is sigma on B with each rest part one block.
+    By C0 every such pi is an element of the family.
+    """
+    d, sides = key
+    mu, raw = {(0,) * d: 1}, [0] * d
+    for block, rest in _cached_first_blocks(kind, key):
+        for t, part in enumerate(rest):
+            for j in part:
+                raw[j] = d + t  # above every label of sigma
+        for sigma, weight in pushed_weights(kind, _sub_ground(sides, block)).items():
+            for j, v in zip(block, sigma):
+                raw[j] = v
+            rgs = _canonical(raw)
+            mu[rgs] = mu.get(rgs, 0) - weight
+    return mu
+
+
+@functools.cache
+def _merges(k):
+    """The RGS of every partition of k blocks but the finest."""
+    return [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
+
+
 def weights_from_coarsenings(elements):
     """mu(pi, top) for elements listed finest first, by recursion down from the top.
 
@@ -197,12 +235,11 @@ def weights_from_coarsenings(elements):
     partitions of its blocks, so they are generated and looked up among
     the elements already done.
     """
-    mu, merges = {}, {}
+    mu = {}
     for p in reversed(elements):  # coarsest first
         k = p.num_blocks
-        if k not in merges:
-            merges[k] = [beta.rgs for beta in all_partitions(k, capacity=None)[1:]]
-        mu[p.rgs] = -sum(mu.get(tuple(beta[b] for b in p.rgs), 0) for beta in merges[k]) if k > 1 else 1
+        merged = operator.itemgetter(*p.rgs)  # beta read on the positions, a tuple for k > 1
+        mu[p.rgs] = -sum(mu.get(merged(beta), 0) for beta in _merges(k)) if k > 1 else 1
     return [mu[p.rgs] for p in elements]
 
 
@@ -301,6 +338,34 @@ def central_moments_direct(dist):
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
     matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
     return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
+
+
+def gmm_tree_cumulants_by_subtree(tree, params):
+    """The latent tree closed form with the span of each leaf set as its induced subtree.
+
+    The top node is the subtree's root, the node nearest the tree's root,
+    stepped to its neighbour when it is a leaf.
+    """
+    space = StateSpace.binary(tree.num_leaves)
+    means = params.node_means(tree)
+    parents = tree.parent_map()
+    entries = {}
+    for x in space.states():
+        support = tuple(i + 1 for i, e in enumerate(x) if e)
+        if len(support) < 2:
+            entries[x] = means[support[0]] if support else Fraction(0)
+            continue
+        sub = induced_subtree(tree, support)
+        top = sub.root if not isinstance(sub.root, int) else sub.neighbors(sub.root)[0]
+        value = Fraction(1, 4) * (1 - (1 - 2 * means[top]) ** 2)
+        for v in sub.nodes:
+            if not isinstance(v, int) and sub.degree(v) != 2:
+                value *= (1 - 2 * means[v]) ** (sub.degree(v) - 2)
+        for e in sub.edges:
+            a, b = tuple(e)
+            value *= params.eta(b, a) if parents.get(a) == b else params.eta(a, b)
+        entries[x] = value
+    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
 
 
 def hmm_distribution_by_states(params):

@@ -229,6 +229,16 @@ class TestModelVerbs:
         assert main(["model", "secant", "--n", "1", "--t", "1/0", "--a", "0", "--b", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse rational")
 
+    def test_signed_rationals_after_a_space(self, capsys):
+        glued = run(capsys, "model", "secant", "--n", "2", "--t=-2/7", "--a", "1,2", "--b=-1/3,4")
+        spaced = run(capsys, "model", "secant", "--n", "2", "--t", "-2/7", "--a", "1,2", "--b", "-1/3,4")
+        assert glued[0] == 0 and spaced == glued
+
+    def test_unknown_option_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "secant", "--n", "2", "--t", "-2/7", "--a", "1,2", "--b", "3,4", "--c", "-1"])
+        assert exc.value.code == 2
+
     def test_hmm_emissions(self, capsys, tmp_path):
         params = tmp_path / "hmm.json"
         params.write_text(json.dumps(HMM_PARAMS))

@@ -3,8 +3,8 @@
 The transforms and the tree singleton-free sums run one first-block loop
 (``lattice.first_blocks``).  The weight-table sums they used before are
 kept here as oracles, and the tables themselves are checked against the
-explicit lattices.  The elements and the pushed Moebius weights derived
-from the tables are checked against the routes they replaced
+explicit lattices.  The elements derived from the tables and the
+closed-form Moebius weights are checked against the routes they replaced
 (``tests/oracles.py``), and so are the tree tables shared by the leaf
 sets that induce one shape.
 """
@@ -228,7 +228,7 @@ class TestTables:
 
 
 class TestDerivedFromTheTables:
-    """Elements and Moebius weights derived from the tables, against the old routes.
+    """Elements derived from the tables and closed-form Moebius weights, against the old routes.
 
     ``build`` shares the element generator, so the checks of the tables
     against ``build`` above do not test membership on their own.
@@ -245,7 +245,7 @@ class TestDerivedFromTheTables:
         elements = lcumulants.lattice._elements(fam.kind, _key(fam, labels))
         want = oracles.weights_from_coarsenings(elements)
         assert [mu for _, mu in mobius_weights(fam, ground)] == want, ground
-        pushed = lcumulants.lattice._pushed_weights(fam.kind, _key(fam, labels))
+        pushed = oracles.pushed_weights(fam.kind, _key(fam, labels))
         assert [pushed.get(p.rgs, 0) for p in elements] == want, ground
         assert set(pushed) <= {p.rgs for p in elements}, ground
 
@@ -263,16 +263,19 @@ class TestDerivedFromTheTables:
             got = lcumulants.lattice._elements(TREE, _key(fam, support))
             assert got == oracles.tree_elements(tree, support), support
 
-    @pytest.mark.parametrize("d", range(1, 9))
-    @pytest.mark.parametrize("kind", SIZE_INDEXED)
+    @pytest.mark.parametrize(
+        "kind, d", [(kind, d) for kind in SIZE_INDEXED for d in range(1, 9)] + [(NONCROSSING, 9), (NONCROSSING, 10)]
+    )
     def test_size_indexed_weights(self, kind, d):
         self._check_weights(Family(kind), d)
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_TREES))
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
     def test_tree_weights(self, name):
-        tree = ORACLE_TREES[name]
-        for support in self._leaf_subsets(tree):
-            self._check_weights(Family(TREE, tree), support)
+        # The tables depend on the leaf subset only through its key, so one
+        # subset of each key covers them all.
+        fam = Family(TREE, SHAPE_TREES[name])
+        for support in {_key(fam, support): support for support in self._leaf_subsets(fam.tree)}.values():
+            self._check_weights(fam, support)
 
 
 class TestShapeKeys:

@@ -12,7 +12,8 @@ from lcumulants.moments import (
     moments_from_distribution,
 )
 from lcumulants.models import gmm_distribution, random_gmm_params
-from lcumulants.partition import all_partitions, is_interval
+from lcumulants.partition import CapacityError, all_partitions, is_interval
+from lcumulants.rng import SplitMix64
 from lcumulants.topology import (
     TreeTopology,
     caterpillar,
@@ -30,6 +31,7 @@ from lcumulants.trees import (
     contracted_tree_cumulants,
     exact_sqrt,
     gmm_tree_cumulants,
+    lift_params,
     normalized_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
@@ -257,6 +259,32 @@ class TestLatentTreeClosedForm:
         with pytest.raises(ValueError):
             gmm_tree_cumulants(st4, params)
 
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            caterpillar(6).rooted_at(1),
+            from_newick("((1,2)a,(3,4)b)r;"),  # a degree-2 root
+            star(3),
+            from_newick("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;"),
+            from_newick("(7,2,(9,(1,(10,(4,(3,(8,(5,(6,11)h9)h8)h7)h6)h5)h4)h3)h2)h1;"),
+        ],
+        ids=["caterpillar6-leaf-root", "degree-two-root", "star3", "balanced7", "relabelled-caterpillar11"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_span_masks_equal_the_induced_subtrees(self, tree, seed):
+        params = random_gmm_params(tree, SplitMix64(seed))
+        got = gmm_tree_cumulants(tree, params)
+        assert got.entries == oracles.gmm_tree_cumulants_by_subtree(tree, params).entries
+
+    def test_capacity(self, rng):
+        q = quartet()
+        params = random_gmm_params(q, rng)
+        with pytest.raises(CapacityError):
+            gmm_tree_cumulants(q, params, capacity=3)
+        assert gmm_tree_cumulants(q, params, capacity=None).entries == gmm_tree_cumulants(q, params).entries
+        with pytest.raises(CapacityError):
+            gmm_tree_cumulants(caterpillar(13), random_gmm_params(caterpillar(13), rng))
+
 
 class TestContraction:
     def test_refinement_is_trivalent_and_preserves_leaves(self):
@@ -286,6 +314,13 @@ class TestContraction:
         dist = gmm_distribution(st5, params)
         pipeline = tree_cumulants(moments_from_distribution(dist), refined)
         assert tv.entries == pipeline.entries
+
+    def test_contracted_coordinates_equal_the_induced_subtrees(self, rng):
+        st5 = star(5)
+        params = random_gmm_params(st5, rng)
+        refined, tv = contracted_tree_cumulants(st5, params)
+        lifted = lift_params(*trivalent_refinement(st5), params)
+        assert tv.entries == oracles.gmm_tree_cumulants_by_subtree(refined, lifted).entries
 
     def test_degenerate_mixture_collapses(self):
         st4 = star(4)
