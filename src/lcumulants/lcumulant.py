@@ -19,6 +19,10 @@ per index instead of the Bell-many lattice elements, and builds neither
 a lattice nor a Moebius table.  The cumulants are multilinear, so
 scaling every variable by d scales each coordinate of A by d^|A|; the
 loop runs on the integers d^|A| * given(A) and divides once per entry.
+The loop's shape depends only on the family and the box: the states in
+index-size order, their strides and their tables.  That plan is cached
+in a process LRU keyed by ``(family, arities, cap)``, so a warm
+transform reads no table per index; only the numbers change per call.
 
 The classical-cumulant bridge composes the two transforms: the classical
 cumulants fix the moments, and the moments fix the family cumulants.  The
@@ -36,8 +40,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .lattice import (
     FULL,
@@ -80,28 +85,76 @@ def _ground_of(fam: Family, space: StateSpace) -> Callable[[Sequence[int]], int 
     return tuple
 
 
-def _first_block_tables(
-    fam: Family, space: StateSpace, capacity: int | None
-) -> Callable[[Sequence[int]], FirstBlocks]:
-    """The ``(B, rest)`` table of the family lattice on an index's positions."""
+# Solve plans live for the whole process, keyed by the family, the arities
+# and the cap, so the forward and inverse transforms of a box share one.
+# The api-session mix reads 26 size-indexed plans per pass and one per tree
+# labelling; 32 keep them warm.  A plan on a 12-variable binary box holds
+# about 1 MiB of its own (tracemalloc).  It also holds its tables, so a
+# tree plan keeps them alive after the table LRU drops them: 36 MiB for a
+# relabelled 12-leaf tree.
+PLAN_CACHE_SIZE = 32
+
+
+class _SolvePlan(NamedTuple):
+    """The shape of the first-block recursion on one box.
+
+    ``sizes`` holds every state's index size in product order.  ``order``
+    holds ``(code, step, table)`` for every nonzero state by increasing
+    index size: the state's position in the box, the stride of each of
+    its positions, and its :func:`lattice.first_blocks` table.
+    """
+
+    sizes: tuple[int, ...]
+    order: tuple[tuple[int, tuple[int, ...], FirstBlocks], ...]
+
+
+def _solve_plan(fam: Family, space: StateSpace, capacity: int | None) -> _SolvePlan:
+    """The cached plan of ``fam`` on the box.
+
+    The family is checked against the box on every call, before the cache
+    is read, so the check does not rest on what the key holds.  A cold
+    build reads the largest index's table first, so the cap refuses an
+    oversized box before any state is listed.
+    """
+    _ground_of(fam, space)
+    return _cached_plan(fam, space.arities, capacity)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) -> _SolvePlan:
+    space = StateSpace.of(arities)
     ground = _ground_of(fam, space)
-    return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
+    largest = space.index_multiset(tuple(r - 1 for r in arities))
+    if largest:
+        first_blocks(fam, ground(largest), capacity=capacity)
+    states = list(space.states())  # product order: a state's position is its code
+    strides = [1] * space.n
+    for i in range(space.n - 2, -1, -1):
+        strides[i] = strides[i + 1] * space.arities[i + 1]
+    sizes = tuple(map(sum, states))
+    order = []
+    for code in sorted(range(1, len(states)), key=sizes.__getitem__):
+        multiset = space.index_multiset(states[code])
+        step = tuple(strides[i - 1] for i in multiset)
+        order.append((code, step, first_blocks(fam, ground(multiset), capacity=capacity)))
+    return _SolvePlan(sizes, tuple(order))
 
 
 def _first_block_solve(
     space: StateSpace,
     given: Mapping[tuple[int, ...], Fraction],
-    tables: Callable[[tuple[int, ...]], FirstBlocks],
+    fam: Family,
+    capacity: int | None,
     forward: bool,
 ) -> dict[tuple[int, ...], Fraction]:
     """Solve the first-block recursion for every state of the box.
 
     ``given`` holds the moments when ``forward`` and the cumulants
-    otherwise; the other system is returned.  ``tables`` maps an index
-    multiset to its first blocks.  States are visited by increasing index
-    size, so every kappa(B) and m(S) the recursion reads for a proper
-    B or S is known by then.  Sub-multisets are looked up by their
-    position in the box, the sum of one stride per position.
+    otherwise; the other system is returned.  The family's tables are read
+    through the plan of :func:`_solve_plan`.  States are visited by
+    increasing index size, so every kappa(B) and m(S) the recursion reads
+    for a proper B or S is known by then.  Sub-multisets are looked up by
+    their position in the box, the sum of one stride per position.
 
     The recursion runs on integers.  Scaling every variable by d scales
     m(A) and kappa(A) by d^|A|, and every term for A has degree |A|,
@@ -110,15 +163,9 @@ def _first_block_solve(
     runs on those integers, and each solved entry is divided by its
     d^|A| once at the end.
     """
-    states = list(space.states())  # product order: a state's position is its code
-    largest = space.index_multiset(states[-1])
-    if largest:  # its table first, so the cap refuses an oversized box before any work
-        tables(largest)
-    strides = [1] * space.n
-    for i in range(space.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * space.arities[i + 1]
+    sizes, order = _solve_plan(fam, space, capacity)
+    states = list(space.states())
     parts = [_exact_parts(given[x], x) for x in states]
-    sizes = [sum(x) for x in states]
     d = 1
     for (_, den), size in zip(parts, sizes):
         if size:  # multiply in the part of den that d^size misses
@@ -126,15 +173,11 @@ def _first_block_solve(
     powers = [d**k for k in range(max(sizes) + 1)]
     known = [num * (powers[size] // den) for (num, den), size in zip(parts, sizes)]
     solved = [0] * len(states)
+    solved[0] = 0 if forward else 1  # the zero exponent
     moments, cumulants = (known, solved) if forward else (solved, known)
-    for code in sorted(range(len(states)), key=sizes.__getitem__):
-        multiset = space.index_multiset(states[code])
-        if not multiset:
-            solved[code] = 0 if forward else 1
-            continue
-        step = [strides[i - 1] for i in multiset]
+    for code, step, table in order:
         lower = 0
-        for block, rest in tables(multiset):
+        for block, rest in table:
             term = cumulants[sum(map(step.__getitem__, block))]
             if not term:  # on central moments every singleton block is 0
                 continue
@@ -157,8 +200,7 @@ def to_lcumulants(
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
-    tables = _first_block_tables(fam, mv.space, capacity)
-    entries = _first_block_solve(mv.space, mv.entries, tables, forward=True)
+    entries = _first_block_solve(mv.space, mv.entries, fam, capacity, forward=True)
     return CoordinateVector(mv.space, system, entries, family=fam)
 
 
@@ -182,8 +224,7 @@ def from_lcumulants(
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    tables = _first_block_tables(fam, lv.space, capacity)
-    entries = _first_block_solve(lv.space, lv.entries, tables, forward=False)
+    entries = _first_block_solve(lv.space, lv.entries, fam, capacity, forward=False)
     return CoordinateVector(lv.space, MOMENTS, entries)
 
 
@@ -498,8 +539,8 @@ def conditional_collapse(
     if any(len(row) != n for row in means.values()):
         raise ValueError("conditional mean lists differ in length")
     space = StateSpace.binary(n)
-    # The top index's table checks the family and the cap before the 2^n box is filled.
-    _first_block_tables(fam, space, capacity)(tuple(range(1, n + 1)))
+    # The plan checks the family and the cap before the 2^n box is filled.
+    _solve_plan(fam, space, capacity)
     entries = {
         x: sum((prod((v for v, e in zip(means[y], x) if e), start=p) for y, p in ys if p), Fraction(0))
         for x in space.states()

@@ -15,7 +15,11 @@ O(|box| * sum r_i) products, never as a sum over pairs of box states or
 over sub-exponents.  Raw moments use the Vandermonde matrix of the level
 values (row k holds their k-th powers) and the inverse map its inverse;
 central moments and affine value changes use the matrix whose row k
-expands (scale*v + shift)^k in the powers of v.
+expands (scale*v + shift)^k in the powers of v.  Each pass runs on
+integers over one flat list of the box.  The Vandermonde matrix and its
+inverse are cached, scaled to integers, in process LRUs keyed by the
+variable's value tuple; the shift matrices depend on the data and are
+scaled on each call.
 
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
@@ -30,7 +34,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .partition import SetPartition
@@ -55,6 +61,8 @@ _FLOAT_MESSAGE = "floats are not allowed in exact mode; pass Fraction, int or 'p
 
 
 def _frac(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so it is shared rather than copied
+        return value
     if isinstance(value, float):
         raise TypeError(_FLOAT_MESSAGE)
     return Fraction(value)
@@ -160,15 +168,15 @@ class DiscreteDistribution:
 
     def __init__(self, space: StateSpace, table: Mapping[Exponent, Fraction], algebraic: bool = False):
         full: dict[Exponent, Fraction] = {}
-        total = Fraction(0)
         for x in space.states():
             p = _frac(table.get(x, 0))
             if not algebraic and p < 0:
                 raise ValueError(f"negative mass {p} at {x}; use algebraic=True for signed tables")
             full[x] = p
-            total += p
-        if total != 1:
-            raise ValueError(f"table sums to {total}, not 1")
+        ints, scale = _scaled_integers(full.items())
+        total = sum(ints.values())
+        if total != scale:
+            raise ValueError(f"table sums to {Fraction(total, scale)}, not 1")
         extra = set(table) - set(full)
         if extra:
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
@@ -323,8 +331,20 @@ def distribution_from_vector(vec: CoordinateVector, algebraic: bool = False) -> 
 # -- raw moments -----------------------------------------------------------
 
 
+# An integer matrix with its scale: the rows of ``scale * matrix``.
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
+
+
+def _scaled_matrix(matrix: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
+    """A matrix as integer rows over the lcm of its entries' denominators."""
+    ints, scale = _scaled_integers(
+        (((k, l), v) for k, row in enumerate(matrix) for l, v in enumerate(row)), "matrix entry"
+    )
+    return tuple(tuple(ints[k, l] for l in range(len(row))) for k, row in enumerate(matrix)), scale
+
+
 def _per_axis(
-    space: StateSpace, data: Mapping[Exponent, Fraction], matrices: Sequence[Sequence[Sequence[Fraction]]]
+    space: StateSpace, data: Mapping[Exponent, Fraction], matrices: Iterable[ScaledMatrix]
 ) -> dict[Exponent, Fraction]:
     """Apply one r_i x r_i matrix along each axis of the box in turn.
 
@@ -332,33 +352,56 @@ def _per_axis(
     ``matrices[i][x_i][l]`` times the entry at x with x_i set to l, so the
     whole pass costs O(|box| * sum r_i) products.  The map is linear in
     the data and in each matrix, so it runs on integers: the data scaled
-    by the lcm of its denominators, each matrix by the lcm of its
-    entries' denominators.  One division by the product of the scales
-    per entry gives the exact result.
+    by the lcm of its denominators, each matrix given scaled
+    (:func:`_scaled_matrix`) and read after the data are scaled.  One
+    division by the product of the scales per entry gives the exact
+    result.
+
+    The data is one flat list in product order, so the slowest axis splits
+    it into r contiguous segments, one per level.  Each row of the matrix
+    combines the segments, and the new segments are interleaved, so that
+    axis becomes the fastest.  The next axis is then the slowest, and after
+    the last one the product order is back.
     """
     states = list(space.states())
-    out, denominator = _scaled_integers((x, data[x]) for x in states)
-    for i, matrix in enumerate(matrices):
-        ints, scale = _scaled_integers(
-            (((k, l), v) for k, row in enumerate(matrix) for l, v in enumerate(row)),
-            f"axis {i + 1} matrix entry",
-        )
-        rows = [[ints[k, l] for l in range(len(row))] for k, row in enumerate(matrix)]
+    ints, denominator = _scaled_integers((x, data[x]) for x in states)
+    flat = list(ints.values())
+    for rows, scale in matrices:
         denominator *= scale
-        new: dict[Exponent, int] = {}
-        for x in states:
-            total = 0
-            for level, coeff in enumerate(rows[x[i]]):
+        r = len(rows)
+        length = len(flat) // r
+        segments = [flat[level * length : (level + 1) * length] for level in range(r)]
+        for k, row in enumerate(rows):
+            total = [0] * length
+            for coeff, segment in zip(row, segments):
                 if coeff:
-                    total += coeff * out[x[:i] + (level,) + x[i + 1 :]]
-            new[x] = total
-        out = new
-    return {x: Fraction(v, denominator) for x, v in out.items()}
+                    scaled = segment if coeff == 1 else map(mul, segment, itertools.repeat(coeff))
+                    total = list(map(add, total, scaled))
+            flat[k::r] = total
+    return {x: Fraction(v, denominator) for x, v in zip(states, flat)}
 
 
 def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
     """Row k holds the k-th powers of the level values."""
     return [[v**k for v in values] for k in range(len(values))]
+
+
+# The value-map matrices are cached per value tuple, scaled to integers.
+# The default values 0..r-1 of every arity share one entry, so a session
+# holds one per arity and per rational value map it uses.
+VALUE_MAP_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=VALUE_MAP_CACHE_SIZE)
+def _moment_matrix(values: tuple[Fraction, ...]) -> ScaledMatrix:
+    """The Vandermonde matrix of the level values, scaled."""
+    return _scaled_matrix(_vandermonde(values))
+
+
+@lru_cache(maxsize=VALUE_MAP_CACHE_SIZE)
+def _inverse_moment_matrix(values: tuple[Fraction, ...]) -> ScaledMatrix:
+    """The inverse of the Vandermonde matrix of injective level values, scaled."""
+    return _scaled_matrix(_invert(_vandermonde(values)))
 
 
 def _shift_matrix(r: int, scale: Fraction, shift: Fraction) -> list[list[Fraction]]:
@@ -376,7 +419,7 @@ def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
     matrices, applied one axis at a time.
     """
     space = dist.space
-    entries = _per_axis(space, dist.table, [_vandermonde(vm) for vm in space.values])
+    entries = _per_axis(space, dist.table, [_moment_matrix(vm) for vm in space.values])
     return CoordinateVector(space, MOMENTS, entries)
 
 
@@ -406,7 +449,7 @@ def distribution_from_moments(mv: CoordinateVector, algebraic: bool = False) -> 
     for i, (r, vm) in enumerate(zip(space.arities, space.values)):
         if len(set(vm)) != r:
             raise ValueError(f"variable {i + 1} has a non-injective value map")
-    inverses = [_invert(_vandermonde(vm)) for vm in space.values]
+    inverses = [_inverse_moment_matrix(vm) for vm in space.values]
     return DiscreteDistribution(space, _per_axis(space, mv.entries, inverses), algebraic=algebraic)
 
 
@@ -426,7 +469,8 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
     units = [_unit(space.n, i) for i in range(space.n)]
-    matrices = [_shift_matrix(r, Fraction(1), -mv.entries[u]) for r, u in zip(space.arities, units)]
+    # Lazy: _per_axis scales the data first, so a float moment is named by its state.
+    matrices = (_scaled_matrix(_shift_matrix(r, Fraction(1), -mv.entries[u])) for r, u in zip(space.arities, units))
     entries = _per_axis(space, mv.entries, matrices)
     entries[(0,) * space.n] = Fraction(1)
     for u in units:
@@ -506,10 +550,12 @@ def transform_values(
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
     matrices = [
-        _shift_matrix(
-            r,
-            _frac(scale[i]) if scale is not None else Fraction(1),
-            _frac(shift[i]) if shift is not None else Fraction(0),
+        _scaled_matrix(
+            _shift_matrix(
+                r,
+                _frac(scale[i]) if scale is not None else Fraction(1),
+                _frac(shift[i]) if shift is not None else Fraction(0),
+            )
         )
         for i, r in enumerate(space.arities)
     ]

@@ -26,7 +26,7 @@ from math import isqrt
 from typing import Mapping, Sequence
 
 from .lattice import TREE, Family
-from .lcumulant import _first_block_solve, _first_block_tables, to_lcumulants
+from .lcumulant import _first_block_solve, to_lcumulants
 from .moments import (
     LCUMULANTS,
     MOMENTS,
@@ -60,7 +60,7 @@ def _singleton_free_sums(
     """
     space = StateSpace.binary(cm.space.n)
     given = {x: cm.entries[x] for x in space.states()}
-    sums = _first_block_solve(space, given, _first_block_tables(Family(TREE, tree), space, capacity), forward=True)
+    sums = _first_block_solve(space, given, Family(TREE, tree), capacity, forward=True)
     return {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
 
 

@@ -4,7 +4,10 @@
 of ``models.verify_split_binomials`` compute on integers scaled by a
 common denominator.  ``first_block_solve``, ``per_axis`` and
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
-ran before; the kernels must return the same values.
+ran before; the kernels must return the same values.  The recursion
+reads its tables through a cached plan, and ``first_block_solve`` reads
+them per index (``first_block_tables``).  The per-axis pass rotates one
+flat list, and ``per_axis`` indexes the box state by state.
 
 ``lattice._elements`` derives a family's elements from its first-block
 table, and ``lattice.mobius_weights`` gives mu(pi, top) in closed form.
@@ -47,7 +50,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from lcumulants.lattice import TREE, Family, _cached_first_blocks, _sub_ground, mobius_weights
+from lcumulants.lattice import TREE, Family, _cached_first_blocks, _sub_ground, first_blocks, mobius_weights
 from lcumulants.lcumulant import _ground_of, _y_table
 from lcumulants.moments import (
     CENTRAL_MOMENTS,
@@ -58,12 +61,22 @@ from lcumulants.moments import (
     DiscreteDistribution,
     StateSpace,
     _per_axis,
+    _scaled_matrix,
     _vandermonde,
     central_moments,
 )
 from lcumulants.partition import DEFAULT_CAPACITY, SetPartition, _canonical, all_partitions, refines
 from lcumulants.topology import induced_subtree
 from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
+
+
+def first_block_tables(fam, space, capacity):
+    """The ``(B, rest)`` table of an index multiset, read per index.
+
+    ``_first_block_solve`` reads the same tables through its cached plan.
+    """
+    ground = _ground_of(fam, space)
+    return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
 
 
 def first_block_solve(space, given, tables, forward):
@@ -336,7 +349,7 @@ def central_moments_direct(dist):
     """
     space = dist.space
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
-    matrices = [_vandermonde([v - m for v in vm]) for vm, m in zip(space.values, mean)]
+    matrices = [_scaled_matrix(_vandermonde([v - m for v in vm])) for vm, m in zip(space.values, mean)]
     return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
 
 

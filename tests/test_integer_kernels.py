@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 import oracles
 from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family, first_blocks
-from lcumulants.lcumulant import _first_block_solve, _first_block_tables, from_lcumulants, to_lcumulants
+from lcumulants.lcumulant import (
+    UnsupportedFamilyError,
+    _cached_plan,
+    _first_block_solve,
+    from_lcumulants,
+    to_lcumulants,
+)
 from lcumulants.models import gmm_distribution, random_gmm_params, verify_split_binomials
 from lcumulants.moments import (
     LCUMULANTS,
@@ -25,8 +31,11 @@ from lcumulants.moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _inverse_moment_matrix,
     _invert,
+    _moment_matrix,
     _per_axis,
+    _scaled_matrix,
     _shift_matrix,
     _unit,
     _vandermonde,
@@ -35,7 +44,8 @@ from lcumulants.moments import (
     moments_from_distribution,
     transform_values,
 )
-from lcumulants.topology import caterpillar
+from lcumulants.partition import CapacityError
+from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums, tree_cumulants
 
 from conftest import random_distribution
@@ -65,10 +75,10 @@ def assert_same(got, want):
 
 def _solve_both_ways(space, fam, given_moments):
     """Forward then inverse through the kernel, each against the oracle."""
-    tables = _first_block_tables(fam, space, None)
-    kappa = _first_block_solve(space, given_moments, tables, forward=True)
+    tables = oracles.first_block_tables(fam, space, None)
+    kappa = _first_block_solve(space, given_moments, fam, None, forward=True)
     assert_same(kappa, oracles.first_block_solve(space, given_moments, tables, forward=True))
-    back = _first_block_solve(space, kappa, tables, forward=False)
+    back = _first_block_solve(space, kappa, fam, None, forward=False)
     assert_same(back, oracles.first_block_solve(space, kappa, tables, forward=False))
     return kappa, back
 
@@ -143,9 +153,9 @@ class TestFirstBlockSolve:
         space = StateSpace.of([3, 2, 2, 2])
         given = _coprime_entries(space)
         _solve_both_ways(space, Family(kind), given)
-        tables = _first_block_tables(Family(kind), space, None)
+        tables = oracles.first_block_tables(Family(kind), space, None)
         assert_same(
-            _first_block_solve(space, given, tables, forward=False),
+            _first_block_solve(space, given, Family(kind), None, forward=False),
             oracles.first_block_solve(space, given, tables, forward=False),
         )
 
@@ -163,7 +173,7 @@ class TestFirstBlockSolve:
         kappa = {x: Fraction(k + 1, 3 ** (sum(x) ** 2) * 2 ** sum(x)) for k, x in enumerate(space.states())}
         kappa[(0,) * space.n] = Fraction(0)
         lv = CoordinateVector(space, LCUMULANTS, kappa, family=fam)
-        tables = _first_block_tables(fam, space, None)
+        tables = oracles.first_block_tables(fam, space, None)
         want = oracles.first_block_solve(space, kappa, tables, forward=False)
         assert_same(dict(from_lcumulants(lv, capacity=None).entries), want)
 
@@ -178,9 +188,86 @@ class TestFirstBlockSolve:
                 from_lcumulants(CoordinateVector(space, LCUMULANTS, entries, family=Family(FULL)))
 
 
+# Every family on each box: the size-indexed ones, and a tree on the binary box.
+PLAN_CASES = [
+    (box, fam)
+    for box in [(2,) * 7, (3, 3, 2, 2), (4, 3, 2)]
+    for fam in [Family(kind) for kind in SIZE_INDEXED] + ([Family(TREE, TREES["balanced7"])] if set(box) == {2} else [])
+]
+
+
+class TestSolvePlan:
+    """The cached plan of ``_first_block_solve`` against a cold one and the oracle."""
+
+    @pytest.mark.parametrize("box, fam", PLAN_CASES, ids=lambda v: str(v) if isinstance(v, tuple) else v.kind)
+    def test_warm_equals_cold_equals_oracle(self, box, fam, rng):
+        space = StateSpace.of(box)
+        moments = moments_from_distribution(random_distribution(space, rng, algebraic=True)).entries
+        tables = oracles.first_block_tables(fam, space, None)
+        kappa = oracles.first_block_solve(space, moments, tables, forward=True)
+        for given, want, forward in ((moments, kappa, True), (kappa, moments, False)):
+            _first_block_solve(space, given, fam, None, forward)
+            warm = _first_block_solve(space, given, fam, None, forward)
+            _cached_plan.cache_clear()
+            cold = _first_block_solve(space, given, fam, None, forward)
+            assert_same(warm, want)
+            assert_same(cold, want)
+
+    def test_two_spellings_of_one_tree_share_a_plan(self, rng):
+        one = from_newick("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;")
+        other = from_newick("((7,(6,5)d)e,((4,3)b,(2,1)a)c)r;")
+        space = StateSpace.binary(7)
+        mv = moments_from_distribution(random_distribution(space, rng))
+        first = to_lcumulants(mv, Family(TREE, one), capacity=None)
+        hits = _cached_plan.cache_info().hits
+        assert to_lcumulants(mv, Family(TREE, other), capacity=None).entries == first.entries
+        assert _cached_plan.cache_info().hits == hits + 1
+
+    def test_a_relabelled_tree_matches_its_own_oracle(self, rng):
+        space = StateSpace.binary(7)
+        mv = moments_from_distribution(random_distribution(space, rng))
+        for newick in ("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;", "(((6,2)a,(7,4)b)c,((5,1)d,3)e)r;"):
+            fam = Family(TREE, from_newick(newick))
+            want = oracles.first_block_solve(space, mv.entries, oracles.first_block_tables(fam, space, None), True)
+            assert_same(dict(to_lcumulants(mv, fam, capacity=None).entries), want)
+
+    @pytest.mark.parametrize("fam", [Family(FULL), Family(TREE, TREES["relabelled-caterpillar"])], ids=str)
+    def test_a_plan_built_without_a_cap_does_not_pass_a_capped_call(self, fam, rng):
+        space = StateSpace.binary(5)
+        mv = moments_from_distribution(random_distribution(space, rng))
+        lv = to_lcumulants(mv, fam, capacity=None)
+        assert from_lcumulants(lv, capacity=None).entries == mv.entries
+        size = _cached_plan.cache_info().currsize
+        for _ in range(2):  # the refusal is not cached either
+            with pytest.raises(CapacityError, match="size 5 exceeds the cap of 4"):
+                to_lcumulants(mv, fam, capacity=4)
+            with pytest.raises(CapacityError, match="size 5 exceeds the cap of 4"):
+                from_lcumulants(lv, capacity=4)
+        assert _cached_plan.cache_info().currsize == size
+
+    def test_a_tree_family_is_checked_when_its_plan_is_warm(self, rng):
+        fam = Family(TREE, TREES["caterpillar6"])
+        binary = StateSpace.binary(6)
+        to_lcumulants(moments_from_distribution(random_distribution(binary, rng)), fam)
+        for box, message in (((3,) + (2,) * 5, "binary state space"), ((2,) * 7, "leaves must cover")):
+            mv = moments_from_distribution(random_distribution(StateSpace.of(box), rng))
+            with pytest.raises(UnsupportedFamilyError, match=message):
+                to_lcumulants(mv, fam)
+
+
+# One-variable and mixed boxes besides BOXES: the per-axis pass rotates the
+# slowest axis to the fastest, once per variable.
+AXIS_BOXES = BOXES + [(5,), (2, 5)]
+
+
+def _rational_values(r):
+    """r distinct rational level values, (3k - 2) / (k + 3)."""
+    return [Fraction(3 * k - 2, k + 3) for k in range(r)]
+
+
 class TestPerAxis:
     @pytest.mark.parametrize("signed", [False, True], ids=["probability", "signed"])
-    @pytest.mark.parametrize("box", BOXES, ids=str)
+    @pytest.mark.parametrize("box", AXIS_BOXES, ids=str)
     def test_moment_maps(self, box, signed, rng):
         space = StateSpace.of(box)
         _check_moment_maps(space, random_distribution(space, rng, algebraic=signed))
@@ -194,6 +281,45 @@ class TestPerAxis:
         moved = transform_values(mv, scale=scale, shift=shift)
         assert_same(dict(moved.entries), oracles.per_axis(space, mv.entries, matrices))
 
+    @pytest.mark.parametrize("box", [(5,), (2, 5), (4, 3, 2)], ids=str)
+    def test_rational_value_maps_on_rotated_boxes(self, box, rng):
+        space = StateSpace.of(box, [_rational_values(r) for r in box])
+        mv = _check_moment_maps(space, random_distribution(space, rng, algebraic=True))
+        scale, shift = [Fraction(2 - k, 3 + k) for k in range(len(box))], [Fraction(k + 1, 5) for k in range(len(box))]
+        matrices = [_shift_matrix(r, a, b) for r, a, b in zip(box, scale, shift)]
+        moved = transform_values(mv, scale=scale, shift=shift)
+        assert_same(dict(moved.entries), oracles.per_axis(space, mv.entries, matrices))
+
+    @pytest.mark.parametrize("box", [(5,), (2, 5), (4, 3, 2)], ids=str)
+    def test_general_matrices(self, box):
+        # Zero, one and signed rational entries: every branch of the segment combination.
+        space = StateSpace.of(box)
+        data = _coprime_entries(space)
+        matrices = [
+            [[Fraction((k * r + l) % 5 - 1, 1 + (k + l) % 3) for l in range(r)] for k in range(r)] for r in box
+        ]
+        got = _per_axis(space, data, [_scaled_matrix(m) for m in matrices])
+        assert_same(got, oracles.per_axis(space, data, matrices))
+
+    @pytest.mark.parametrize("values", VALUE_MAPS, ids=str)
+    def test_cached_matrices_are_immutable_and_exact(self, values):
+        values = tuple(Fraction(v) for v in values)
+        vandermonde = _vandermonde(values)
+        for cached, want in ((_moment_matrix, vandermonde), (_inverse_moment_matrix, _invert(vandermonde))):
+            rows, scale = cached(values)
+            assert cached(values) is cached(values)
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert all(type(v) is int for row in rows for v in row)
+            assert [[Fraction(v, scale) for v in row] for row in rows] == want
+
+    def test_a_non_injective_value_map_is_refused_before_the_cache(self):
+        space = StateSpace.of([2, 3], [[0, 1], [0, Fraction(1, 2), 0]])
+        mv = CoordinateVector(space, MOMENTS, {x: Fraction(int(not any(x))) for x in space.states()})
+        info = _inverse_moment_matrix.cache_info()
+        with pytest.raises(ValueError, match="variable 2 has a non-injective value map"):
+            distribution_from_moments(mv)
+        assert _inverse_moment_matrix.cache_info() == info
+
     def test_pairwise_coprime_zero_and_integer_data(self):
         space = StateSpace.of([3, 2, 2], VALUE_MAPS[1:] + [VALUE_MAPS[0]])
         vandermonde = [_vandermonde(vm) for vm in space.values]
@@ -202,7 +328,10 @@ class TestPerAxis:
             {x: Fraction(0) for x in space.states()},
             {x: k % 4 - 1 for k, x in enumerate(space.states())},
         ):
-            assert_same(_per_axis(space, data, vandermonde), oracles.per_axis(space, data, vandermonde))
+            assert_same(
+                _per_axis(space, data, [_scaled_matrix(v) for v in vandermonde]),
+                oracles.per_axis(space, data, vandermonde),
+            )
 
     def test_a_float_entry_is_refused(self):
         space = StateSpace.binary(2)
@@ -255,8 +384,10 @@ def boxes_tables_and_value_maps(draw):
 def test_kernels_match_oracles_property(case):
     space, table, kind = case
     vandermonde = [_vandermonde(vm) for vm in space.values]
-    moments = _per_axis(space, table, vandermonde)
+    moments = _per_axis(space, table, [_scaled_matrix(v) for v in vandermonde])
     assert_same(moments, oracles.per_axis(space, table, vandermonde))
     inverses = [_invert(v) for v in vandermonde]
-    assert_same(_per_axis(space, moments, inverses), oracles.per_axis(space, moments, inverses))
+    assert_same(
+        _per_axis(space, moments, [_scaled_matrix(v) for v in inverses]), oracles.per_axis(space, moments, inverses)
+    )
     _solve_both_ways(space, Family(kind), moments)

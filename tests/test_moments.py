@@ -545,6 +545,52 @@ class TestSerialization:
         assert cond[(0,)] == Fraction(1, 2)
 
 
+class TestDistributionChecks:
+    """The messages of ``DiscreteDistribution``'s table checks."""
+
+    @pytest.mark.parametrize(
+        "masses, total",
+        [
+            ([Fraction(1, 3), Fraction(1, 2)], "5/6"),
+            ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)], "247/210"),
+            ([Fraction(5, 4), Fraction(-1, 6), Fraction(-1, 9)], "35/36"),
+            ([0, 0], "0"),
+            ([Fraction(2, 3), 1], "5/3"),
+        ],
+        ids=["short", "coprime", "signed", "zero", "integer"],
+    )
+    def test_the_exact_total_is_named(self, masses, total):
+        space = StateSpace.of([len(masses)])
+        table = {(k,): m for k, m in enumerate(masses)}
+        with pytest.raises(ValueError, match=rf"^table sums to {total}, not 1$"):
+            DiscreteDistribution(space, table, algebraic=True)
+
+    def test_the_first_negative_state_is_named(self):
+        space = StateSpace.of([2, 3])
+        masses = [Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(1, 4)]
+        table = dict(zip(space.states(), masses))
+        with pytest.raises(ValueError, match=r"^negative mass -1/4 at \(0, 2\); use algebraic=True"):
+            DiscreteDistribution(space, table)
+        assert DiscreteDistribution(space, table, algebraic=True).table[(1, 0)] == Fraction(-1, 4)
+
+    @pytest.mark.parametrize("algebraic", [False, True])
+    def test_a_float_entry_is_refused(self, algebraic):
+        space = StateSpace.binary(1)
+        with pytest.raises(TypeError, match="floats are not allowed in exact mode"):
+            DiscreteDistribution(space, {(0,): Fraction(1, 2), (1,): 0.5}, algebraic=algebraic)
+
+    def test_states_outside_the_box_are_named(self):
+        space = StateSpace.binary(1)
+        table = {(0,): Fraction(1, 2), (1,): Fraction(1, 2), (5,): 0, (2,): 0, (0, 0): 0}
+        with pytest.raises(ValueError, match=r"^states outside the box: \[\(0, 0\), \(2,\), \(5,\)\]$"):
+            DiscreteDistribution(space, table)
+
+    def test_the_total_is_checked_before_the_box(self):
+        space = StateSpace.binary(1)
+        with pytest.raises(ValueError, match=r"^table sums to 1/2, not 1$"):
+            DiscreteDistribution(space, {(0,): Fraction(1, 2), (7,): Fraction(1, 2)})
+
+
 @given(
     weights=st.lists(st.integers(1, 50), min_size=6, max_size=6),
 )
