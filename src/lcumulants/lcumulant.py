@@ -24,15 +24,20 @@ index-size order, their strides and their tables.  That plan is cached
 in a process LRU keyed by ``(family, arities, cap)``, so a warm
 transform reads no table per index; only the numbers change per call.
 
-The classical-cumulant bridge composes the two transforms: the classical
-cumulants fix the moments, and the moments fix the family cumulants.  The
-conditional-independence collapse runs the forward recursion on the
-moments of the conditional-mean vector.  Also here: cumulant tensors with
-their multilinear transformation law, shift (semi-)invariance, detection
-of independence structure from vanishing coordinates, and the conditional
-cumulant (Brillinger) formula.  These read the pairs (pi, mu(pi, top)) of
-``lattice.mobius_weights`` and test the order with ``partition.refines``
-where they need it; nothing in this module builds a lattice order.
+The paper's other formulas are compositions of the two transforms.  The
+classical-cumulant bridge: the classical cumulants fix the moments, and
+the moments fix the family cumulants.  The conditional cumulant
+(Brillinger) formula: the conditional cumulants fix the conditional
+moments, their average over Y is the mixture's moments, and the forward
+map gives the mixture's cumulants, which the formula equals on the
+families with the coarsening property (C3).  A cumulant-tensor entry and
+the conditional-independence collapse are the top entry of the forward
+recursion on a binary box over d positions, filled with the moments of
+their subsets (:func:`_top_cumulant`).  Also here: the multilinear
+transformation law of tensors, shift (semi-)invariance, and detection of
+independence structure from vanishing coordinates, the one reader of
+``lattice.mobius_weights``, for its finest-first element order alone.
+Nothing in this module builds a lattice order.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .moments import (
     distribution_from_moments,
     _exact_parts,
 )
-from .partition import DEFAULT_CAPACITY, SetPartition, refines
+from .partition import DEFAULT_CAPACITY, SetPartition
 from .topology import is_caterpillar
 
 MomentFunction = Callable[[Sequence[int]], Fraction]
@@ -275,6 +280,23 @@ def _moment_function(source, n: int | None = None) -> tuple[MomentFunction, int]
     raise TypeError(f"cannot read moments from {type(source).__name__}")
 
 
+def _top_cumulant(d: int, moment_of: MomentFunction, fam: Family, capacity: int | None) -> Fraction:
+    """The family cumulant of d positions, from the moments of their subsets.
+
+    ``moment_of`` takes the 0-based positions of a nonempty subset in
+    increasing order.  Its moments fill a binary box over the positions,
+    one exponent per subset and 1 at the zero exponent, and the forward
+    recursion runs on it.  The plan checks the family and the cap before
+    the 2^d box is filled.
+    """
+    space = StateSpace.binary(d)
+    _solve_plan(fam, space, capacity)
+    entries = {
+        x: moment_of([j for j, e in enumerate(x) if e]) if any(x) else Fraction(1) for x in space.states()
+    }
+    return to_lcumulants(CoordinateVector(space, MOMENTS, entries), fam, capacity).entries[(1,) * d]
+
+
 def cumulant_tensor(
     source,
     fam: Family,
@@ -282,7 +304,7 @@ def cumulant_tensor(
     n: int | None = None,
     capacity: int | None = DEFAULT_CAPACITY,
 ) -> CumulantTensor:
-    """Order-d tensor whose entry at (i1..id) sums over the size-d lattice.
+    """Order-d tensor whose entry at (i1..id) is the family cumulant of those positions.
 
     Index tuples may repeat and permute variables, so the moments of
     arbitrary powers are taken from the source distribution (or moment
@@ -293,17 +315,13 @@ def cumulant_tensor(
         raise UnsupportedFamilyError(
             "cumulant tensors need one lattice per order; tree families are tied to leaf sets"
         )
+    if order < 1:
+        raise ValueError(f"tensor order must be at least 1, got {order}")
     moment_fn, n = _moment_function(source, n)
-    weights = mobius_weights(fam, order, capacity=capacity)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for idx in itertools.product(range(1, n + 1), repeat=order):
-        total = Fraction(0)
-        for pi, weight in weights:
-            term = Fraction(weight)
-            for block in pi.blocks:
-                term *= moment_fn([idx[j] for j in block])
-            total += term
-        entries[idx] = total
+    entries = {
+        idx: _top_cumulant(order, lambda positions: moment_fn([idx[j] for j in positions]), fam, capacity)
+        for idx in itertools.product(range(1, n + 1), repeat=order)
+    }
     return CumulantTensor(order, n, entries)
 
 
@@ -469,13 +487,12 @@ def brillinger(
 ) -> CoordinateVector:
     """Unconditional cumulants from conditional ones over a mixing variable.
 
-    For each index, the sum runs over the lattice; the term of a partition
-    couples the conditional cumulants of its blocks through the coarsening
-    interval above it, with the blocks of each coarser partition grouping
-    which conditional cumulants meet inside one expectation over Y.  The
-    coarsening intervals of the supported families carry exactly the
-    Moebius weights of the family lattice on the blocks, which is what
-    makes the output the cumulant of the mixture.
+    The paper's formula sums, for each index, the conditional cumulants of
+    the blocks of every partition, grouped into expectations over Y by the
+    coarser partitions with their Moebius weights.  On the supported
+    families the result is the cumulant of the mixture, so it is computed
+    as one: each conditional cumulant vector is sent back to its moments,
+    the moments are averaged over Y, and the forward map is applied once.
     """
     if not _brillinger_supported(fam):
         raise UnsupportedFamilyError(
@@ -486,38 +503,12 @@ def brillinger(
     space = next(iter(cond.values())).space
     if any(vec.space != space for vec in cond.values()):
         raise ValueError("conditional cumulant vectors live on different state spaces")
-    ground = _ground_of(fam, space)
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in space.states():
-        multiset = space.index_multiset(x)
-        if not multiset:
-            entries[x] = Fraction(0)
-            continue
-        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
-        total = Fraction(0)
-        for delta, _ in weights:
-            for nu, weight in weights:
-                if not refines(delta, nu):
-                    continue
-                term = Fraction(weight)
-                for group in nu.blocks:
-                    inner_blocks = [
-                        tuple(multiset[j] for j in block)
-                        for block in delta.blocks
-                        if block[0] in group
-                    ]
-                    mean = Fraction(0)
-                    for y, p in ys:
-                        if p == 0:
-                            continue
-                        prod = p
-                        for inner in inner_blocks:
-                            prod *= cond[y].of_multiset(inner)
-                        mean += prod
-                    term *= mean
-                total += term
-        entries[x] = total
-    return CoordinateVector(space, LCUMULANTS, entries, family=fam)
+    mixed = dict.fromkeys(space.states(), Fraction(0))
+    for y, p in ys:
+        if p:
+            for x, v in from_lcumulants(cond[y], fam, capacity).entries.items():
+                mixed[x] += p * v
+    return to_lcumulants(CoordinateVector(space, MOMENTS, mixed), fam, capacity)
 
 
 def conditional_collapse(
@@ -529,20 +520,16 @@ def conditional_collapse(
     """Top cumulant when all variables are independent given Y.
 
     Equals the family cumulant of the vector of conditional means, whose
-    joint moments are plain expectations over Y; valid for every family.
-    Those moments m(S) = E_Y[prod over j in S of mean_j(Y)] fill a binary
-    box, one exponent per subset S, and the forward recursion runs on it.
+    joint moments m(S) = E_Y[prod over j in S of mean_j(Y)] are plain
+    expectations over Y; valid for every family.
     """
     ys = _y_table(y_dist)
     means = {y: [Fraction(v) for v in conditional_means[y]] for y, _ in ys}
     n = len(next(iter(means.values())))
     if any(len(row) != n for row in means.values()):
         raise ValueError("conditional mean lists differ in length")
-    space = StateSpace.binary(n)
-    # The plan checks the family and the cap before the 2^n box is filled.
-    _solve_plan(fam, space, capacity)
-    entries = {
-        x: sum((prod((v for v, e in zip(means[y], x) if e), start=p) for y, p in ys if p), Fraction(0))
-        for x in space.states()
-    }
-    return to_lcumulants(CoordinateVector(space, MOMENTS, entries), fam, capacity).entries[(1,) * n]
+
+    def moment_of(positions: list[int]) -> Fraction:
+        return sum((prod((means[y][j] for j in positions), start=p) for y, p in ys if p), Fraction(0))
+
+    return _top_cumulant(n, moment_of, fam, capacity)

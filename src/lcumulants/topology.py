@@ -291,17 +291,24 @@ def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
     pos = 0
     fresh = itertools.count()
 
+    def peek() -> str:
+        if pos < len(text):
+            return text[pos]
+        unclosed = text.count("(") - text.count(")")
+        missing = f"missing ')' for {unclosed} open '('" if unclosed > 0 else "missing a node"
+        raise ValueError(f"{missing}: the input ends at offset {pos} in {text!r}")
+
     def parse_node() -> tuple[object, list[tuple[object, object]]]:
         nonlocal pos
         edges: list[tuple[object, object]] = []
-        if text[pos] == "(":
+        if peek() == "(":
             pos += 1
             children = []
             while True:
                 child, child_edges = parse_node()
                 children.append(child)
                 edges.extend(child_edges)
-                if text[pos] == ",":
+                if peek() == ",":
                     pos += 1
                     continue
                 if text[pos] == ")":

@@ -22,11 +22,15 @@ subtree its leaves induce, one table per shape.  ``tree_first_blocks``
 builds it per leaf tuple, as it was built before, with ``tree_rest``: a
 search of the whole tree for each (leaf tuple, first block).
 
-``lcumulant.l_from_classical`` and ``lcumulant.conditional_collapse`` run
-the first-block transforms.  The functions of those names here are the
+``lcumulant.l_from_classical``, ``lcumulant.conditional_collapse``,
+``lcumulant.cumulant_tensor`` and ``lcumulant.brillinger`` run the
+first-block transforms.  The functions of those names here are the
 paper's sums they replaced: products of classical cumulants over the
-partitions with only the top above them in the family, and the Moebius
-weight table summed against moments of the conditional means.
+partitions with only the top above them in the family; the Moebius weight
+table summed against moments of the conditional means, and against
+moments of the tensor's index tuple; and Brillinger's nested sum over the
+comparable pairs of elements, whose coarser partition groups the
+conditional cumulants of the finer one's blocks into expectations over Y.
 ``tree_cumulants_via_central`` and ``central_moments_direct`` are second
 routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
 singleton-free sum over central moments, and the per-axis pass of the
@@ -51,7 +55,15 @@ import operator
 from fractions import Fraction
 
 from lcumulants.lattice import TREE, Family, _cached_first_blocks, _sub_ground, first_blocks, mobius_weights
-from lcumulants.lcumulant import _ground_of, _y_table
+from lcumulants.lcumulant import (
+    _BRILLINGER_FAMILIES,
+    CumulantTensor,
+    UnsupportedFamilyError,
+    _brillinger_supported,
+    _ground_of,
+    _moment_function,
+    _y_table,
+)
 from lcumulants.moments import (
     CENTRAL_MOMENTS,
     CLASSICAL_CUMULANTS,
@@ -313,6 +325,80 @@ def conditional_collapse(y_dist, conditional_means, fam, capacity=DEFAULT_CAPACI
             term *= mean
         total += term
     return total
+
+
+def cumulant_tensor(source, fam, order, n=None, capacity=DEFAULT_CAPACITY):
+    """Order-d tensor whose entry at (i1..id) sums over the size-d lattice."""
+    if not fam.size_indexed:
+        raise UnsupportedFamilyError(
+            "cumulant tensors need one lattice per order; tree families are tied to leaf sets"
+        )
+    moment_fn, n = _moment_function(source, n)
+    weights = mobius_weights(fam, order, capacity=capacity)
+    entries = {}
+    for idx in itertools.product(range(1, n + 1), repeat=order):
+        total = Fraction(0)
+        for pi, weight in weights:
+            term = Fraction(weight)
+            for block in pi.blocks:
+                term *= moment_fn([idx[j] for j in block])
+            total += term
+        entries[idx] = total
+    return CumulantTensor(order, n, entries)
+
+
+def brillinger(y_dist, conditional_cumulants, fam, capacity=DEFAULT_CAPACITY):
+    """Unconditional cumulants from conditional ones over a mixing variable.
+
+    For each index, the sum runs over the lattice; the term of a partition
+    couples the conditional cumulants of its blocks through the coarsening
+    interval above it, with the blocks of each coarser partition grouping
+    which conditional cumulants meet inside one expectation over Y.  The
+    coarsening intervals of the supported families carry exactly the
+    Moebius weights of the family lattice on the blocks, which is what
+    makes the output the cumulant of the mixture.
+    """
+    if not _brillinger_supported(fam):
+        raise UnsupportedFamilyError(
+            f"conditional cumulants are supported for {_BRILLINGER_FAMILIES}"
+        )
+    ys = _y_table(y_dist)
+    cond = {y: conditional_cumulants[y] for y, _ in ys}
+    space = next(iter(cond.values())).space
+    if any(vec.space != space for vec in cond.values()):
+        raise ValueError("conditional cumulant vectors live on different state spaces")
+    ground = _ground_of(fam, space)
+    entries = {}
+    for x in space.states():
+        multiset = space.index_multiset(x)
+        if not multiset:
+            entries[x] = Fraction(0)
+            continue
+        weights = mobius_weights(fam, ground(multiset), capacity=capacity)
+        total = Fraction(0)
+        for delta, _ in weights:
+            for nu, weight in weights:
+                if not refines(delta, nu):
+                    continue
+                term = Fraction(weight)
+                for group in nu.blocks:
+                    inner_blocks = [
+                        tuple(multiset[j] for j in block)
+                        for block in delta.blocks
+                        if block[0] in group
+                    ]
+                    mean = Fraction(0)
+                    for y, p in ys:
+                        if p == 0:
+                            continue
+                        prod = p
+                        for inner in inner_blocks:
+                            prod *= cond[y].of_multiset(inner)
+                        mean += prod
+                    term *= mean
+                total += term
+        entries[x] = total
+    return CoordinateVector(space, LCUMULANTS, entries, family=fam)
 
 
 def tree_cumulants_via_central(mv, tree, capacity=DEFAULT_CAPACITY):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from lcumulants.lattice import (
     FULL,
     INTERVAL,
@@ -280,6 +281,7 @@ def test_c09_conditional_cumulant_mixtures():
                     moments_from_distribution(DiscreteDistribution(space, mixed_table)), fam
                 )
                 assert out.entries == mixed.entries
+                assert oracles.brillinger(dict(enumerate(weights)), cond, fam).entries == mixed.entries
                 instances += 1
     with pytest.raises(UnsupportedFamilyError):
         brillinger({0: Fraction(1)}, {0: None}, Family(ONECLUSTER))

@@ -43,6 +43,22 @@ class TestLattice:
         assert main(["lattice", "--family", "tree", "--tree", str(nwk)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse tree")
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("(1,2", "missing ')' for 1 open '(': the input ends at offset 4"),
+            ("(1,(2,3)b", "missing ')' for 1 open '(': the input ends at offset 9"),
+            ("((1,", "missing ')' for 2 open '(': the input ends at offset 4"),
+            (";", "missing a node: the input ends at offset 0"),
+            ("   ", "missing a node: the input ends at offset 0"),
+        ],
+    )
+    def test_newick_that_ends_early(self, text, fault, capsys):
+        assert main(["lattice", "--family", "tree", "--tree", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse tree {text.strip()!r}: {fault}")
+        assert "index out of range" not in err
+
     def test_deeply_nested_newick(self, capsys):
         text = "(" * 3000 + "1,2" + ")" * 3000
         assert main(["lattice", "--family", "tree", "--tree", text]) == 2

@@ -28,7 +28,7 @@ from lcumulants.lattice import (
     first_blocks,
     mobius_weights,
 )
-from lcumulants.lcumulant import from_lcumulants, to_lcumulants
+from lcumulants.lcumulant import brillinger, conditional_collapse, cumulant_tensor, from_lcumulants, to_lcumulants
 from lcumulants.moments import (
     LCUMULANTS,
     CoordinateVector,
@@ -163,6 +163,22 @@ class TestAgainstWeightSums:
             assert _singleton_free_sums(tree, cm, None) == weight_sum_singleton_free(tree, cm)
 
     def test_no_weight_table_is_read(self, rng, monkeypatch):
+        # The formulas' oracles read the weight table, so they run first.
+        space = StateSpace.binary(4)
+        mixtures = []
+        for fam in [Family(FULL), Family(INTERVAL), Family(TREE, caterpillar(4))]:
+            law = dict(enumerate(rng.weights(2)))
+            cond = {y: to_lcumulants(moments_from_distribution(random_distribution(space, rng)), fam) for y in law}
+            mixtures.append((law, cond, fam, oracles.brillinger(law, cond, fam).entries))
+        dist = random_distribution(StateSpace.of([3, 2, 2]), rng)
+        tensors = [(Family(kind), oracles.cumulant_tensor(dist, Family(kind), 3).entries) for kind in SIZE_INDEXED]
+        y_dist = dict(enumerate(rng.weights(3)))
+        means = {y: [rng.fraction(9, signed=True) for _ in range(5)] for y in y_dist}
+        collapses = [
+            (fam, oracles.conditional_collapse(y_dist, means, fam))
+            for fam in [Family(NONCROSSING), Family(TREE, caterpillar(5))]
+        ]
+
         def refuse(*args, **kwargs):
             raise AssertionError("the recursion must not read a Moebius weight table")
 
@@ -175,8 +191,14 @@ class TestAgainstWeightSums:
         ]:
             mv = moments_from_distribution(random_distribution(space, rng))
             assert from_lcumulants(to_lcumulants(mv, fam)).entries == mv.entries
-        dist = random_distribution(StateSpace.of([3, 2, 2, 2]), rng)
-        assert len(subset_tree_cumulants(dist, caterpillar(4))) == 15
+        dist4 = random_distribution(StateSpace.of([3, 2, 2, 2]), rng)
+        assert len(subset_tree_cumulants(dist4, caterpillar(4))) == 15
+        for law, cond, fam, want in mixtures:
+            assert brillinger(law, cond, fam).entries == want, fam
+        for fam, want in tensors:
+            assert cumulant_tensor(dist, fam, 3).entries == want, fam
+        for fam, want in collapses:
+            assert conditional_collapse(y_dist, means, fam) == want, fam
 
 
 class TestTables:

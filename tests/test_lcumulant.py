@@ -372,6 +372,33 @@ class TestTensors:
         with pytest.raises(UnsupportedFamilyError):
             cumulant_tensor(dist, Family(TREE, caterpillar(4)), 2)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", [FULL, NONCROSSING, INTERVAL, ONECLUSTER])
+    def test_equals_the_weight_table_sum(self, kind, order, rng):
+        # Every index tuple, repeated and permuted ones included, from a
+        # distribution, its moment vector and a bare moment function.
+        dist = random_distribution(StateSpace.of([3, 2, 2]), rng, algebraic=True)
+        mv = moments_from_distribution(dist)
+        want = oracles.cumulant_tensor(dist, Family(kind), order).entries
+        assert len(want) == 3**order
+        for source, n in [(dist, None), (mv, None), (dist.raw_moment, 3)]:
+            got = cumulant_tensor(source, Family(kind), order, n=n)
+            assert (got.order, got.n) == (order, 3)
+            assert got.entries == want
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order, rng):
+        dist = random_distribution(StateSpace.binary(2), rng)
+        with pytest.raises(ValueError):
+            cumulant_tensor(dist, Family(FULL), order)
+
+    def test_order_over_the_cap_is_refused_before_a_moment(self):
+        def refuse(multiset):
+            raise AssertionError("no moment may be read above the cap")
+
+        with pytest.raises(CapacityError):
+            cumulant_tensor(refuse, Family(FULL), 13, n=2)
+
 
 class TestShiftInvariance:
     def test_invariant_families(self, rng):
@@ -512,6 +539,37 @@ class TestConditionalCumulants:
                 out = brillinger(dict(enumerate(weights)), cond, fam)
                 mixed = to_lcumulants(moments_from_distribution(mixture(weights, dists)), fam)
                 assert out.entries == mixed.entries
+                assert oracles.brillinger(dict(enumerate(weights)), cond, fam).entries == mixed.entries
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_nested_sum(self, n, rng):
+        # Signed conditional cumulants and a zero-weight state of Y: the
+        # formula is an identity of the coordinates, not of laws alone.
+        space = StateSpace.binary(n)
+        for fam in [Family(FULL), Family(INTERVAL), Family(TREE, caterpillar(n))]:
+            weights = rng.weights(3)
+            law = {0: weights[0], 1: Fraction(0), 2: weights[1], 3: weights[2]}
+            cond = {
+                y: to_lcumulants(moments_from_distribution(random_distribution(space, rng, algebraic=True)), fam)
+                for y in law
+            }
+            got, want = brillinger(law, cond, fam), oracles.brillinger(law, cond, fam)
+            assert (got.system, got.family) == (want.system, want.family)
+            assert got.entries == want.entries, fam
+
+    def test_same_errors_as_the_nested_sum(self, rng):
+        space = StateSpace.binary(3)
+        cond = {0: to_lcumulants(moments_from_distribution(random_distribution(space, rng)), Family(FULL))}
+        other = to_lcumulants(moments_from_distribution(random_distribution(StateSpace.binary(2), rng)), Family(FULL))
+        for formula in (brillinger, oracles.brillinger):
+            with pytest.raises(UnsupportedFamilyError):
+                formula({0: Fraction(1)}, cond, Family(NONCROSSING))
+            with pytest.raises(CapacityError):
+                formula({0: Fraction(1)}, cond, Family(FULL), capacity=2)
+            with pytest.raises(ValueError, match="different state spaces"):
+                formula({0: Fraction(1, 2), 1: Fraction(1, 2)}, {**cond, 1: other}, Family(FULL))
+            with pytest.raises(ValueError, match="sum to 1/2"):
+                formula({0: Fraction(1, 2)}, cond, Family(FULL))
 
     def test_one_cluster_rejected(self):
         with pytest.raises(UnsupportedFamilyError):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from lcumulants.cli import main
 from lcumulants.lattice import (
     FULL,
@@ -116,6 +117,7 @@ class TestNoOrderIsBuilt:
             )
             want = to_lcumulants(moments_from_distribution(mixed), fam).entries
             assert brillinger(dict(enumerate(weights)), cond, fam).entries == want
+            assert oracles.brillinger(dict(enumerate(weights)), cond, fam).entries == want
 
     def test_l_from_classical(self, rng, no_lattice_order):
         mv = moments_from_distribution(random_distribution(StateSpace.binary(4), rng))
