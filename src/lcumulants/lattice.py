@@ -26,7 +26,10 @@ family (:data:`_CLOSED_FORMS`).  Both tables live in bounded process LRUs
 keyed by the family kind and the ground's shape, ``(d, sides)``: the size
 alone for size-indexed families, and for a tree the splits of the subtree
 its leaves induce, so leaf sets of one shape share their tables
-(:func:`_sub_ground`).  The cap is checked before either is read.
+(:func:`_sub_ground`).  The cap is checked before either is read.  The
+first-block LRU holds each table once, with every position set as a
+bitmask; the transforms read the masks, and :func:`first_blocks` decodes
+them into position tuples.
 
 A :class:`PartitionLattice` holds the elements, the refinement order as
 explicit up/down sets (one refinement test per pair) and a lazily filled
@@ -365,9 +368,10 @@ def _elements(kind: str, key: TableKey) -> list[SetPartition]:
     def generate(key: TableKey) -> list[tuple[int, ...]]:
         d, sides = key
         out, raw = [(0,) * d], [0] * d
-        for block, rest in _cached_first_blocks(kind, key):
-            for j in block:
+        for block, masks in _cached_first_blocks(kind, key):
+            for j in _positions(block):
                 raw[j] = 0
+            rest = [_positions(part) for part in masks]
             subs = [generate(_sub_ground(sides, part)) for part in rest]
             for choice in itertools.product(*subs):
                 offset = 1
@@ -502,14 +506,20 @@ def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, in
 
 # -- first blocks ---------------------------------------------------------------
 
-FirstBlocks = tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+Positions = tuple[int, ...]
+FirstBlocks = tuple[tuple[Positions, tuple[Positions, ...]], ...]
+# The same table with each position set as a bitmask, bit j for position j.
+FirstBlockMasks = tuple[tuple[int, tuple[int, ...]], ...]
 
 # Keyed like the weight tables: per size for size-indexed families, per
 # shape of the induced subtree for trees.  Sized so that every shape of one
 # tree at the default cap stays cached.  The 4095 leaf subsets of a 12-leaf
-# tree induced 12 shapes for caterpillar(12) (1.8 MiB of tables,
-# tracemalloc), 365-584 for three relabellings of it (23-34 MiB), and 838
-# and 935 for two relabellings of a balanced tree (44 and 50 MiB).
+# tree induce 12 shapes for caterpillar(12), 489 for the relabelled
+# caterpillar (7,2,(9,(1,(10,(4,(3,(8,(5,(6,(12,11)h10)h9)h8)h7)h6)h5)h4)h3)h2)h1
+# and 649 for the relabelled balanced tree
+# (((7,2)a,(9,1)b)c,((10,4)d,(3,8)e)f,((5,6)g,(12,11)h)i)r.  Their mask
+# tables take 0.7, 11.3 and 14.2 MiB (tracemalloc), against 1.8, 28.3 and
+# 35.0 MiB as position tuples.
 FIRST_BLOCK_CACHE_SIZE = 2**DEFAULT_CAPACITY
 
 
@@ -538,40 +548,52 @@ def first_blocks(
       B, one for each component left when the span of B is removed.
 
     Position tuples are increasing.  The top block (all positions) is left
-    out.  The cap is checked before the cached table is read.
+    out.  The cap is checked before the cached table is read.  The cache
+    holds the bitmask form (:func:`_first_block_masks`), decoded here.
     """
+    return tuple(
+        (_positions(block), tuple(map(_positions, rest)))
+        for block, rest in _first_block_masks(fam, ground, capacity)
+    )
+
+
+def _first_block_masks(fam: Family, ground: int | Sequence[int], capacity: int | None) -> FirstBlockMasks:
+    """:func:`first_blocks` with each position set as a bitmask, as cached."""
     labels = _ground_labels(fam, ground, capacity)
     return _cached_first_blocks(fam.kind, _sub_ground(fam.splits, labels))
 
 
+def _positions(mask: int) -> Positions:
+    """The positions of the set bits of ``mask``, increasing."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 @lru_cache(maxsize=FIRST_BLOCK_CACHE_SIZE)
-def _cached_first_blocks(kind: str, key: TableKey) -> FirstBlocks:
+def _cached_first_blocks(kind: str, key: TableKey) -> FirstBlockMasks:
     d, sides = key
+    full = (1 << d) - 1
     if kind == INTERVAL:
-        return tuple((tuple(range(k)), (tuple(range(k, d)),)) for k in range(1, d))
+        return tuple(((1 << k) - 1, (full ^ ((1 << k) - 1),)) for k in range(1, d))
     rest_of = _REST[kind]
     out = []
     for size in range(d - 1):
         for tail in itertools.combinations(range(1, d), size):
-            block = (0, *tail)
-            others = tuple(j for j in range(1, d) if j not in tail)
-            out.append((block, rest_of(block, others, sides)))
+            block = sum(1 << j for j in tail) | 1
+            out.append((block, rest_of(block, full ^ block, sides)))
     return tuple(out)
 
 
-Positions = tuple[int, ...]
-
-
-def _noncrossing_rest(block: Positions, others: Positions, sides: tuple[int, ...]) -> tuple[Positions, ...]:
+def _noncrossing_rest(block: int, others: int, sides: tuple[int, ...]) -> tuple[int, ...]:
+    """The gaps of B: position 0 is in B, so they are the runs of ``others``."""
     gaps = []
-    for lo, hi in zip(block, block[1:] + (len(block) + len(others),)):
-        gap = tuple(range(lo + 1, hi))
-        if gap:
-            gaps.append(gap)
+    while others:
+        gap = others & ~(others + (others & -others))  # the lowest run of set bits
+        gaps.append(gap)
+        others ^= gap
     return tuple(gaps)
 
 
-def _split_rest(block: Positions, others: Positions, sides: tuple[int, ...]) -> tuple[Positions, ...]:
+def _split_rest(block: int, others: int, sides: tuple[int, ...]) -> tuple[int, ...]:
     """The tree rule: the maximal split sides that miss B, by first position.
 
     Each component left when the span of B is removed hangs off the span by
@@ -581,23 +603,23 @@ def _split_rest(block: Positions, others: Positions, sides: tuple[int, ...]) -> 
     trivial sides complete the chain: a position alone, and every position
     but 0, which misses B when B is position 0 alone.
     """
-    taken = sum(1 << j for j in block)
-    everything_else = (1 << (len(block) + len(others))) - 2
+    taken = block
+    everything_else = (block | others) ^ 1
     parts = []
-    for j in others:
+    for j in _positions(others):
         if taken >> j & 1:
             continue
         # In a chain of sides the largest mask is the largest side.
         part = max((s for s in (*sides, everything_else) if s >> j & 1 and not s & taken), default=1 << j)
         taken |= part
-        parts.append(tuple(k for k in others if part >> k & 1))
+        parts.append(part)
     return tuple(parts)
 
 
-_REST: dict[str, Callable[[Positions, Positions, tuple[int, ...]], tuple[Positions, ...]]] = {
+_REST: dict[str, Callable[[int, int, tuple[int, ...]], tuple[int, ...]]] = {
     FULL: lambda block, others, sides: (others,),
     NONCROSSING: _noncrossing_rest,
-    ONECLUSTER: lambda block, others, sides: (others,) if len(block) == 1 else tuple((j,) for j in others),
+    ONECLUSTER: lambda block, others, sides: (others,) if block == 1 else tuple(1 << j for j in _positions(others)),
     TREE: _split_rest,
 }
 

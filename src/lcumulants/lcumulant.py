@@ -23,6 +23,9 @@ The loop's shape depends only on the family and the box: the states in
 index-size order, their strides and their tables.  That plan is cached
 in a process LRU keyed by ``(family, arities, cap)``, so a warm
 transform reads no table per index; only the numbers change per call.
+The tables hold position sets as bitmasks, and each state lists the box
+positions of its sub-multisets once, so a term reads its entries by
+bitmask with no sum of strides.
 
 The paper's other formulas are compositions of the two transforms.  The
 classical-cumulant bridge: the classical cumulants fix the moments, and
@@ -54,8 +57,8 @@ from .lattice import (
     INTERVAL,
     TREE,
     Family,
-    FirstBlocks,
-    first_blocks,
+    FirstBlockMasks,
+    _first_block_masks,
     mobius_weights,
 )
 from .moments import (
@@ -94,9 +97,9 @@ def _ground_of(fam: Family, space: StateSpace) -> Callable[[Sequence[int]], int 
 # and the cap, so the forward and inverse transforms of a box share one.
 # The api-session mix reads 26 size-indexed plans per pass and one per tree
 # labelling; 32 keep them warm.  A plan on a 12-variable binary box holds
-# about 1 MiB of its own (tracemalloc).  It also holds its tables, so a
-# tree plan keeps them alive after the table LRU drops them: 36 MiB for a
-# relabelled 12-leaf tree.
+# 0.8 MiB of its own (tracemalloc).  It also holds its mask tables, so a
+# tree plan keeps them alive after the table LRU drops them: 14.2 MiB for
+# the relabelled balanced 12-leaf tree of ``FIRST_BLOCK_CACHE_SIZE``.
 PLAN_CACHE_SIZE = 32
 
 
@@ -106,11 +109,12 @@ class _SolvePlan(NamedTuple):
     ``sizes`` holds every state's index size in product order.  ``order``
     holds ``(code, step, table)`` for every nonzero state by increasing
     index size: the state's position in the box, the stride of each of
-    its positions, and its :func:`lattice.first_blocks` table.
+    its positions, and its :func:`lattice.first_blocks` table with each
+    position set as a bitmask.
     """
 
     sizes: tuple[int, ...]
-    order: tuple[tuple[int, tuple[int, ...], FirstBlocks], ...]
+    order: tuple[tuple[int, tuple[int, ...], FirstBlockMasks], ...]
 
 
 def _solve_plan(fam: Family, space: StateSpace, capacity: int | None) -> _SolvePlan:
@@ -131,7 +135,7 @@ def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) ->
     ground = _ground_of(fam, space)
     largest = space.index_multiset(tuple(r - 1 for r in arities))
     if largest:
-        first_blocks(fam, ground(largest), capacity=capacity)
+        _first_block_masks(fam, ground(largest), capacity)
     states = list(space.states())  # product order: a state's position is its code
     strides = [1] * space.n
     for i in range(space.n - 2, -1, -1):
@@ -141,7 +145,7 @@ def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) ->
     for code in sorted(range(1, len(states)), key=sizes.__getitem__):
         multiset = space.index_multiset(states[code])
         step = tuple(strides[i - 1] for i in multiset)
-        order.append((code, step, first_blocks(fam, ground(multiset), capacity=capacity)))
+        order.append((code, step, _first_block_masks(fam, ground(multiset), capacity)))
     return _SolvePlan(sizes, tuple(order))
 
 
@@ -158,8 +162,12 @@ def _first_block_solve(
     otherwise; the other system is returned.  The family's tables are read
     through the plan of :func:`_solve_plan`.  States are visited by
     increasing index size, so every kappa(B) and m(S) the recursion reads
-    for a proper B or S is known by then.  Sub-multisets are looked up by
-    their position in the box, the sum of one stride per position.
+    for a proper B or S is known by then.  A sub-multiset is looked up by
+    its position in the box, the sum of its positions' strides, in a list
+    of all 2^|A| of them that the table's bitmasks index.  A's list is the
+    list of A without its last position, followed by the same list shifted
+    by that position's stride, so each state's list is built once from one
+    of the previous index size, and only those two sizes are kept.
 
     The recursion runs on integers.  Scaling every variable by d scales
     m(A) and kappa(A) by d^|A|, and every term for A has degree |A|,
@@ -180,14 +188,20 @@ def _first_block_solve(
     solved = [0] * len(states)
     solved[0] = 0 if forward else 1  # the zero exponent
     moments, cumulants = (known, solved) if forward else (solved, known)
+    below, level, level_size = {0: [0]}, {}, 1  # code lists one index size down, and of this size
     for code, step, table in order:
+        if len(step) > level_size:
+            below, level, level_size = level, {}, len(step)
+        s = step[-1]
+        head = below[code - s]  # A without its last position
+        codes = level[code] = head + [c + s for c in head]
         lower = 0
         for block, rest in table:
-            term = cumulants[sum(map(step.__getitem__, block))]
+            term = cumulants[codes[block]]
             if not term:  # on central moments every singleton block is 0
                 continue
             for part in rest:
-                term *= moments[sum(map(step.__getitem__, part))]
+                term *= moments[codes[part]]
             lower += term
         solved[code] = known[code] - lower if forward else known[code] + lower
     return {x: Fraction(v, powers[size]) for x, v, size in zip(states, solved, sizes)}

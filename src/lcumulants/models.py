@@ -418,6 +418,13 @@ def hmm_tree_cumulants_closed(params: HMMParams) -> dict[tuple[int, ...], Fracti
     span, and the hidden-observed covariances; the denominator multiplies
     cubed hidden variances at inner indices, plain ones at the endpoints
     and at skipped positions, and nothing else.
+
+    Grouped by index, the value at s_1 < ... < s_r (r >= 2) is end(s_1)
+    times link(s_k, s_k+1) for each consecutive pair, inner(s_k) for each
+    inner index, and end(s_r): end(i) = e_i / v_i, inner(j) = t3_j e_j / v_j^3,
+    and link(a, b) is the step covariances from a to b over the variances
+    strictly between.  So each support extends the running product of its
+    prefix by one factor pair.
     """
     v = params.hidden_variances()
     t3 = params.hidden_third_central()
@@ -426,28 +433,29 @@ def hmm_tree_cumulants_closed(params: HMMParams) -> dict[tuple[int, ...], Fracti
     x_means = params.observed_means()
     if any(val == 0 for val in v):
         raise ValueError("degenerate hidden state")
-    out: dict[tuple[int, ...], Fraction] = {}
     n = params.n
-    for r in range(1, n + 1):
-        for support in itertools.combinations(range(1, n + 1), r):
-            if r == 1:
-                out[support] = x_means[support[0] - 1]
-                continue
-            first, last = support[0], support[-1]
-            num = Fraction(1)
-            for j in support[1:-1]:
-                num *= t3[j - 1]
-            for m in range(first, last):
-                num *= c[m - 1]
-            for i in support:
-                num *= e[i - 1]
-            den = v[first - 1] * v[last - 1]
-            for j in support[1:-1]:
-                den *= v[j - 1] ** 3
-            for m in range(first + 1, last):
-                if m not in support:
-                    den *= v[m - 1]
-            out[support] = num / den
+    end = [e[i] / v[i] for i in range(n)]
+    inner = [t3[i] * e[i] / v[i] ** 3 for i in range(n)]
+    link = [[Fraction(1)] * n for _ in range(n)]
+    for a in range(n):
+        running = Fraction(1)
+        for b in range(a + 1, n):
+            running *= c[b - 1]
+            link[a][b] = running
+            running /= v[b]
+    out = {(i + 1,): x_means[i] for i in range(n)}
+    # The supports of each size in lexicographic order, each with the
+    # running product up to its last index taken as an inner index.
+    level = [((i + 1,), end[i]) for i in range(n)]
+    while level:
+        grown = []
+        for support, head in level:
+            a = support[-1] - 1
+            for b in range(a + 1, n):
+                step = head * link[a][b]
+                out[support + (b + 1,)] = step * end[b]
+                grown.append((support + (b + 1,), step * inner[b]))
+        level = grown
     return out
 
 

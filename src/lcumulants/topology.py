@@ -308,12 +308,14 @@ def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
                 child, child_edges = parse_node()
                 children.append(child)
                 edges.extend(child_edges)
-                if peek() == ",":
+                after = peek()
+                if after == ",":
                     pos += 1
                     continue
-                if text[pos] == ")":
+                if after == ")":
                     pos += 1
                     break
+                raise ValueError(f"expected ',' or ')' after a child, found {after!r} at offset {pos} in {text!r}")
             label = parse_label()
             name: object = label if label else f"v{next(fresh)}"
             for child in children:

@@ -45,6 +45,10 @@ pass that ``models.gmm_distribution`` runs.  ``hmm_distribution_by_states``
 and ``secant_moments_by_states`` are the per-state loops they replaced: the
 forward recursion from the first position for each joint state, and one
 product of component means per state of the mixture.
+
+``models.hmm_tree_cumulants_closed`` extends each support's products from
+its prefix's.  ``hmm_tree_cumulants_closed`` here rebuilds every support's
+numerator and denominator from scratch, as it did before.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from lcumulants.lattice import TREE, Family, _cached_first_blocks, _sub_ground, first_blocks, mobius_weights
+from lcumulants.lattice import TREE, Family, _cached_first_blocks, _positions, _sub_ground, first_blocks, mobius_weights
 from lcumulants.lcumulant import (
     _BRILLINGER_FAMILIES,
     CumulantTensor,
@@ -234,9 +238,10 @@ def pushed_weights(kind, key):
     """
     d, sides = key
     mu, raw = {(0,) * d: 1}, [0] * d
-    for block, rest in _cached_first_blocks(kind, key):
+    for block_mask, rest in _cached_first_blocks(kind, key):
+        block = _positions(block_mask)
         for t, part in enumerate(rest):
-            for j in part:
+            for j in _positions(part):
                 raw[j] = d + t  # above every label of sigma
         for sigma, weight in pushed_weights(kind, _sub_ground(sides, block)).items():
             for j, v in zip(block, sigma):
@@ -501,3 +506,37 @@ def secant_moments_by_states(params):
                 pb *= params.b[i]
         entries[x] = (1 - t) * pa + t * pb
     return CoordinateVector(space, MOMENTS, entries)
+
+
+def hmm_tree_cumulants_closed(params):
+    """The chain's closed form with each support's products rebuilt from scratch."""
+    v = params.hidden_variances()
+    t3 = params.hidden_third_central()
+    c = params.hidden_step_covariances()
+    e = params.hidden_observed_covariances()
+    x_means = params.observed_means()
+    if any(val == 0 for val in v):
+        raise ValueError("degenerate hidden state")
+    out = {}
+    n = params.n
+    for r in range(1, n + 1):
+        for support in itertools.combinations(range(1, n + 1), r):
+            if r == 1:
+                out[support] = x_means[support[0] - 1]
+                continue
+            first, last = support[0], support[-1]
+            num = Fraction(1)
+            for j in support[1:-1]:
+                num *= t3[j - 1]
+            for m in range(first, last):
+                num *= c[m - 1]
+            for i in support:
+                num *= e[i - 1]
+            den = v[first - 1] * v[last - 1]
+            for j in support[1:-1]:
+                den *= v[j - 1] ** 3
+            for m in range(first + 1, last):
+                if m not in support:
+                    den *= v[m - 1]
+            out[support] = num / den
+    return out

@@ -59,6 +59,17 @@ class TestLattice:
         assert err.startswith(f"error: cannot parse tree {text.strip()!r}: {fault}")
         assert "index out of range" not in err
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("(1(2,3)a)r;", "expected ',' or ')' after a child, found '(' at offset 2"),
+            ("((1,2)a(3,4)b)r;", "expected ',' or ')' after a child, found '(' at offset 7"),
+        ],
+    )
+    def test_newick_siblings_need_a_comma(self, text, fault, capsys):
+        assert main(["lattice", "--family", "tree", "--tree", text]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot parse tree {text!r}: {fault}")
+
     def test_deeply_nested_newick(self, capsys):
         text = "(" * 3000 + "1,2" + ")" * 3000
         assert main(["lattice", "--family", "tree", "--tree", text]) == 2

@@ -64,6 +64,7 @@ ORACLE_TREES = dict(TREES, hub8=from_newick("((1,2,3,4,5)a,6,(7,8)b)r;"))
 SHAPE_TREES = {
     **ORACLE_TREES,
     "relabelled-caterpillar10": from_newick("(7,2,(9,(1,(10,(4,(3,(8,(5,6)h8)h7)h6)h5)h4)h3)h2)h1;"),
+    "relabelled-balanced7": from_newick("((3,(1,5)d)e,((4,7)b,(2,6)a)c)r;"),
 }
 
 PREDICATES = {FULL: lambda p: True, NONCROSSING: is_noncrossing, INTERVAL: is_interval, ONECLUSTER: is_one_cluster}
@@ -242,6 +243,19 @@ class TestTables:
         for r in range(1, tree.num_leaves + 1):
             for support in itertools.combinations(tree.leaves, r):
                 self._check(fam, support)
+
+    @pytest.mark.parametrize(
+        "fam", [Family(kind) for kind in SIZE_INDEXED] + [Family(TREE, TREES["balanced7"])], ids=str
+    )
+    def test_the_cache_holds_one_bitmask_copy(self, fam):
+        ground = 6 if fam.size_indexed else (1, 2, 4, 5, 6, 7)
+        masks = lcumulants.lattice._first_block_masks(fam, ground, None)
+        assert all(type(block) is int and all(type(part) is int for part in rest) for block, rest in masks)
+
+        def bits(mask):
+            return tuple(j for j in range(6) if mask >> j & 1)
+
+        assert first_blocks(fam, ground) == tuple((bits(block), tuple(map(bits, rest))) for block, rest in masks)
 
     def test_cap_is_checked_before_a_cached_table(self):
         first_blocks(Family(FULL), 4)

@@ -188,30 +188,53 @@ class TestFirstBlockSolve:
                 from_lcumulants(CoordinateVector(space, LCUMULANTS, entries, family=Family(FULL)))
 
 
-# Every family on each box: the size-indexed ones, and a tree on the binary box.
+# Every family on each box: the size-indexed ones, and a tree on the binary
+# box.  The mixed boxes repeat a variable in their index multisets, so that
+# many sub-multiset bitmasks of one state share a box position.
+CODE_BOXES = [(3, 3, 2, 2), (4, 3, 2), (5,), (2, 5)]
 PLAN_CASES = [
     (box, fam)
-    for box in [(2,) * 7, (3, 3, 2, 2), (4, 3, 2)]
+    for box in [(2,) * 7, *CODE_BOXES]
     for fam in [Family(kind) for kind in SIZE_INDEXED] + ([Family(TREE, TREES["balanced7"])] if set(box) == {2} else [])
 ]
 
 
+def _warm_and_cold_against_the_oracle(space, fam, moments):
+    """Forward and inverse, on a warm plan and a cold one, against the per-term loop."""
+    tables = oracles.first_block_tables(fam, space, None)
+    kappa = oracles.first_block_solve(space, moments, tables, forward=True)
+    back = oracles.first_block_solve(space, kappa, tables, forward=False)
+    assert back == dict(moments)
+    for given, want, forward in ((moments, kappa, True), (kappa, back, False)):
+        _first_block_solve(space, given, fam, None, forward)
+        warm = _first_block_solve(space, given, fam, None, forward)
+        _cached_plan.cache_clear()
+        cold = _first_block_solve(space, given, fam, None, forward)
+        assert_same(warm, want)
+        assert_same(cold, want)
+
+
 class TestSolvePlan:
-    """The cached plan of ``_first_block_solve`` against a cold one and the oracle."""
+    """The cached plan of ``_first_block_solve`` against a cold one and the oracle.
+
+    The kernel reads each term's entries from one list of sub-multiset box
+    positions per state, indexed by the bitmasks of the cached table; the
+    oracle sums one stride per position of the decoded position tuples.
+    """
 
     @pytest.mark.parametrize("box, fam", PLAN_CASES, ids=lambda v: str(v) if isinstance(v, tuple) else v.kind)
     def test_warm_equals_cold_equals_oracle(self, box, fam, rng):
         space = StateSpace.of(box)
         moments = moments_from_distribution(random_distribution(space, rng, algebraic=True)).entries
-        tables = oracles.first_block_tables(fam, space, None)
-        kappa = oracles.first_block_solve(space, moments, tables, forward=True)
-        for given, want, forward in ((moments, kappa, True), (kappa, moments, False)):
-            _first_block_solve(space, given, fam, None, forward)
-            warm = _first_block_solve(space, given, fam, None, forward)
-            _cached_plan.cache_clear()
-            cold = _first_block_solve(space, given, fam, None, forward)
-            assert_same(warm, want)
-            assert_same(cold, want)
+        _warm_and_cold_against_the_oracle(space, fam, moments)
+
+    @pytest.mark.parametrize("kind", SIZE_INDEXED)
+    @pytest.mark.parametrize("box", CODE_BOXES, ids=str)
+    def test_central_moments_skip_every_singleton_block(self, box, kind, rng):
+        space = StateSpace.of(box)
+        cm = central_moments(moments_from_distribution(random_distribution(space, rng, algebraic=True)))
+        assert all(cm.entries[_unit(space.n, i)] == 0 for i in range(space.n))
+        _warm_and_cold_against_the_oracle(space, Family(kind), cm.entries)
 
     def test_two_spellings_of_one_tree_share_a_plan(self, rng):
         one = from_newick("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;")
@@ -226,10 +249,15 @@ class TestSolvePlan:
     def test_a_relabelled_tree_matches_its_own_oracle(self, rng):
         space = StateSpace.binary(7)
         mv = moments_from_distribution(random_distribution(space, rng))
-        for newick in ("(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;", "(((6,2)a,(7,4)b)c,((5,1)d,3)e)r;"):
+        for newick in (
+            "(((1,2)a,(3,4)b)c,((5,6)d,7)e)r;",
+            "(((6,2)a,(7,4)b)c,((5,1)d,3)e)r;",
+            "((3,(1,5)d)e,((4,7)b,(2,6)a)c)r;",
+        ):
             fam = Family(TREE, from_newick(newick))
             want = oracles.first_block_solve(space, mv.entries, oracles.first_block_tables(fam, space, None), True)
             assert_same(dict(to_lcumulants(mv, fam, capacity=None).entries), want)
+            _warm_and_cold_against_the_oracle(space, fam, mv.entries)
 
     @pytest.mark.parametrize("fam", [Family(FULL), Family(TREE, TREES["relabelled-caterpillar"])], ids=str)
     def test_a_plan_built_without_a_cap_does_not_pass_a_capped_call(self, fam, rng):

@@ -384,6 +384,17 @@ class TestHiddenChainClosedForm:
             params = random_hmm_params(rng, n, arities)
             assert hmm_tree_cumulants_closed(params) == hmm_pipeline_tree_cumulants(params)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_running_products_equal_the_rebuilt_ones(self, n, rng):
+        for params in (
+            random_hmm_params(rng, n),
+            random_hmm_params(rng, n, [3 if i % 2 else 2 for i in range(n)]),
+            random_hmm_params(rng, n, homogeneous=True),
+        ):
+            got, want = hmm_tree_cumulants_closed(params), oracles.hmm_tree_cumulants_closed(params)
+            assert list(got) == list(want)
+            assert got == want
+
     def test_pair_value_factorizes_through_the_chain(self, rng):
         params = random_hmm_params(rng, 4)
         closed = hmm_tree_cumulants_closed(params)
