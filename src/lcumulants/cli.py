@@ -62,7 +62,6 @@ from .models import (
     gmm_distribution,
     hmm_distribution,
     hmm_normalized_tree_cumulants,
-    hmm_pipeline_tree_cumulants,
     hmm_tree_cumulants_closed,
     random_gmm_params,
     random_hmm_params,
@@ -71,7 +70,7 @@ from .models import (
     secant_tree_cumulants,
     verify_split_binomials,
 )
-from .partition import CapacityError
+from .partition import DEFAULT_CAPACITY, CapacityError
 from .rng import SplitMix64
 from .topology import TreeTopology, caterpillar, edge_splits, from_newick, quartet, star
 from .trees import (
@@ -85,7 +84,7 @@ TREECUMULANTS = "treecumulants"
 
 def _capacity() -> int:
     raw = os.environ.get("LCUM_CAPACITY")
-    return int(raw) if raw else 12
+    return int(raw) if raw else DEFAULT_CAPACITY
 
 
 def _within_capacity(size: int, what: str) -> None:
@@ -218,13 +217,13 @@ def _to_moments_hub(vec: CoordinateVector, source: str, fam: Family | None) -> C
         return vec
     if source == CLASSICAL_CUMULANTS:
         return from_lcumulants(
-            CoordinateVector(vec.space, CLASSICAL_CUMULANTS, vec.entries, family=Family(FULL))
+            CoordinateVector(vec.space, CLASSICAL_CUMULANTS, vec.entries, family=Family(FULL)), capacity=_capacity()
         )
     if source in (LCUMULANTS, TREECUMULANTS):
         if fam is None:
             raise SystemExit2("inverting lattice cumulants needs --family (and --tree)")
         return from_lcumulants(
-            CoordinateVector(vec.space, LCUMULANTS, vec.entries, family=fam)
+            CoordinateVector(vec.space, LCUMULANTS, vec.entries, family=fam), capacity=_capacity()
         )
     raise SystemExit2(f"cannot start a transform from {source!r}")
 
@@ -237,11 +236,11 @@ def _from_moments_hub(mv: CoordinateVector, target: str, fam: Family | None) -> 
     if target == CENTRAL_MOMENTS:
         return central_moments(mv)
     if target == CLASSICAL_CUMULANTS:
-        return classical_cumulants(mv)
+        return classical_cumulants(mv, _capacity())
     if target in (LCUMULANTS, TREECUMULANTS):
         if fam is None:
             raise SystemExit2(f"target {target!r} needs --family (and --tree)")
-        return to_lcumulants(mv, fam)
+        return to_lcumulants(mv, fam, _capacity())
     raise SystemExit2(f"unknown target system {target!r}")
 
 
@@ -453,7 +452,7 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
     b = tuple(rng.fraction(24, signed=True) for _ in range(n))
     params = SecantParams(t, a, b)
     mv = secant_moments(params)
-    kv = classical_cumulants(mv)
+    kv = classical_cumulants(mv, _capacity())
     gaps = [b[i] - a[i] for i in range(n)]
     worst = Fraction(0)
     for i in range(1, n + 1):
@@ -471,7 +470,7 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
     results = [_check(f"trial {trial}: cumulant coefficients", worst)]
     closed = secant_tree_cumulants(params)
     pipeline = subset_tree_cumulants(
-        distribution_from_moments(mv, algebraic=True), caterpillar(n)
+        distribution_from_moments(mv, algebraic=True), caterpillar(n), _capacity()
     )
     results.append(_check(f"trial {trial}: closed form vs pipeline", _max_diff(closed, pipeline)))
     binom_worst = Fraction(0)
@@ -545,7 +544,7 @@ def _hmm_trial(item: tuple[int, int, int]) -> list[dict]:
     trial, seed, n = item
     params = random_hmm_params(SplitMix64(seed), n)
     closed = hmm_tree_cumulants_closed(params)
-    pipeline = hmm_pipeline_tree_cumulants(params)
+    pipeline = subset_tree_cumulants(hmm_distribution(params), caterpillar(n), _capacity())
     return [_check(f"trial {trial}: closed form vs pipeline", _max_diff(closed, pipeline))]
 
 

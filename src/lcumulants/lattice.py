@@ -15,12 +15,12 @@ meets in the full partition lattice.
 Two order-free tables serve every reader.  :func:`first_blocks` gives, for
 each block B holding the first position, the position sets the other
 blocks must stay inside: the blockwise product property (C0) written out
-per family, and the one definition of a family.  The transforms and the
-tree singleton-free sums read it.  :func:`mobius_weights` gives the pairs
-(pi, mu(pi, top)), finest first, and is the one source of mu(pi, top): the
-``lattice`` dump (:func:`weights_json`) and the Weisner fibres
-(:func:`weisner_fibres`) read it, and independence detection reads its
-elements in that order.  Its elements are generated from
+per family, and the one definition of a family.  The transforms, the
+tree singleton-free sums and independence detection read it.
+:func:`mobius_weights` gives the pairs (pi, mu(pi, top)), finest first,
+and is the one source of mu(pi, top): the ``lattice`` dump
+(:func:`weights_json`) and the Weisner fibres (:func:`weisner_fibres`)
+read it.  Its elements are generated from
 the first blocks (C0 read forward), and mu from one closed form per
 family (:data:`_CLOSED_FORMS`).  Both tables live in bounded process LRUs
 keyed by the family kind and the ground's shape, ``(d, sides)``: the size

@@ -38,9 +38,9 @@ the conditional-independence collapse are the top entry of the forward
 recursion on a binary box over d positions, filled with the moments of
 their subsets (:func:`_top_cumulant`).  Also here: the multilinear
 transformation law of tensors, shift (semi-)invariance, and detection of
-independence structure from vanishing coordinates, the one reader of
-``lattice.mobius_weights``, for its finest-first element order alone.
-Nothing in this module builds a lattice order.
+independence structure from vanishing coordinates, a descent over the
+same first-block tables.  Nothing in this module builds a lattice order
+or reads a Moebius table.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .lattice import (
     Family,
     FirstBlockMasks,
     _first_block_masks,
-    mobius_weights,
+    _positions,
 )
 from .moments import (
     CLASSICAL_CUMULANTS,
@@ -428,19 +428,23 @@ def shift_invariance_check(
 # -- independence structure ---------------------------------------------------
 
 
-def vanishes_outside(lv: CoordinateVector, pi0: SetPartition) -> bool:
-    """True iff every coordinate whose support leaves a block of pi0 is 0."""
-    n = lv.space.n
-    if pi0.size != n:
-        raise ValueError("partition size must match the number of variables")
+def _support_components(lv: CoordinateVector) -> list[int]:
+    """delta: the components of the supports of the nonzero coordinates, as disjoint position bitmasks."""
+    components = [1 << i for i in range(lv.space.n)]
     for x, value in lv.entries.items():
-        support = [i for i, e in enumerate(x) if e]
-        if len(support) < 1:
-            continue
-        if any(pi0.rgs[i] != pi0.rgs[support[0]] for i in support[1:]):
-            if value != 0:
-                return False
-    return True
+        support = sum(1 << i for i, e in enumerate(x) if e) if value else 0
+        if support:
+            components = [c for c in components if not c & support] + [sum(c for c in components if c & support)]
+    return components
+
+
+def vanishes_outside(lv: CoordinateVector, pi0: SetPartition) -> bool:
+    """True iff every coordinate whose support leaves a block of pi0 is 0:
+    iff every component of delta lies inside one block."""
+    if pi0.size != lv.space.n:
+        raise ValueError("partition size must match the number of variables")
+    blocks = [sum(1 << i for i in block) for block in pi0.blocks]
+    return all(any(c & b == c for b in blocks) for c in _support_components(lv))
 
 
 def detect_independence_structure(
@@ -450,20 +454,36 @@ def detect_independence_structure(
 ) -> SetPartition:
     """Finest family partition certified by vanishing cumulants.
 
-    Certification is monotone under coarsening and the certified set is
-    closed under meets, so scanning from fine to coarse returns the unique
-    finest certificate; the top means no structure was detected.
+    The family is closed under meets, so this is its least element above
+    delta; the top means no structure was detected.  Its first block lies
+    in that of every element above delta.  So on each part, from the whole
+    ground set down, the block is that of the first entry of the part's
+    :func:`lattice.first_blocks` table (by increasing block size) whose
+    parts hold every component, or the whole part if none does, and the
+    descent goes on into the entry's rest.
     """
     if lv.system not in (LCUMULANTS, CLASSICAL_CUMULANTS):
         raise ValueError(f"expected a cumulant system, got {lv.system}")
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    ground = _ground_of(fam, lv.space)(tuple(range(1, lv.space.n + 1)))
-    for pi0, _ in mobius_weights(fam, ground, capacity=capacity):  # finest first
-        if vanishes_outside(lv, pi0):
-            return pi0
-    return SetPartition.one_block(lv.space.n)
+    n = lv.space.n
+    ground = _ground_of(fam, lv.space)
+    _first_block_masks(fam, ground(tuple(range(1, n + 1))), capacity)  # the cap refuses before delta
+    components = _support_components(lv)
+    blocks, parts = [], [(1 << n) - 1]
+    while parts:
+        part = parts.pop()
+        positions = _positions(part)  # the table's local position k is positions[k]
+        local = [sum(1 << k for k, j in enumerate(positions) if c >> j & 1) for c in components if c & part]
+        table = _first_block_masks(fam, ground(tuple(j + 1 for j in positions)), capacity)
+        block, rest = next(
+            ((b, r) for b, r in table if all(any(c & m == c for m in (b, *r)) for c in local)),
+            ((1 << len(positions)) - 1, ()),
+        )
+        blocks.append([positions[k] for k in _positions(block)])
+        parts += [sum(1 << positions[k] for k in _positions(r)) for r in rest]
+    return SetPartition.from_blocks(blocks, n)
 
 
 # -- conditional cumulants ----------------------------------------------------

@@ -8,6 +8,7 @@ latent-variable model builders.  Everything is immutable.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable
 
 
@@ -282,14 +283,18 @@ def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
     """Parse a Newick string with named inner nodes, e.g. ``((1,2)a,(3,4)b)r;``.
 
     Integer tokens are leaves; the label after a closing parenthesis names
-    the inner node.  Unnamed inner nodes get fresh ``v#`` names.  The
-    outermost node becomes the root.
+    the inner node.  Unnamed inner nodes get fresh ``v#`` names that no
+    label in the text uses.  The outermost node becomes the root.  A
+    repeated label, and a childless label that is not an integer, raise
+    ``ValueError`` naming the label.
     """
     text = text.strip()
     if text.endswith(";"):
         text = text[:-1]
     pos = 0
-    fresh = itertools.count()
+    used = {label.strip() for label in re.split(r"[(),;]", text)}
+    fresh = (name for name in map("v{}".format, itertools.count()) if name not in used)
+    seen: set[object] = set()
 
     def peek() -> str:
         if pos < len(text):
@@ -317,14 +322,19 @@ def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
                     break
                 raise ValueError(f"expected ',' or ')' after a child, found {after!r} at offset {pos} in {text!r}")
             label = parse_label()
-            name: object = label if label else f"v{next(fresh)}"
+            name: object = label if label else next(fresh)
             for child in children:
                 edges.append((name, child))
-            return name, edges
-        label = parse_label()
-        if not label:
-            raise ValueError(f"parse error at offset {pos} in {text!r}")
-        name = int(label) if label.isdigit() else label
+        else:
+            label = parse_label()
+            if not label:
+                raise ValueError(f"parse error at offset {pos} in {text!r}")
+            if not label.isdecimal():
+                raise ValueError(f"childless label {label!r} is not an integer leaf in {text!r}")
+            name = int(label)
+        if name in seen:
+            raise ValueError(f"repeated label {label!r} in {text!r}")
+        seen.add(name)
         return name, edges
 
     def parse_label() -> str:

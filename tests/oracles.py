@@ -22,6 +22,12 @@ subtree its leaves induce, one table per shape.  ``tree_first_blocks``
 builds it per leaf tuple, as it was built before, with ``tree_rest``: a
 search of the whole tree for each (leaf tuple, first block).
 
+``lcumulant.detect_independence_structure`` descends the first-block
+tables to the least family element above the components of the nonzero
+supports.  ``detect_independence_structure`` here is the scan it
+replaced: every element of the weight table, finest first, each checked
+entry by entry with ``vanishes_outside``.
+
 ``lcumulant.l_from_classical``, ``lcumulant.conditional_collapse``,
 ``lcumulant.cumulant_tensor`` and ``lcumulant.brillinger`` run the
 first-block transforms.  The functions of those names here are the
@@ -404,6 +410,35 @@ def brillinger(y_dist, conditional_cumulants, fam, capacity=DEFAULT_CAPACITY):
                 total += term
         entries[x] = total
     return CoordinateVector(space, LCUMULANTS, entries, family=fam)
+
+
+def vanishes_outside(lv, pi0):
+    """True iff every coordinate whose support leaves a block of pi0 is 0, entry by entry."""
+    if pi0.size != lv.space.n:
+        raise ValueError("partition size must match the number of variables")
+    for x, value in lv.entries.items():
+        support = [i for i, e in enumerate(x) if e]
+        if value and any(pi0.rgs[i] != pi0.rgs[support[0]] for i in support[1:]):
+            return False
+    return True
+
+
+def detect_independence_structure(lv, fam=None, capacity=DEFAULT_CAPACITY):
+    """The first element of the weight table, finest first, that ``vanishes_outside`` certifies.
+
+    Certification is monotone under coarsening and the certified set is
+    closed under meets, so the first one found is the unique finest.
+    """
+    if lv.system not in (LCUMULANTS, CLASSICAL_CUMULANTS):
+        raise ValueError(f"expected a cumulant system, got {lv.system}")
+    fam = fam if fam is not None else lv.family
+    if not isinstance(fam, Family):
+        raise ValueError("the cumulant vector does not carry its family; pass one")
+    ground = _ground_of(fam, lv.space)(tuple(range(1, lv.space.n + 1)))
+    for pi0, _ in mobius_weights(fam, ground, capacity=capacity):  # finest first
+        if vanishes_outside(lv, pi0):
+            return pi0
+    return SetPartition.one_block(lv.space.n)
 
 
 def tree_cumulants_via_central(mv, tree, capacity=DEFAULT_CAPACITY):

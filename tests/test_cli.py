@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lcumulants.cli import main
+from lcumulants.topology import from_newick, to_newick
 
 
 def run(capsys, *argv):
@@ -74,6 +75,31 @@ class TestLattice:
         text = "(" * 3000 + "1,2" + ")" * 3000
         assert main(["lattice", "--family", "tree", "--tree", text]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse tree")
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("((1,2)a,(3,4)a)r;", "repeated label 'a'"),
+            ("(1,1,2)r;", "repeated label '1'"),
+            ("(1 2,3)r;", "childless label '1 2' is not an integer leaf"),
+            ("(1,2,x)r;", "childless label 'x' is not an integer leaf"),
+            ("(1,\u00b2)r;", "childless label '\u00b2' is not an integer leaf"),
+        ],
+        ids=["inner-name", "leaf", "two-tokens", "letter", "superscript-digit"],
+    )
+    def test_newick_label_that_names_no_one_node(self, text, fault, capsys):
+        assert main(["lattice", "--family", "tree", "--tree", text]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot parse tree {text!r}: {fault}")
+
+    def test_generated_names_avoid_the_given_ones(self, capsys):
+        text = "((1,2),(3,4)v0)r;"
+        tree = from_newick(text)
+        assert len(tree.inner_nodes()) == 3
+        assert from_newick(to_newick(tree)) == tree
+        code, data = run_json(capsys, "lattice", "--family", "tree", "--tree", text)
+        _, quartet = run_json(capsys, "lattice", "--family", "tree", "--tree", "quartet")
+        assert code == 0
+        assert data["elements"] == quartet["elements"]
 
     def test_interval_singleton(self, capsys):
         code, data = run_json(capsys, "lattice", "--family", "interval", "--n", "1")
@@ -695,3 +721,52 @@ class TestGoldenBytes:
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCapacitySetting:
+    """``LCUM_CAPACITY`` reaches every library call the CLI makes."""
+
+    def test_transform_at_thirteen(self, capsys, monkeypatch, tmp_path):
+        import itertools
+
+        states = list(itertools.product(range(2), repeat=13))
+        weights = [1 + (7 * i) % 20 for i in range(len(states))]
+        table = {",".join(map(str, x)): str(Fraction(w, sum(weights))) for x, w in zip(states, weights)}
+        source, there, back = tmp_path / "p.json", tmp_path / "there.json", tmp_path / "back.json"
+        source.write_text(json.dumps({"arities": [2] * 13, "system": "probabilities", "table": table}))
+        monkeypatch.setenv("LCUM_CAPACITY", "13")
+        for target, family in [("lcumulants", ["--family", "full"]), ("classical_cumulants", [])]:
+            assert main(["transform", "-i", str(source), "--to", target, *family, "-o", str(there)]) == 0
+            assert main(["transform", "-i", str(there), "--to", "probabilities", *family, "-o", str(back)]) == 0
+            assert json.loads(back.read_text())["table"] == table, target
+        monkeypatch.delenv("LCUM_CAPACITY")
+        assert main(["transform", "-i", str(source), "--to", "lcumulants", "--family", "full"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("ground set of size 13 exceeds the cap of 12")
+
+    def test_verify_hmm_at_thirteen(self, capsys, monkeypatch):
+        monkeypatch.setenv("LCUM_CAPACITY", "13")
+        code, data = run_json(capsys, "verify", "hmm", "--n", "13", "--trials", "1")
+        assert code == 0
+        assert data["passed"] is True
+
+    def test_secant_calls_receive_the_cap(self, capsys, monkeypatch):
+        # The split minors cannot finish at 13, so spy on the calls at 4.
+        import inspect
+
+        import lcumulants.cli
+
+        seen = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, inspect.signature(fn).bind(*args, **kwargs).arguments.get("capacity")))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ["classical_cumulants", "subset_tree_cumulants"]:
+            monkeypatch.setattr(lcumulants.cli, name, spy(getattr(lcumulants.cli, name)))
+        monkeypatch.setenv("LCUM_CAPACITY", "5")
+        code, data = run_json(capsys, "verify", "secant", "--n", "4", "--trials", "1")
+        assert code == 0 and data["passed"] is True
+        assert seen == [("classical_cumulants", 5), ("subset_tree_cumulants", 5)]

@@ -5,7 +5,9 @@ code 0, 1 or 2 and print no traceback.  The inputs stay small (boxes of at
 most 27 states, ground sets of at most four points, trees with few leaves,
 at most five variables and two trials for ``verify``),
 so each example runs in milliseconds, and the examples are derandomized so
-every run of the suite checks the same ones.
+every run of the suite checks the same ones.  Newick-shaped tree strings
+must exit 0 or 2, and a string ``from_newick`` accepts must come back
+unchanged through ``to_newick``.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lcumulants.cli import main
+from lcumulants.topology import from_newick, to_newick
 
 FUZZ = settings(
     max_examples=60,
@@ -44,6 +47,26 @@ json_values = st.recursive(
 rationals = st.one_of(st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "-1/4"]), scalars)
 # Short Newick-like text: parse errors, duplicate leaves, inner integers.
 tree_texts = st.one_of(st.sampled_from(TREES), st.text(alphabet="(),;1234ab", max_size=14))
+# Newick-shaped strings of at most six leaves, some well formed: labels
+# may repeat, be missing, collide with generated ``v#`` names, or not be
+# integers where a leaf is due.
+newick_leaves = st.sampled_from(["1", "2", "3", "4", "5", "6", "0", "01", "x", "v0", "1 2", ""])
+newick_labels = st.sampled_from(["", "", "a", "b", "r", "v0", "v1", "7", "1 2", "x y"])
+newick_texts = st.builds(
+    "".join,
+    st.tuples(
+        st.recursive(
+            newick_leaves,
+            lambda inner: st.builds(
+                lambda children, label: "(" + ",".join(children) + ")" + label,
+                st.lists(inner, min_size=1, max_size=3),
+                newick_labels,
+            ),
+            max_leaves=6,
+        ),
+        st.sampled_from([";", "", " ;"]),
+    ),
+)
 
 
 def corrupt(draw, data: dict, keys: list[str]) -> dict:
@@ -199,3 +222,16 @@ def test_verify(capsys, input_file, data):
         input_file.write_text(json.dumps(draw(gmm_files())))
         argv += ["--params", str(input_file)]
     run(capsys, argv)
+
+
+@FUZZ
+@given(text=newick_texts)
+def test_newick(capsys, text):
+    code = run(capsys, ["lattice", "--family", "tree", "--tree", text])
+    assert code in (0, 2), (text, code)
+    try:
+        tree = from_newick(text)
+    except ValueError:
+        assert code == 2, text
+        return
+    assert from_newick(to_newick(tree)) == tree, text

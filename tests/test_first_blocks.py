@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import lcumulants.lattice
-import lcumulants.lcumulant
 import oracles
 from lcumulants.lattice import (
     FULL,
@@ -28,7 +27,14 @@ from lcumulants.lattice import (
     first_blocks,
     mobius_weights,
 )
-from lcumulants.lcumulant import brillinger, conditional_collapse, cumulant_tensor, from_lcumulants, to_lcumulants
+from lcumulants.lcumulant import (
+    brillinger,
+    conditional_collapse,
+    cumulant_tensor,
+    detect_independence_structure,
+    from_lcumulants,
+    to_lcumulants,
+)
 from lcumulants.moments import (
     LCUMULANTS,
     CoordinateVector,
@@ -179,13 +185,22 @@ class TestAgainstWeightSums:
             (fam, oracles.conditional_collapse(y_dist, means, fam))
             for fam in [Family(NONCROSSING), Family(TREE, caterpillar(5))]
         ]
+        detections = []
+        for fam in [Family(NONCROSSING), Family(TREE, TREES["relabelled-caterpillar"])]:
+            lv = to_lcumulants(moments_from_distribution(random_distribution(StateSpace.binary(5), rng)), fam)
+            lv.entries.update({x: Fraction(0) for x in lv.entries if any(x[:2]) and any(x[2:])})
+            detections.append((lv, oracles.detect_independence_structure(lv)))
+        # Twelve variables, full family: 0 across the blocks of 1,4,7,10|2,5|3,6,8,9,11,12.
+        pi12 = SetPartition([0, 1, 2, 0, 1, 2, 0, 2, 2, 0, 2, 2])
+        space12 = StateSpace.binary(12)
+        entries12 = {x: Fraction(len({pi12.rgs[i] for i, e in enumerate(x) if e}) == 1) for x in space12.states()}
+        detections.append((CoordinateVector(space12, LCUMULANTS, entries12, family=Family(FULL)), pi12))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the recursion must not read a Moebius weight table")
 
         monkeypatch.setattr(lcumulants.lattice, "mobius_weights", refuse)
         monkeypatch.setattr(lcumulants.lattice, "_cached_weights", refuse)
-        monkeypatch.setattr(lcumulants.lcumulant, "mobius_weights", refuse)
         for space, fam in [
             (StateSpace.of([3, 3, 2]), Family(NONCROSSING)),
             (StateSpace.binary(5), Family(TREE, TREES["relabelled-caterpillar"])),
@@ -200,6 +215,8 @@ class TestAgainstWeightSums:
             assert cumulant_tensor(dist, fam, 3).entries == want, fam
         for fam, want in collapses:
             assert conditional_collapse(y_dist, means, fam) == want, fam
+        for lv, want in detections:
+            assert detect_independence_structure(lv) == want, lv.family
 
 
 class TestTables:

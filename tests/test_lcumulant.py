@@ -21,6 +21,8 @@ from lcumulants.lcumulant import (
     vanishes_outside,
 )
 from lcumulants.moments import (
+    LCUMULANTS,
+    CoordinateVector,
     DiscreteDistribution,
     StateSpace,
     central_moments,
@@ -28,7 +30,7 @@ from lcumulants.moments import (
     moments_from_distribution,
     transform_values,
 )
-from lcumulants.partition import CapacityError, SetPartition, parse_partition
+from lcumulants.partition import CapacityError, SetPartition, all_partitions, parse_partition
 from lcumulants.topology import caterpillar, from_newick, star
 
 from conftest import random_distribution
@@ -501,6 +503,117 @@ class TestIndependenceDetection:
                 lv_bad = to_lcumulants(mv_bad, Family(FULL))
                 assert not factorizes_over(mv_bad, pi0)
                 assert not vanishes_outside(lv_bad, pi0)
+
+
+# Trees with at least seven leaves, so each covers every box up to n = 7.
+DETECTION_FAMILIES = {
+    **{kind: Family(kind) for kind in (FULL, NONCROSSING, INTERVAL, ONECLUSTER)},
+    "caterpillar7": Family(TREE, caterpillar(7)),
+    "relabelled-balanced7": Family(TREE, from_newick("((3,(1,5)d)e,((4,7)b,(2,6)a)c)r;")),
+    "hub8": Family(TREE, from_newick("((1,2,3,4,5)a,6,(7,8)b)r;")),
+}
+
+
+def random_partition(n, rng):
+    rgs = [0]
+    for _ in range(n - 1):
+        rgs.append(rng.randint(0, max(rgs) + 1))
+    return SetPartition(rgs)
+
+
+def product_table(space, pi0, rng, perturbed=False):
+    """A law that factors over the blocks of pi0, or one moved off it by 1/97."""
+    factors = [random_distribution(StateSpace.of([space.arities[i] for i in b]), rng) for b in pi0.blocks]
+    table = {}
+    for x in space.states():
+        table[x] = Fraction(1)
+        for block, factor in zip(pi0.blocks, factors):
+            table[x] *= factor.p(tuple(x[i] for i in block))
+    if perturbed:
+        states = list(table)
+        table[states[rng.randint(0, len(states) - 1)]] += Fraction(1, 97)
+        table[states[rng.randint(0, len(states) - 1)]] -= Fraction(1, 97)
+    return DiscreteDistribution(space, table, algebraic=perturbed)
+
+
+def zero_pattern(space, fam, rng, pi0=None):
+    """Cumulants that are 0 off a few random indices of two or more variables.
+
+    Given pi0, they are instead 0 off the indices whose variables lie in
+    one block of pi0, and on about one in four of those.
+    """
+    entries = {}
+    for x in space.states():
+        support = [i for i, e in enumerate(x) if e]
+        if len(support) < 2:
+            entries[x] = rng.fraction(5, signed=True)
+        elif pi0 is None:
+            scattered = rng.randint(1, 2**space.n) <= 2
+            entries[x] = Fraction(rng.randint(1, 5), rng.randint(1, 4)) if scattered else Fraction(0)
+        else:
+            inside = len({pi0.rgs[i] for i in support}) == 1
+            entries[x] = Fraction(rng.randint(-5, -1), 3) if inside and rng.randint(0, 3) else Fraction(0)
+    return CoordinateVector(space, LCUMULANTS, entries, family=fam)
+
+
+class TestDetectionAgainstTheScan:
+    """The first-block descent against the weight-table scan it replaced."""
+
+    @pytest.mark.parametrize("name", list(DETECTION_FAMILIES))
+    def test_descent_matches_the_scan(self, name, rng):
+        fam = DETECTION_FAMILIES[name]
+        for n in range(1, 8):
+            boxes = [StateSpace.binary(n)]
+            if fam.size_indexed and n <= 5:  # mixed arities
+                boxes.append(StateSpace.of([rng.randint(2, 3) for _ in range(n)]))
+            for space in boxes:
+                patterns = [None] * 3 + [random_partition(n, rng) for _ in range(3)]
+                cases = [zero_pattern(space, fam, rng, pi0) for pi0 in patterns]
+                for perturbed in (False, True):
+                    for _ in range(2):
+                        dist = product_table(space, random_partition(n, rng), rng, perturbed)
+                        cases.append(to_lcumulants(moments_from_distribution(dist), fam))
+                for lv in cases:
+                    want = oracles.detect_independence_structure(lv)
+                    assert detect_independence_structure(lv) == want, (n, space.arities, lv.entries)
+
+    def test_vanishes_outside_matches_the_entry_check(self, rng):
+        for n in range(1, 6):
+            for space in (StateSpace.binary(n), StateSpace.of([3] + [2] * (n - 1))):
+                for _ in range(4):
+                    lv = zero_pattern(space, Family(FULL), rng)
+                    for pi0 in all_partitions(n):
+                        assert vanishes_outside(lv, pi0) == oracles.vanishes_outside(lv, pi0), (pi0, lv.entries)
+
+    def test_cap_refuses_before_the_supports_are_read(self, monkeypatch):
+        import lcumulants.lcumulant
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the supports were read before the cap")
+
+        monkeypatch.setattr(lcumulants.lcumulant, "_support_components", refuse)
+        space = StateSpace.binary(5)
+        for fam in [Family(FULL), Family(TREE, caterpillar(5))]:
+            lv = CoordinateVector(space, LCUMULANTS, dict.fromkeys(space.states(), Fraction(0)), family=fam)
+            with pytest.raises(CapacityError):
+                detect_independence_structure(lv, capacity=4)
+
+    def test_empty_box(self):
+        space = StateSpace.of(())
+        for fam in [Family(FULL), Family(TREE, caterpillar(3))]:
+            lv = CoordinateVector(space, LCUMULANTS, {(): Fraction(0)}, family=fam)
+            with pytest.raises(ValueError) as new:
+                detect_independence_structure(lv)
+            with pytest.raises(ValueError) as old:
+                oracles.detect_independence_structure(lv)
+            assert type(new.value) is type(old.value) is ValueError
+            assert str(new.value) == str(old.value) == "empty ground set"
+
+    def test_tree_family_needs_a_binary_box(self):
+        space = StateSpace.of([3, 2])
+        lv = CoordinateVector(space, LCUMULANTS, dict.fromkeys(space.states(), Fraction(0)))
+        with pytest.raises(UnsupportedFamilyError):
+            detect_independence_structure(lv, Family(TREE, caterpillar(2)))
 
 
 class TestConditionalCumulants:
