@@ -62,6 +62,7 @@ from .models import (
     gmm_distribution,
     hmm_distribution,
     hmm_normalized_tree_cumulants,
+    hmm_pipeline_tree_cumulants,
     hmm_tree_cumulants_closed,
     random_gmm_params,
     random_hmm_params,
@@ -544,7 +545,7 @@ def _hmm_trial(item: tuple[int, int, int]) -> list[dict]:
     trial, seed, n = item
     params = random_hmm_params(SplitMix64(seed), n)
     closed = hmm_tree_cumulants_closed(params)
-    pipeline = subset_tree_cumulants(hmm_distribution(params), caterpillar(n), _capacity())
+    pipeline = hmm_pipeline_tree_cumulants(params, _capacity())
     return [_check(f"trial {trial}: closed form vs pipeline", _max_diff(closed, pipeline))]
 
 

@@ -18,7 +18,11 @@ kappa(A), the inverse for m(A).  It visits about 2^(|A|-1) first blocks
 per index instead of the Bell-many lattice elements, and builds neither
 a lattice nor a Moebius table.  The cumulants are multilinear, so
 scaling every variable by d scales each coordinate of A by d^|A|; the
-loop runs on the integers d^|A| * given(A) and divides once per entry.
+loop runs on the integers d^|A| * given(A), the graded form that the
+input vector holds, and returns the graded form of the other system with
+the same d.  The output vector keeps that form, so the inverse of a
+forward map, or the moment map's output fed forward, starts from the
+integers the previous call made.
 The loop's shape depends only on the family and the box: the states in
 index-size order, their strides and their tables.  That plan is cached
 in a process LRU keyed by ``(family, arities, cap)``, so a warm
@@ -49,7 +53,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .lattice import (
@@ -68,8 +73,9 @@ from .moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _Graded,
+    _strides,
     distribution_from_moments,
-    _exact_parts,
 )
 from .partition import DEFAULT_CAPACITY, SetPartition
 from .topology import is_caterpillar
@@ -137,9 +143,7 @@ def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) ->
     if largest:
         _first_block_masks(fam, ground(largest), capacity)
     states = list(space.states())  # product order: a state's position is its code
-    strides = [1] * space.n
-    for i in range(space.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * space.arities[i + 1]
+    strides = _strides(arities)
     sizes = tuple(map(sum, states))
     order = []
     for code in sorted(range(1, len(states)), key=sizes.__getitem__):
@@ -149,13 +153,7 @@ def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) ->
     return _SolvePlan(sizes, tuple(order))
 
 
-def _first_block_solve(
-    space: StateSpace,
-    given: Mapping[tuple[int, ...], Fraction],
-    fam: Family,
-    capacity: int | None,
-    forward: bool,
-) -> dict[tuple[int, ...], Fraction]:
+def _first_block_solve(space: StateSpace, given: _Graded, fam: Family, capacity: int | None, forward: bool) -> _Graded:
     """Solve the first-block recursion for every state of the box.
 
     ``given`` holds the moments when ``forward`` and the cumulants
@@ -169,23 +167,20 @@ def _first_block_solve(
     by that position's stride, so each state's list is built once from one
     of the previous index size, and only those two sizes are kept.
 
-    The recursion runs on integers.  Scaling every variable by d scales
-    m(A) and kappa(A) by d^|A|, and every term for A has degree |A|,
-    since B and the parts of rest(A, B) partition A.  So d is chosen
-    with d^|A| * given(A) integral for every nonempty A, the recursion
-    runs on those integers, and each solved entry is divided by its
-    d^|A| once at the end.
+    The recursion runs on the graded numerators.  Scaling every variable
+    by d scales m(A) and kappa(A) by d^|A|, and every term for A has
+    degree |A|, since B and the parts of rest(A, B) partition A.  So the
+    numerators of one grading d solve to numerators of the same d.  A
+    common scale c of the given form is folded into the grading first:
+    (c*d)^|A| times an entry is its numerator times c^(|A| - 1).  The
+    zero state is never read; it is solved as 0 (forward) or 1.
     """
     sizes, order = _solve_plan(fam, space, capacity)
-    states = list(space.states())
-    parts = [_exact_parts(given[x], x) for x in states]
-    d = 1
-    for (_, den), size in zip(parts, sizes):
-        if size:  # multiply in the part of den that d^size misses
-            d *= den // gcd(den, d**size)
-    powers = [d**k for k in range(max(sizes) + 1)]
-    known = [num * (powers[size] // den) for (num, den), size in zip(parts, sizes)]
-    solved = [0] * len(states)
+    known, _, d, common = given  # read, never written
+    if common != 1:
+        fold = [0] + [common**k for k in range(max(sizes))]
+        known = list(map(mul, known, map(fold.__getitem__, sizes)))
+    solved = [0] * len(sizes)
     solved[0] = 0 if forward else 1  # the zero exponent
     moments, cumulants = (known, solved) if forward else (solved, known)
     below, level, level_size = {0: [0]}, {}, 1  # code lists one index size down, and of this size
@@ -204,7 +199,7 @@ def _first_block_solve(
                 term *= moments[codes[part]]
             lower += term
         solved[code] = known[code] - lower if forward else known[code] + lower
-    return {x: Fraction(v, powers[size]) for x, v, size in zip(states, solved, sizes)}
+    return _Graded(solved, sizes, common * d, 1)
 
 
 def to_lcumulants(
@@ -219,8 +214,8 @@ def to_lcumulants(
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
-    entries = _first_block_solve(mv.space, mv.entries, fam, capacity, forward=True)
-    return CoordinateVector(mv.space, system, entries, family=fam)
+    form = _first_block_solve(mv.space, mv._integers(), fam, capacity, forward=True)
+    return CoordinateVector._of_integers(mv.space, system, form, family=fam)
 
 
 def classical_cumulants(mv: CoordinateVector, capacity: int | None = DEFAULT_CAPACITY) -> CoordinateVector:
@@ -243,8 +238,8 @@ def from_lcumulants(
     fam = fam if fam is not None else lv.family  # type: ignore[assignment]
     if not isinstance(fam, Family):
         raise ValueError("the cumulant vector does not carry its family; pass one")
-    entries = _first_block_solve(lv.space, lv.entries, fam, capacity, forward=False)
-    return CoordinateVector(lv.space, MOMENTS, entries)
+    form = _first_block_solve(lv.space, lv._integers(), fam, capacity, forward=False)
+    return CoordinateVector._of_integers(lv.space, MOMENTS, form)
 
 
 def l_from_classical(

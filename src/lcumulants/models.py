@@ -24,6 +24,7 @@ from .moments import (
     StateSpace,
     _scaled_integers,
 )
+from .partition import DEFAULT_CAPACITY
 from .topology import TreeTopology, caterpillar
 from .trees import GMMParams, exact_sqrt, subset_tree_cumulants
 
@@ -241,7 +242,8 @@ def verify_split_binomials(
     subsets_b = _nonempty_subsets(side_b)
     keys = [[tuple(sorted(I + J)) for J in subsets_b] for I in subsets_a]
     ints, scale = _scaled_integers(((key, values[key]) for row in keys for key in row), "index")
-    flat = [[ints[key] for key in row] for row in keys]
+    width = len(subsets_b)
+    flat = [ints[k : k + width] for k in range(0, len(ints), width)]
     violations = []
     for (I, row), (I2, row2) in itertools.product(zip(subsets_a, flat), repeat=2):
         for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
@@ -499,10 +501,11 @@ def hmm_normalized_tree_cumulants(params: HMMParams) -> dict[tuple[int, ...], Fr
     return out
 
 
-def hmm_pipeline_tree_cumulants(params: HMMParams) -> dict[tuple[int, ...], Fraction]:
+def hmm_pipeline_tree_cumulants(
+    params: HMMParams, capacity: int | None = DEFAULT_CAPACITY
+) -> dict[tuple[int, ...], Fraction]:
     """Oracle route: joint law, then caterpillar tree cumulants of subsets."""
-    dist = hmm_distribution(params)
-    return subset_tree_cumulants(dist, caterpillar(params.n))
+    return subset_tree_cumulants(hmm_distribution(params), caterpillar(params.n), capacity)
 
 
 # -- conditional regression identities ------------------------------------------

@@ -18,8 +18,20 @@ central moments and affine value changes use the matrix whose row k
 expands (scale*v + shift)^k in the powers of v.  Each pass runs on
 integers over one flat list of the box.  The Vandermonde matrix and its
 inverse are cached, scaled to integers, in process LRUs keyed by the
-variable's value tuple; the shift matrices depend on the data and are
-scaled on each call.
+variable's value tuple.
+
+The integers are handed on rather than rebuilt.  A distribution keeps its
+table as integers in product order over their least common denominator,
+and checks them.  A coordinate vector keeps a graded form
+(:class:`_Graded`): the entry of x is an integer over c * d^|x|.  Scaling
+every variable by d scales each coordinate of x by d^|x|, so on the
+graded form the shift matrices are integral (row k of a centring expands
+(c*v - c*d*m_i)^k), and the moment map, run on level values scaled to
+integers, gives the moments of the scaled vector, which are graded
+already.  Each map reads its input's integers and builds its output from
+its own; only a vector made from a caller's entries derives its form
+from them, once, when a map first reads it.  :func:`_exact_parts` is the
+one place where exact values become integers.
 
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
@@ -35,9 +47,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from math import comb, gcd, lcm
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .partition import SetPartition
 
@@ -68,26 +80,83 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-def _scaled_integers(entries: Iterable[tuple[object, object]], what: str = "state") -> tuple[dict, int]:
+def _exact_parts(entries: Iterable[tuple[object, object]], what: str = "state") -> tuple[list[int], list[int]]:
+    """Numerators and denominators of int or Fraction entries, in order.
+
+    This is the one place where exact values are taken apart into
+    integers.  A float or other inexact entry raises TypeError naming its
+    key.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    for key, value in entries:
+        if isinstance(value, float):
+            raise TypeError(f"{_FLOAT_MESSAGE}; got {value!r} at {what} {key}")
+        try:
+            nums.append(value.numerator)
+            dens.append(value.denominator)
+        except AttributeError:
+            raise TypeError(f"expected an int or Fraction at {what} {key}, got {value!r}") from None
+    return nums, dens
+
+
+def _scaled_integers(entries: Iterable[tuple[object, object]], what: str = "state") -> tuple[list[int], int]:
     """Exact entries as integers over their least common denominator.
 
-    Returns ``({key: numerator * (L // denominator)}, L)``, so each entry
-    is its integer divided by L.  A float or other inexact entry raises
-    TypeError naming its key.
+    Returns ``([numerator * (L // denominator), ...], L)`` in the order of
+    the entries, so each entry is its integer divided by L.
     """
-    parts = {key: _exact_parts(value, key, what) for key, value in entries}
-    scale = lcm(*(den for _, den in parts.values()))
-    return {key: num * (scale // den) for key, (num, den) in parts.items()}, scale
+    nums, dens = _exact_parts(entries, what)
+    scale = lcm(*dens)
+    return [num * (scale // den) for num, den in zip(nums, dens)], scale
 
 
-def _exact_parts(value, key: object, what: str = "state") -> tuple[int, int]:
-    """Numerator and denominator of an int or Fraction entry at ``key``."""
-    if isinstance(value, float):
-        raise TypeError(f"{_FLOAT_MESSAGE}; got {value!r} at {what} {key}")
-    try:
-        return value.numerator, value.denominator
-    except AttributeError:
-        raise TypeError(f"expected an int or Fraction at {what} {key}, got {value!r}") from None
+class _Graded(NamedTuple):
+    """Exact coordinates over the box as integers, graded by index size.
+
+    The entry of the state x at position k of the product order is
+    ``nums[k] / (c * d**sizes[k])``, where ``sizes[k]`` is |x|, the size of
+    the index multiset x aliases.  Scaling every variable by d scales a
+    moment or cumulant of x by d^|x|, so the first-block recursion runs on
+    these numerators unchanged.  c is a common scale: 1 on every vector
+    the library computes from a table, since m(0) = 1 there.  A map of one
+    box hands on the ``sizes`` it was given.
+    """
+
+    nums: list[int]
+    sizes: Sequence[int]
+    d: int
+    c: int
+
+
+def _graded_from_entries(space: StateSpace, entries: Mapping[Exponent, object]) -> _Graded:
+    """The graded form of caller-supplied exact entries.
+
+    c is the zero state's denominator.  d is grown once per distinct
+    (denominator, index size) pair by the part of the denominator that
+    d^size misses, so that every d^size is a multiple of the denominators
+    of its size.
+    """
+    states, sizes = _box(space)
+    nums, dens = _exact_parts((x, entries[x]) for x in states)
+    c, d = dens[0], 1  # the zero state comes first in product order
+    for den, size in dict.fromkeys(zip(dens, sizes)):
+        if size:
+            d *= den // gcd(den, d**size)
+    scales = [c * d**size for size in range(max(sizes) + 1)]
+    return _Graded([num * (scales[size] // den) for num, den, size in zip(nums, dens, sizes)], sizes, d, c)
+
+
+def _box(space: StateSpace) -> tuple[list[Exponent], list[int]]:
+    """The states in product order, and their index sizes."""
+    states = list(space.states())
+    return states, list(map(sum, states))
+
+
+def _fractions(states: Iterable[Exponent], form: _Graded) -> dict[Exponent, Fraction]:
+    """The entries of a graded form, keyed by the states in product order."""
+    scales = [form.c * form.d**size for size in range(max(form.sizes) + 1)]
+    return dict(zip(states, map(Fraction, form.nums, map(scales.__getitem__, form.sizes))))
 
 
 @dataclass(frozen=True)
@@ -161,28 +230,52 @@ class DiscreteDistribution:
     """An exact table over the box; must sum to one.
 
     ``algebraic=True`` admits signed entries; the default probabilistic
-    mode insists on nonnegativity.
+    mode insists on nonnegativity.  The table is also kept as integers in
+    product order over their common denominator, which the moment map
+    reads.
     """
 
-    __slots__ = ("space", "table", "algebraic")
+    __slots__ = ("space", "table", "algebraic", "_ints")
 
     def __init__(self, space: StateSpace, table: Mapping[Exponent, Fraction], algebraic: bool = False):
         full: dict[Exponent, Fraction] = {}
         for x in space.states():
             p = _frac(table.get(x, 0))
-            if not algebraic and p < 0:
-                raise ValueError(f"negative mass {p} at {x}; use algebraic=True for signed tables")
+            if not algebraic and p.numerator < 0:
+                raise ValueError(_negative_mass(p, x))
             full[x] = p
         ints, scale = _scaled_integers(full.items())
-        total = sum(ints.values())
-        if total != scale:
-            raise ValueError(f"table sums to {Fraction(total, scale)}, not 1")
+        _check_sum(ints, scale)
         extra = set(table) - set(full)
         if extra:
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
+        self._set(space, full, algebraic, ints, scale)
+
+    @classmethod
+    def _of_integers(cls, space: StateSpace, ints: list[int], scale: int, algebraic: bool) -> DiscreteDistribution:
+        """The table ``ints / scale`` in product order, checked as ``__init__`` checks a table.
+
+        The integers are kept over the least scale, the lcm of the table's
+        denominators, as ``__init__`` keeps them.
+        """
+        g = gcd(scale, *ints)
+        ints, scale = [v // g for v in ints], scale // g
+        states = list(space.states())
+        if not algebraic and min(ints) < 0:
+            k = next(k for k, v in enumerate(ints) if v < 0)
+            raise ValueError(_negative_mass(Fraction(ints[k], scale), states[k]))
+        _check_sum(ints, scale)
+        dist = cls.__new__(cls)
+        dist._set(space, dict(zip(states, map(Fraction, ints, itertools.repeat(scale)))), algebraic, ints, scale)
+        return dist
+
+    def _set(
+        self, space: StateSpace, table: dict[Exponent, Fraction], algebraic: bool, ints: list[int], scale: int
+    ) -> None:
         self.space = space
-        self.table = full
+        self.table = table
         self.algebraic = algebraic
+        self._ints = (ints, scale)
 
     def p(self, x: Exponent) -> Fraction:
         return self.table[x]
@@ -252,6 +345,16 @@ class DiscreteDistribution:
         return cls(space, table, algebraic=bool(data.get("algebraic", False)))
 
 
+def _negative_mass(p: Fraction, x: Exponent) -> str:
+    return f"negative mass {p} at {x}; use algebraic=True for signed tables"
+
+
+def _check_sum(ints: list[int], scale: int) -> None:
+    total = sum(ints)
+    if total != scale:
+        raise ValueError(f"table sums to {Fraction(total, scale)}, not 1")
+
+
 @dataclass(frozen=True)
 class CoordinateVector:
     """Exact coordinates over the box, tagged with their system.
@@ -259,6 +362,13 @@ class CoordinateVector:
     ``system`` is one of the module tags; cumulant-like systems carry the
     lattice family that produced them in ``family`` (tree families embed
     their topology there).
+
+    A vector also holds its entries as a :class:`_Graded` integer form,
+    which is what the transforms read.  The library's transforms build
+    their vectors from the integers they computed and keep them; a vector
+    built from a caller's entries derives its form from them the first
+    time a transform reads it, so the entries must not change after that.
+    The form takes no part in ``==``, ``repr`` or :meth:`to_json`.
     """
 
     space: StateSpace
@@ -275,6 +385,36 @@ class CoordinateVector:
         if len(self.entries) != self.space.size:
             extra = set(self.entries) - set(self.space.states())
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
+
+    @classmethod
+    def _of_integers(
+        cls,
+        space: StateSpace,
+        system: str,
+        form: _Graded,
+        family: object | None = None,
+        entries: Mapping[Exponent, Fraction] | None = None,
+    ) -> CoordinateVector:
+        """A vector the library computed, with its integer form.
+
+        The entries are the form's Fractions unless given.  They cover the
+        box by construction, so the box check is not repeated.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "space", space)
+        object.__setattr__(vec, "system", system)
+        object.__setattr__(vec, "entries", _fractions(space.states(), form) if entries is None else entries)
+        object.__setattr__(vec, "family", family)
+        object.__setattr__(vec, "_form", form)
+        return vec
+
+    def _integers(self) -> _Graded:
+        """The integer form, derived from the entries on the first read."""
+        form = self.__dict__.get("_form")
+        if form is None:
+            form = _graded_from_entries(self.space, self.entries)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def __getitem__(self, x: Exponent) -> Fraction:
         return self.entries[x]
@@ -340,45 +480,55 @@ def _scaled_matrix(matrix: Sequence[Sequence[Fraction]]) -> ScaledMatrix:
     ints, scale = _scaled_integers(
         (((k, l), v) for k, row in enumerate(matrix) for l, v in enumerate(row)), "matrix entry"
     )
-    return tuple(tuple(ints[k, l] for l in range(len(row))) for k, row in enumerate(matrix)), scale
+    flat = iter(ints)
+    return tuple(tuple(itertools.islice(flat, len(row))) for row in matrix), scale
 
 
-def _per_axis(
-    space: StateSpace, data: Mapping[Exponent, Fraction], matrices: Iterable[ScaledMatrix]
-) -> dict[Exponent, Fraction]:
+def _strides(arities: Sequence[int]) -> list[int]:
+    """The step in product order of each variable; the unit state of variable i sits at ``strides[i]``."""
+    strides = [1] * len(arities)
+    for i in range(len(arities) - 2, -1, -1):
+        strides[i] = strides[i + 1] * arities[i + 1]
+    return strides
+
+
+def _per_axis(flat: Sequence[int], scale: int, matrices: Iterable[ScaledMatrix]) -> tuple[list[int], int]:
     """Apply one r_i x r_i matrix along each axis of the box in turn.
 
+    ``flat`` holds the data in product order as integers over ``scale``.
     After axis i, the entry at x is the sum over levels l of
     ``matrices[i][x_i][l]`` times the entry at x with x_i set to l, so the
-    whole pass costs O(|box| * sum r_i) products.  The map is linear in
-    the data and in each matrix, so it runs on integers: the data scaled
-    by the lcm of its denominators, each matrix given scaled
-    (:func:`_scaled_matrix`) and read after the data are scaled.  One
-    division by the product of the scales per entry gives the exact
-    result.
+    whole pass costs O(|box| * sum r_i) products.  Each matrix is given as
+    integer rows over its own scale, so the result is returned over the
+    product of the scales, with no division.
 
-    The data is one flat list in product order, so the slowest axis splits
-    it into r contiguous segments, one per level.  Each row of the matrix
-    combines the segments, and the new segments are interleaved, so that
-    axis becomes the fastest.  The next axis is then the slowest, and after
-    the last one the product order is back.
+    The slowest axis splits the list into r contiguous segments, one per
+    level.  Each row of the matrix combines the segments, and the new
+    segments are interleaved, so that axis becomes the fastest.  The next
+    axis is then the slowest, and after the last one the product order is
+    back.
     """
-    states = list(space.states())
-    ints, denominator = _scaled_integers((x, data[x]) for x in states)
-    flat = list(ints.values())
-    for rows, scale in matrices:
-        denominator *= scale
+    flat = list(flat)
+    for rows, factor in matrices:
+        scale *= factor
         r = len(rows)
         length = len(flat) // r
         segments = [flat[level * length : (level + 1) * length] for level in range(r)]
         for k, row in enumerate(rows):
-            total = [0] * length
+            total = None  # the sum of no segment yet; units are added or subtracted, not multiplied
             for coeff, segment in zip(row, segments):
-                if coeff:
-                    scaled = segment if coeff == 1 else map(mul, segment, itertools.repeat(coeff))
-                    total = list(map(add, total, scaled))
-            flat[k::r] = total
-    return {x: Fraction(v, denominator) for x, v in zip(states, flat)}
+                if not coeff:
+                    continue
+                if total is None:
+                    total = segment if coeff == 1 else list(map(mul, segment, itertools.repeat(coeff)))
+                elif coeff == 1:
+                    total = list(map(add, total, segment))
+                elif coeff == -1:
+                    total = list(map(sub, total, segment))
+                else:
+                    total = list(map(add, total, map(mul, segment, itertools.repeat(coeff))))
+            flat[k::r] = [0] * length if total is None else total
+    return flat, scale
 
 
 def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -386,9 +536,11 @@ def _vandermonde(values: Sequence[Fraction]) -> list[list[Fraction]]:
     return [[v**k for v in values] for k in range(len(values))]
 
 
-# The value-map matrices are cached per value tuple, scaled to integers.
-# The default values 0..r-1 of every arity share one entry, so a session
-# holds one per arity and per rational value map it uses.
+# The value-map matrices are cached per value tuple, scaled to integers:
+# the moment map's by the level values times the lcm of their space's
+# denominators, the inverse's by the level values.  The default values
+# 0..r-1 of every arity share one entry, so a session holds one per arity
+# and per rational value map it uses.
 VALUE_MAP_CACHE_SIZE = 256
 
 
@@ -404,23 +556,34 @@ def _inverse_moment_matrix(values: tuple[Fraction, ...]) -> ScaledMatrix:
     return _scaled_matrix(_invert(_vandermonde(values)))
 
 
-def _shift_matrix(r: int, scale: Fraction, shift: Fraction) -> list[list[Fraction]]:
+def _shift_matrix(r: int, scale, shift) -> list[list]:
     """Row k holds the coefficients of v^j in (scale*v + shift)^k."""
-    return [
-        [Fraction(comb(k, j)) * scale**j * shift ** (k - j) if j <= k else Fraction(0) for j in range(r)]
-        for k in range(r)
-    ]
+    return [[comb(k, j) * scale**j * shift ** (k - j) if j <= k else 0 for j in range(r)] for k in range(r)]
 
 
 def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
     """Raw moments over the box: entry at x is E of prod values^x.
 
     The moment map is the tensor product of the per-variable Vandermonde
-    matrices, applied one axis at a time.
+    matrices, applied one axis at a time to the table's integers.  The
+    level values are scaled by the lcm D of their denominators, so each
+    matrix is integral and the pass gives the moments of D*X over the
+    table's scale L: m(x) = flat / (L * D^|x|).  Graded with d = L * D,
+    m(x) * d^|x| is flat times L^(|x| - 1), and m(0) = 1 is the table's
+    sum.
     """
     space = dist.space
-    entries = _per_axis(space, dist.table, [_moment_matrix(vm) for vm in space.values])
-    return CoordinateVector(space, MOMENTS, entries)
+    level_ints, level_scale = _scaled_integers(enumerate(v for vm in space.values for v in vm), "level value")
+    levels = iter(level_ints)
+    matrices = [_moment_matrix(tuple(itertools.islice(levels, r))) for r in space.arities]
+    flat, scale = _per_axis(*dist._ints, matrices)
+    states, sizes = _box(space)
+    entries = _fractions(states, _Graded(flat, sizes, level_scale, scale))
+    lift = [0] + [scale**size for size in range(max(sizes))]
+    nums = list(map(mul, flat, map(lift.__getitem__, sizes)))
+    nums[0] = 1
+    form = _Graded(nums, sizes, scale * level_scale, 1)
+    return CoordinateVector._of_integers(space, MOMENTS, form, entries=entries)
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -442,7 +605,12 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def distribution_from_moments(mv: CoordinateVector, algebraic: bool = False) -> DiscreteDistribution:
-    """Invert the moment map exactly; needs injective value maps."""
+    """Invert the moment map exactly; needs injective value maps.
+
+    The graded moments are brought over the one scale c * d^top, where top
+    is the largest index size, and the inverse Vandermonde matrices run
+    on those integers.  The table is checked as a caller's table is.
+    """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
@@ -450,7 +618,11 @@ def distribution_from_moments(mv: CoordinateVector, algebraic: bool = False) -> 
         if len(set(vm)) != r:
             raise ValueError(f"variable {i + 1} has a non-injective value map")
     inverses = [_inverse_moment_matrix(vm) for vm in space.values]
-    return DiscreteDistribution(space, _per_axis(space, mv.entries, inverses), algebraic=algebraic)
+    nums, sizes, d, c = mv._integers()
+    top = max(sizes)
+    lift = [d ** (top - size) for size in range(top + 1)]
+    flat = list(map(mul, nums, map(lift.__getitem__, sizes)))
+    return DiscreteDistribution._of_integers(space, *_per_axis(flat, c * d**top, inverses), algebraic)
 
 
 # -- central moments -------------------------------------------------------
@@ -462,20 +634,23 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
     Expanding prod (X_i - m_i)^{x_i} binomially writes each central moment
     as a combination of raw moments at componentwise-smaller exponents, and
     that combination is the tensor product of the per-variable matrices of
-    :func:`_shift_matrix` with scale 1 and shift -m_i.  The zero exponent
-    is set to 1 and first-order indices to 0 whatever the raw entries hold.
+    :func:`_shift_matrix` with scale 1 and shift -m_i.  On the graded form
+    it is integral: with the grading c * d, row k of variable i expands
+    (c*v - M_i)^k, where M_i = c * d * m_i is the first-order numerator.
+    The zero exponent is set to 1 and first-order indices to 0 whatever
+    the raw entries hold.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
-    units = [_unit(space.n, i) for i in range(space.n)]
-    # Lazy: _per_axis scales the data first, so a float moment is named by its state.
-    matrices = (_scaled_matrix(_shift_matrix(r, Fraction(1), -mv.entries[u])) for r, u in zip(space.arities, units))
-    entries = _per_axis(space, mv.entries, matrices)
-    entries[(0,) * space.n] = Fraction(1)
+    nums, sizes, d, c = mv._integers()
+    units = _strides(space.arities)
+    matrices = [(_shift_matrix(r, c, -nums[u]), 1) for r, u in zip(space.arities, units)]
+    flat, _ = _per_axis(nums, 1, matrices)
+    flat[0] = c
     for u in units:
-        entries[u] = Fraction(0)
-    return CoordinateVector(space, CENTRAL_MOMENTS, entries)
+        flat[u] = 0
+    return CoordinateVector._of_integers(space, CENTRAL_MOMENTS, _Graded(flat, sizes, c * d, c))
 
 
 def _unit(n: int, i: int) -> Exponent:
@@ -544,22 +719,24 @@ def transform_values(
 
     Works on the moment coordinates, one :func:`_shift_matrix` per
     variable, not by touching any table, so it applies to algebraic points
-    as well.
+    as well.  With a_i = p_i / D and b_i = q_i / D over one denominator D,
+    the graded form maps to integers graded by d * D: row k of variable i
+    expands (p_i*v + d*q_i)^k.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
-    matrices = [
-        _scaled_matrix(
-            _shift_matrix(
-                r,
-                _frac(scale[i]) if scale is not None else Fraction(1),
-                _frac(shift[i]) if shift is not None else Fraction(0),
-            )
+    coefficients = [
+        (
+            _frac(scale[i]) if scale is not None else Fraction(1),
+            _frac(shift[i]) if shift is not None else Fraction(0),
         )
-        for i, r in enumerate(space.arities)
+        for i in range(space.n)
     ]
-    return CoordinateVector(space, MOMENTS, _per_axis(space, mv.entries, matrices))
+    ints, den = _scaled_integers(enumerate(v for pair in coefficients for v in pair), "coefficient")
+    nums, sizes, d, c = mv._integers()
+    matrices = [(_shift_matrix(r, ints[2 * i], d * ints[2 * i + 1]), 1) for i, r in enumerate(space.arities)]
+    return CoordinateVector._of_integers(space, MOMENTS, _Graded(_per_axis(nums, 1, matrices)[0], sizes, d * den, c))
 
 
 # -- independence ------------------------------------------------------------

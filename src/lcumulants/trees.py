@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Mapping, Sequence
 
 from .lattice import TREE, Family
@@ -33,6 +34,10 @@ from .moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _box,
+    _fractions,
+    _Graded,
+    _strides,
     central_moments,
     moments_from_distribution,
 )
@@ -59,8 +64,11 @@ def _singleton_free_sums(
     subsets are the 0/1 exponents of ``cm``'s box, read as a binary box.
     """
     space = StateSpace.binary(cm.space.n)
-    given = {x: cm.entries[x] for x in space.states()}
-    sums = _first_block_solve(space, given, Family(TREE, tree), capacity, forward=True)
+    nums, _, d, c = cm._integers()
+    strides = _strides(cm.space.arities)
+    states, sizes = _box(space)
+    given = _Graded([nums[sum(map(mul, x, strides))] for x in states], sizes, d, c)
+    sums = _fractions(states, _first_block_solve(space, given, Family(TREE, tree), capacity, forward=True))
     return {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
 
 

@@ -1,8 +1,7 @@
 """Slow paths kept as the oracles of the fast ones that replaced them.
 
 ``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
-of ``models.verify_split_binomials`` compute on integers scaled by a
-common denominator.  ``first_block_solve``, ``per_axis`` and
+of ``models.verify_split_binomials`` compute on integers.  ``first_block_solve``, ``per_axis`` and
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
 ran before; the kernels must return the same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
@@ -83,6 +82,7 @@ from lcumulants.moments import (
     DiscreteDistribution,
     StateSpace,
     _per_axis,
+    _scaled_integers,
     _scaled_matrix,
     _vandermonde,
     central_moments,
@@ -476,7 +476,9 @@ def central_moments_direct(dist):
     space = dist.space
     mean = [dist.raw_moment([i]) for i in range(1, space.n + 1)]
     matrices = [_scaled_matrix(_vandermonde([v - m for v in vm])) for vm, m in zip(space.values, mean)]
-    return CoordinateVector(space, CENTRAL_MOMENTS, _per_axis(space, dist.table, matrices))
+    states = list(space.states())
+    flat, scale = _per_axis(*_scaled_integers((x, dist.table[x]) for x in states), matrices)
+    return CoordinateVector(space, CENTRAL_MOMENTS, {x: Fraction(v, scale) for x, v in zip(states, flat)})
 
 
 def gmm_tree_cumulants_by_subtree(tree, params):

@@ -176,6 +176,24 @@ class TestTransform:
         assert data["system"] == "treecumulants"
         assert Fraction(data["table"]["1,1,0,0"]) == 0  # independent uniform bits
 
+    def test_moments_that_give_no_table(self, capsys, tmp_path):
+        # The inverse moment map gives a table summing to m(0) = 1/2: a usage
+        # error, with the text DiscreteDistribution gives on that table.
+        payload = {"arities": [2, 2], "system": "moments", "table": {"0,0": "1/2", "0,1": "1/3", "1,0": "1/4", "1,1": "1/12"}}
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps(payload))
+        assert main(["transform", "-i", str(path), "--to", "probabilities"]) == 2
+        assert capsys.readouterr().err == "error: table sums to 1/2, not 1\n"
+
+    def test_moments_of_a_signed_table(self, capsys, tmp_path):
+        # The CLI reads every table as algebraic, so negative masses are printed.
+        payload = {"arities": [2, 2], "system": "moments", "table": {"0,0": "1", "0,1": "1/3", "1,0": "1/4", "1,1": "1/2"}}
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "transform", "-i", str(path), "--to", "probabilities")
+        assert code == 0
+        assert data["table"] == {"0,0": "11/12", "0,1": "-1/6", "1,0": "-1/4", "1,1": "1/2"}
+
     def test_unknown_target(self, capsys, moment_file):
         assert main(["transform", "-i", str(moment_file), "--to", "nonsense"]) == 2
 

@@ -1,0 +1,189 @@
+"""The integer forms handed from one transform to the next.
+
+Each transform keeps the integers it computed with the vector or table it
+returns, and the next transform reads them.  A vector rebuilt through
+``to_json``/``from_json`` carries no integer form, so it derives one from
+its Fractions.  Both routes must give the same Fractions, and the form
+must stay out of the value: ``==``, ``repr`` and ``to_json``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family
+from lcumulants.lcumulant import from_lcumulants, to_lcumulants
+from lcumulants.moments import (
+    MOMENTS,
+    CoordinateVector,
+    DiscreteDistribution,
+    StateSpace,
+    _invert,
+    _shift_matrix,
+    _unit,
+    _vandermonde,
+    central_moments,
+    distribution_from_moments,
+    moments_from_distribution,
+    transform_values,
+)
+from lcumulants.topology import caterpillar, from_newick
+from lcumulants.trees import _singleton_free_sums
+
+from conftest import random_distribution
+
+HAND_OFF_BOXES = [(2,) * 6, (3, 3, 2, 2), (4, 3, 2)]
+TREE_FAMILIES = [Family(TREE, caterpillar(6)), Family(TREE, from_newick("(4,2,(6,(1,(3,5)h4)h3)h2)h1;"))]
+FAMILIES = [Family(kind) for kind in (FULL, NONCROSSING, INTERVAL, ONECLUSTER)] + TREE_FAMILIES
+CASES = [(box, fam) for box in HAND_OFF_BOXES for fam in FAMILIES if fam.size_indexed or set(box) == {2}]
+
+
+def _space(box, values):
+    """The box with the default value maps, or with distinct rational ones."""
+    if values == "default":
+        return StateSpace.of(box)
+    return StateSpace.of(box, [[Fraction(3 * k - 2, k + 3) for k in range(r)] for r in box])
+
+
+def rebuilt(vec):
+    """The vector read back from its JSON, which carries no integer form."""
+    out = CoordinateVector.from_json(vec.to_json(), family=vec.family)
+    assert "_form" not in out.__dict__
+    return out
+
+
+def assert_same(got, want):
+    """Same states in the same order, each value the same Fraction."""
+    assert list(got) == list(want)
+    assert all(type(v) is Fraction for v in got.values())
+    assert dict(got) == dict(want)
+
+
+def _affine(n):
+    """A rational scale and shift per variable, none of them the identity."""
+    return [Fraction(2 - k, 3 + k) or Fraction(1, 7) for k in range(n)], [Fraction(k + 1, 5) for k in range(n)]
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["probability", "signed"])
+@pytest.mark.parametrize("values", ["default", "rational"])
+@pytest.mark.parametrize("box, fam", CASES, ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_chained_route_equals_the_rebuilt_route(box, fam, values, signed, rng):
+    space = _space(box, values)
+    dist = random_distribution(space, rng, algebraic=signed)
+    mv = moments_from_distribution(dist)
+    assert_same(mv.entries, moments_from_distribution(DiscreteDistribution.from_json(dist.to_json())).entries)
+    lv = to_lcumulants(mv, fam, capacity=None)
+    assert_same(lv.entries, to_lcumulants(rebuilt(mv), fam, capacity=None).entries)
+    back = from_lcumulants(lv, capacity=None)
+    assert_same(back.entries, from_lcumulants(rebuilt(lv), capacity=None).entries)
+    assert_same(back.entries, mv.entries)
+    table = distribution_from_moments(back, algebraic=signed).table
+    assert_same(table, distribution_from_moments(rebuilt(back), algebraic=signed).table)
+    assert_same(table, dist.table)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["probability", "signed"])
+@pytest.mark.parametrize("values", ["default", "rational"])
+@pytest.mark.parametrize("box", HAND_OFF_BOXES, ids=str)
+def test_central_moments_and_affine_changes(box, values, signed, rng):
+    space = _space(box, values)
+    mv = moments_from_distribution(random_distribution(space, rng, algebraic=signed))
+    cm = central_moments(mv)
+    assert_same(cm.entries, central_moments(rebuilt(mv)).entries)
+    scale, shift = _affine(space.n)
+    moved = transform_values(mv, scale=scale, shift=shift)
+    assert_same(moved.entries, transform_values(rebuilt(mv), scale=scale, shift=shift).entries)
+    # The outputs hand on their own forms.
+    for fam in (Family(FULL), Family(NONCROSSING)):
+        assert_same(to_lcumulants(moved, fam).entries, to_lcumulants(rebuilt(moved), fam).entries)
+    assert_same(central_moments(moved).entries, central_moments(rebuilt(moved)).entries)
+    assert_same(
+        distribution_from_moments(moved, algebraic=True).table,
+        distribution_from_moments(rebuilt(moved), algebraic=True).table,
+    )
+    # On a binary box the central moments of every leaf subset feed the tree sums.
+    tree = caterpillar(space.n)
+    assert _singleton_free_sums(tree, cm, None) == _singleton_free_sums(tree, rebuilt(cm), None)
+
+
+def test_the_integer_form_is_not_part_of_the_value(rng):
+    space = _space((3, 2, 2), "rational")
+    dist = random_distribution(space, rng, algebraic=True)
+    mv = moments_from_distribution(dist)
+    vectors = [mv, to_lcumulants(mv, Family(NONCROSSING)), central_moments(mv), transform_values(mv, shift=[1, 2, 3])]
+    for vec in vectors:
+        other = rebuilt(vec)
+        assert "_form" in vec.__dict__
+        assert vec == other and other == vec
+        assert repr(vec) == repr(other)
+        assert vec.to_json() == other.to_json()
+        other._integers()  # a derived form changes none of the three either
+        assert vec == other and repr(vec) == repr(other) and vec.to_json() == other.to_json()
+    again = DiscreteDistribution.from_json(dist.to_json())
+    assert dist == again and dist.to_json() == again.to_json()
+    assert distribution_from_moments(mv, algebraic=True) == dist
+
+
+def _tables_from(mv):
+    """The table the inverse moment map gives, on Fractions."""
+    return oracles.per_axis(mv.space, mv.entries, [_invert(_vandermonde(vm)) for vm in mv.space.values])
+
+
+def _message(call, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+class TestErrorContract:
+    """``distribution_from_moments`` checks its integers as ``DiscreteDistribution`` checks a table."""
+
+    @pytest.mark.parametrize("route", ["caller", "affine", "rebuilt-affine"])
+    def test_moments_whose_zero_entry_is_not_one(self, route, rng):
+        space = StateSpace.of([3, 2])
+        entries = dict(moments_from_distribution(random_distribution(space, rng)).entries)
+        entries[(0, 0)] = Fraction(1, 2)
+        mv = CoordinateVector(space, MOMENTS, entries)
+        if route != "caller":  # the zero entry is kept by an affine change, and so is its common scale
+            mv = transform_values(mv, shift=[Fraction(1, 3), -2])
+            mv = rebuilt(mv) if route == "rebuilt-affine" else mv
+        want = _message(DiscreteDistribution, space, _tables_from(mv), algebraic=True)
+        assert want == "table sums to 1/2, not 1"
+        assert _message(distribution_from_moments, mv, algebraic=True) == want
+        assert _message(distribution_from_moments, mv) == _message(DiscreteDistribution, space, _tables_from(mv))
+
+    def test_a_zero_entry_that_is_not_an_integer(self, rng):
+        # The common scale of the graded form is then not 1: it is carried
+        # through the affine change and the centring, and folded into the
+        # grading by the recursion.
+        space = StateSpace.of([3, 2, 2])
+        entries = dict(moments_from_distribution(random_distribution(space, rng)).entries)
+        entries[(0, 0, 0)] = Fraction(2, 3)
+        caller = CoordinateVector(space, MOMENTS, entries)
+        scale, shift = [2, Fraction(1, 2), 1], [Fraction(-1, 5), 0, 3]
+        mv = transform_values(caller, scale=scale, shift=shift)
+        matrices = [_shift_matrix(r, Fraction(a), Fraction(b)) for r, a, b in zip(space.arities, scale, shift)]
+        assert_same(mv.entries, oracles.per_axis(space, entries, matrices))
+        units = [_unit(space.n, i) for i in range(space.n)]
+        for vec in (caller, mv):
+            centring = [_shift_matrix(r, Fraction(1), -vec.entries[u]) for r, u in zip(space.arities, units)]
+            want = oracles.per_axis(space, vec.entries, centring)
+            want[(0,) * space.n] = Fraction(1)
+            want.update(dict.fromkeys(units, Fraction(0)))
+            assert_same(central_moments(vec).entries, want)
+            fam = Family(NONCROSSING)
+            tables = oracles.first_block_tables(fam, space, None)
+            assert_same(to_lcumulants(vec, fam).entries, oracles.first_block_solve(space, vec.entries, tables, True))
+
+    def test_a_negative_mass_without_algebraic(self, rng):
+        space = StateSpace.of([2, 3])
+        mv = moments_from_distribution(random_distribution(space, rng, algebraic=True))
+        table = _tables_from(mv)
+        assert any(p < 0 for p in table.values())
+        want = _message(DiscreteDistribution, space, table)
+        first = next(x for x, p in table.items() if p < 0)
+        assert want == f"negative mass {table[first]} at {first}; use algebraic=True for signed tables"
+        assert _message(distribution_from_moments, mv) == want
+        assert _message(distribution_from_moments, rebuilt(mv)) == want
+        assert distribution_from_moments(mv, algebraic=True).table == table

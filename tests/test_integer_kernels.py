@@ -1,10 +1,11 @@
 """The integer kernels against their Fraction oracles.
 
-``_first_block_solve``, ``_per_axis`` and the split-binomial minor walk
-scale their exact inputs to integers by a common denominator and divide
-once at the end.  Each must return the same canonical Fractions as the
-Fraction loop it replaced (kept in ``oracles``), on probability and signed
-tables, rational value maps, central moments, coprime and growing
+``_first_block_solve`` and ``_per_axis`` take and return integers: the
+graded form of a coordinate vector, and a flat list over one scale.  The
+split-binomial minor walk scales its entries by a common denominator.
+Read back as Fractions, each must give the same canonical Fractions as
+the Fraction loop it replaced (kept in ``oracles``), on probability and
+signed tables, rational value maps, central moments, coprime and growing
 denominators, zero and integer entries.
 """
 
@@ -31,10 +32,13 @@ from lcumulants.moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _fractions,
+    _graded_from_entries,
     _inverse_moment_matrix,
     _invert,
     _moment_matrix,
     _per_axis,
+    _scaled_integers,
     _scaled_matrix,
     _shift_matrix,
     _unit,
@@ -66,6 +70,18 @@ def _primes(count):
     return found
 
 
+def solve(space, given, fam, forward):
+    """``_first_block_solve`` on a dict of exact entries, read back as Fractions."""
+    return _fractions(space.states(), _first_block_solve(space, _graded_from_entries(space, given), fam, None, forward))
+
+
+def axis_pass(space, data, matrices):
+    """``_per_axis`` on a dict of exact entries and Fraction matrices, read back as Fractions."""
+    states = list(space.states())
+    flat, scale = _per_axis(*_scaled_integers((x, data[x]) for x in states), [_scaled_matrix(m) for m in matrices])
+    return {x: Fraction(v, scale) for x, v in zip(states, flat)}
+
+
 def assert_same(got, want):
     """Same keys in the same order, each value the same Fraction."""
     assert list(got) == list(want)
@@ -76,9 +92,9 @@ def assert_same(got, want):
 def _solve_both_ways(space, fam, given_moments):
     """Forward then inverse through the kernel, each against the oracle."""
     tables = oracles.first_block_tables(fam, space, None)
-    kappa = _first_block_solve(space, given_moments, fam, None, forward=True)
+    kappa = solve(space, given_moments, fam, forward=True)
     assert_same(kappa, oracles.first_block_solve(space, given_moments, tables, forward=True))
-    back = _first_block_solve(space, kappa, fam, None, forward=False)
+    back = solve(space, kappa, fam, forward=False)
     assert_same(back, oracles.first_block_solve(space, kappa, tables, forward=False))
     return kappa, back
 
@@ -155,7 +171,7 @@ class TestFirstBlockSolve:
         _solve_both_ways(space, Family(kind), given)
         tables = oracles.first_block_tables(Family(kind), space, None)
         assert_same(
-            _first_block_solve(space, given, Family(kind), None, forward=False),
+            solve(space, given, Family(kind), forward=False),
             oracles.first_block_solve(space, given, tables, forward=False),
         )
 
@@ -206,10 +222,10 @@ def _warm_and_cold_against_the_oracle(space, fam, moments):
     back = oracles.first_block_solve(space, kappa, tables, forward=False)
     assert back == dict(moments)
     for given, want, forward in ((moments, kappa, True), (kappa, back, False)):
-        _first_block_solve(space, given, fam, None, forward)
-        warm = _first_block_solve(space, given, fam, None, forward)
+        solve(space, given, fam, forward)
+        warm = solve(space, given, fam, forward)
         _cached_plan.cache_clear()
-        cold = _first_block_solve(space, given, fam, None, forward)
+        cold = solve(space, given, fam, forward)
         assert_same(warm, want)
         assert_same(cold, want)
 
@@ -326,8 +342,12 @@ class TestPerAxis:
         matrices = [
             [[Fraction((k * r + l) % 5 - 1, 1 + (k + l) % 3) for l in range(r)] for k in range(r)] for r in box
         ]
-        got = _per_axis(space, data, [_scaled_matrix(m) for m in matrices])
+        got = axis_pass(space, data, matrices)
         assert_same(got, oracles.per_axis(space, data, matrices))
+        # Integer rows: a zero row, and rows that start with and go on to
+        # -1, 0, 1 and larger coefficients, so that no scaling hides them.
+        integral = [[[(k + 1) * (l + 2) % 4 - 1 if k else 0 for l in range(r)] for k in range(r)] for r in box]
+        assert_same(axis_pass(space, data, integral), oracles.per_axis(space, data, integral))
 
     @pytest.mark.parametrize("values", VALUE_MAPS, ids=str)
     def test_cached_matrices_are_immutable_and_exact(self, values):
@@ -357,7 +377,7 @@ class TestPerAxis:
             {x: k % 4 - 1 for k, x in enumerate(space.states())},
         ):
             assert_same(
-                _per_axis(space, data, [_scaled_matrix(v) for v in vandermonde]),
+                axis_pass(space, data, vandermonde),
                 oracles.per_axis(space, data, vandermonde),
             )
 
@@ -394,16 +414,16 @@ class TestSplitMinors:
             verify_split_binomials(values, (1, 2), (3, 4))
 
 
-def _fractions(limit=12):
+def _rationals(limit=12):
     return st.builds(Fraction, st.integers(-limit, limit), st.integers(1, limit))
 
 
 @st.composite
 def boxes_tables_and_value_maps(draw):
     arities = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
-    values = [draw(st.lists(_fractions(), min_size=r, max_size=r, unique=True)) for r in arities]
+    values = [draw(st.lists(_rationals(), min_size=r, max_size=r, unique=True)) for r in arities]
     space = StateSpace.of(arities, values)
-    table = dict(zip(space.states(), draw(st.lists(_fractions(), min_size=space.size, max_size=space.size))))
+    table = dict(zip(space.states(), draw(st.lists(_rationals(), min_size=space.size, max_size=space.size))))
     return space, table, draw(st.sampled_from(SIZE_INDEXED))
 
 
@@ -412,10 +432,10 @@ def boxes_tables_and_value_maps(draw):
 def test_kernels_match_oracles_property(case):
     space, table, kind = case
     vandermonde = [_vandermonde(vm) for vm in space.values]
-    moments = _per_axis(space, table, [_scaled_matrix(v) for v in vandermonde])
+    moments = axis_pass(space, table, vandermonde)
     assert_same(moments, oracles.per_axis(space, table, vandermonde))
     inverses = [_invert(v) for v in vandermonde]
     assert_same(
-        _per_axis(space, moments, [_scaled_matrix(v) for v in inverses]), oracles.per_axis(space, moments, inverses)
+        axis_pass(space, moments, inverses), oracles.per_axis(space, moments, inverses)
     )
     _solve_both_ways(space, Family(kind), moments)

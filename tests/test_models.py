@@ -28,7 +28,7 @@ from lcumulants.models import (
     secant_tree_cumulants,
     verify_split_binomials,
 )
-from lcumulants.partition import SetPartition
+from lcumulants.partition import CapacityError, SetPartition
 from lcumulants.topology import caterpillar, edge_splits, from_newick, quartet, star
 from lcumulants.trees import (
     GMMParams,
@@ -383,6 +383,12 @@ class TestHiddenChainClosedForm:
             arities = [2] * n if trial % 2 == 0 else [3 if i % 2 else 2 for i in range(n)]
             params = random_hmm_params(rng, n, arities)
             assert hmm_tree_cumulants_closed(params) == hmm_pipeline_tree_cumulants(params)
+
+    def test_pipeline_takes_a_cap(self, rng):
+        params = random_hmm_params(rng, 13)
+        with pytest.raises(CapacityError, match="size 13 exceeds the cap of 12"):
+            hmm_pipeline_tree_cumulants(params)
+        assert hmm_pipeline_tree_cumulants(params, capacity=None) == hmm_tree_cumulants_closed(params)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_running_products_equal_the_rebuilt_ones(self, n, rng):
