@@ -344,16 +344,14 @@ def _sub_ground(sides: Iterable[int], part: Sequence[int]) -> TableKey:
     sides with two or more positions on each side.  Size-indexed families
     have no sides, so their key is ``(d, ())``.
     """
-    d = len(part)
+    return _table_key(len(part), [sum(1 << k for k, j in enumerate(part) if side >> j & 1) for side in sides])
+
+
+def _table_key(d: int, masks: Iterable[int]) -> TableKey:
+    """The key of :func:`_sub_ground` from each side's bitmask of the d positions."""
     full = (1 << d) - 1
-    cut = set()
-    for side in sides:
-        mask = sum(1 << k for k, j in enumerate(part) if side >> j & 1)
-        if mask & 1:
-            mask ^= full
-        if 2 <= mask.bit_count() <= d - 2:
-            cut.add(mask)
-    return d, tuple(sorted(cut))
+    cut = {mask ^ full if mask & 1 else mask for mask in masks}
+    return d, tuple(sorted(mask for mask in cut if 2 <= mask.bit_count() <= d - 2))
 
 
 def _elements(kind: str, key: TableKey) -> list[SetPartition]:

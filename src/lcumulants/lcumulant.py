@@ -63,8 +63,10 @@ from .lattice import (
     TREE,
     Family,
     FirstBlockMasks,
+    _cached_first_blocks,
     _first_block_masks,
     _positions,
+    _table_key,
 )
 from .moments import (
     CLASSICAL_CUMULANTS,
@@ -137,6 +139,14 @@ def _solve_plan(fam: Family, space: StateSpace, capacity: int | None) -> _SolveP
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) -> _SolvePlan:
+    """The plan of :func:`_solve_plan`, with one pass over the splits per state.
+
+    The largest index's table is read first: it checks the labels and the
+    cap for every smaller index, before any state is listed.  A state's
+    step, and each split side's bitmask of its positions, are those of its
+    head (the state without its last position) with that position
+    appended; the bitmasks give its table key (:func:`lattice._table_key`).
+    """
     space = StateSpace.of(arities)
     ground = _ground_of(fam, space)
     largest = space.index_multiset(tuple(r - 1 for r in arities))
@@ -145,11 +155,19 @@ def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) ->
     states = list(space.states())  # product order: a state's position is its code
     strides = _strides(arities)
     sizes = tuple(map(sum, states))
+    splits = fam.splits  # leaf-label bitmasks, empty for size-indexed families
+    grown = {0: ((), [0] * len(splits))}  # code: (step, the split sides' position bitmasks)
     order = []
     for code in sorted(range(1, len(states)), key=sizes.__getitem__):
-        multiset = space.index_multiset(states[code])
-        step = tuple(strides[i - 1] for i in multiset)
-        order.append((code, step, _first_block_masks(fam, ground(multiset), capacity)))
+        x, i = states[code], len(arities) - 1
+        while not x[i]:  # i becomes the variable of the last position
+            i -= 1
+        step, masks = grown[code - strides[i]]
+        bit, label = 1 << len(step), 1 << (i + 1)
+        masks = [mask | bit if side & label else mask for mask, side in zip(masks, splits)]
+        step += (strides[i],)
+        grown[code] = step, masks
+        order.append((code, step, _cached_first_blocks(fam.kind, _table_key(len(step), masks))))
     return _SolvePlan(sizes, tuple(order))
 
 

@@ -31,7 +31,10 @@ integers, gives the moments of the scaled vector, which are graded
 already.  Each map reads its input's integers and builds its output from
 its own; only a vector made from a caller's entries derives its form
 from them, once, when a map first reads it.  :func:`_exact_parts` is the
-one place where exact values become integers.
+one place where exact values become integers.  The other way round, a
+vector a map returns builds its ``Fraction`` entries from its form the
+first time they are read, so a chain of maps builds none for the vectors
+it passes through; a distribution builds its table at once.
 
 Conventions for the degenerate indices: the moment at the zero exponent is
 1, central moments are 1 at the zero exponent and 0 on first-order
@@ -244,11 +247,11 @@ class DiscreteDistribution:
             if not algebraic and p.numerator < 0:
                 raise ValueError(_negative_mass(p, x))
             full[x] = p
-        ints, scale = _scaled_integers(full.items())
-        _check_sum(ints, scale)
         extra = set(table) - set(full)
         if extra:
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
+        ints, scale = _scaled_integers(full.items())
+        _check_sum(ints, scale)
         self._set(space, full, algebraic, ints, scale)
 
     @classmethod
@@ -365,10 +368,11 @@ class CoordinateVector:
 
     A vector also holds its entries as a :class:`_Graded` integer form,
     which is what the transforms read.  The library's transforms build
-    their vectors from the integers they computed and keep them; a vector
-    built from a caller's entries derives its form from them the first
-    time a transform reads it, so the entries must not change after that.
-    The form takes no part in ``==``, ``repr`` or :meth:`to_json`.
+    their vectors from the integers they computed and keep only those;
+    the entries are built from them on the first read.  A vector built
+    from a caller's entries derives its form from them the first time a
+    transform reads it, so the entries must not change after that.  The
+    form takes no part in ``==``, ``repr`` or :meth:`to_json`.
     """
 
     space: StateSpace
@@ -388,25 +392,34 @@ class CoordinateVector:
 
     @classmethod
     def _of_integers(
-        cls,
-        space: StateSpace,
-        system: str,
-        form: _Graded,
-        family: object | None = None,
-        entries: Mapping[Exponent, Fraction] | None = None,
+        cls, space: StateSpace, system: str, form: _Graded, family: object | None = None
     ) -> CoordinateVector:
-        """A vector the library computed, with its integer form.
+        """A vector the library computed, holding only its integer form.
 
-        The entries are the form's Fractions unless given.  They cover the
-        box by construction, so the box check is not repeated.
+        The form covers the box by construction, so the box check is not
+        repeated, and the entries are left to :meth:`__getattr__`.
         """
         vec = object.__new__(cls)
         object.__setattr__(vec, "space", space)
         object.__setattr__(vec, "system", system)
-        object.__setattr__(vec, "entries", _fractions(space.states(), form) if entries is None else entries)
         object.__setattr__(vec, "family", family)
         object.__setattr__(vec, "_form", form)
         return vec
+
+    def __getattr__(self, name: str):
+        """The entries of a computed vector, built from its form on the first read and then kept.
+
+        Only a name missing from the instance lands here, so ``==``,
+        ``repr``, :meth:`to_json`, ``copy`` and ``dataclasses.replace``
+        read the entries through this as through a stored field.  Threads
+        that race on the first read build equal dicts, and the last is kept.
+        """
+        form = self.__dict__.get("_form") if name == "entries" else None
+        if form is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = _fractions(self.space.states(), form)
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def _integers(self) -> _Graded:
         """The integer form, derived from the entries on the first read."""
@@ -577,13 +590,11 @@ def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
     levels = iter(level_ints)
     matrices = [_moment_matrix(tuple(itertools.islice(levels, r))) for r in space.arities]
     flat, scale = _per_axis(*dist._ints, matrices)
-    states, sizes = _box(space)
-    entries = _fractions(states, _Graded(flat, sizes, level_scale, scale))
+    sizes = list(map(sum, space.states()))
     lift = [0] + [scale**size for size in range(max(sizes))]
     nums = list(map(mul, flat, map(lift.__getitem__, sizes)))
     nums[0] = 1
-    form = _Graded(nums, sizes, scale * level_scale, 1)
-    return CoordinateVector._of_integers(space, MOMENTS, form, entries=entries)
+    return CoordinateVector._of_integers(space, MOMENTS, _Graded(nums, sizes, scale * level_scale, 1))
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -5,7 +5,10 @@ of ``models.verify_split_binomials`` compute on integers.  ``first_block_solve``
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
 ran before; the kernels must return the same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
-them per index (``first_block_tables``).  The per-axis pass rotates one
+them per index (``first_block_tables``).  The plan derives each state's
+step and table key from its head's; ``solve_plan_by_tables`` builds it
+state by state through ``lattice._first_block_masks``, as it was built
+before.  The per-axis pass rotates one
 flat list, and ``per_axis`` indexes the box state by state.
 
 ``lattice._elements`` derives a family's elements from its first-block
@@ -36,6 +39,13 @@ table summed against moments of the conditional means, and against
 moments of the tensor's index tuple; and Brillinger's nested sum over the
 comparable pairs of elements, whose coarser partition groups the
 conditional cumulants of the finer one's blocks into expectations over Y.
+
+``eager_vectors`` builds what the moment map, the two transforms, the
+classical cumulants, the centring and the affine change return, with every
+entry built at once by the Fraction loops above.  The library's vectors
+build their entries from their integer forms on the first read, and must
+give the same value.
+
 ``tree_cumulants_via_central`` and ``central_moments_direct`` are second
 routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
 singleton-free sum over central moments, and the per-axis pass of the
@@ -63,13 +73,24 @@ import itertools
 import operator
 from fractions import Fraction
 
-from lcumulants.lattice import TREE, Family, _cached_first_blocks, _positions, _sub_ground, first_blocks, mobius_weights
+from lcumulants.lattice import (
+    FULL,
+    TREE,
+    Family,
+    _cached_first_blocks,
+    _first_block_masks,
+    _positions,
+    _sub_ground,
+    first_blocks,
+    mobius_weights,
+)
 from lcumulants.lcumulant import (
     _BRILLINGER_FAMILIES,
     CumulantTensor,
     UnsupportedFamilyError,
     _brillinger_supported,
     _ground_of,
+    _SolvePlan,
     _moment_function,
     _y_table,
 )
@@ -84,6 +105,8 @@ from lcumulants.moments import (
     _per_axis,
     _scaled_integers,
     _scaled_matrix,
+    _shift_matrix,
+    _strides,
     _vandermonde,
     central_moments,
 )
@@ -99,6 +122,29 @@ def first_block_tables(fam, space, capacity):
     """
     ground = _ground_of(fam, space)
     return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
+
+
+def solve_plan_by_tables(fam, arities, capacity):
+    """The plan of ``lcumulant._cached_plan``, built as it was before.
+
+    Each state's multiset, step and table are derived from scratch, its
+    labels checked and its table key computed over every split, through
+    ``lattice._first_block_masks``.
+    """
+    space = StateSpace.of(arities)
+    ground = _ground_of(fam, space)
+    largest = space.index_multiset(tuple(r - 1 for r in arities))
+    if largest:
+        _first_block_masks(fam, ground(largest), capacity)
+    states = list(space.states())
+    strides = _strides(arities)
+    sizes = tuple(map(sum, states))
+    order = []
+    for code in sorted(range(1, len(states)), key=sizes.__getitem__):
+        multiset = space.index_multiset(states[code])
+        step = tuple(strides[i - 1] for i in multiset)
+        order.append((code, step, _first_block_masks(fam, ground(multiset), capacity)))
+    return _SolvePlan(sizes, tuple(order))
 
 
 def first_block_solve(space, given, tables, forward):
@@ -141,6 +187,36 @@ def per_axis(space, data, matrices):
             new[x] = total
         out = new
     return out
+
+
+def eager_vectors(dist, fam, scale, shift):
+    """What six producers return on ``dist``, every entry built at once on Fractions.
+
+    Keyed by producer: the moments of ``dist``; ``to_lcumulants`` under
+    ``fam``, ``classical_cumulants``, ``central_moments`` and
+    ``transform_values`` by ``scale`` and ``shift`` of those moments; and
+    ``from_lcumulants`` of the cumulants.  Each vector is made with the
+    public constructor, so its entries are a plain field from the start.
+    """
+    space, full = dist.space, Family(FULL)
+    moments = per_axis(space, dist.table, [_vandermonde(vm) for vm in space.values])
+    tables = first_block_tables(fam, space, None)
+    kappa = first_block_solve(space, moments, tables, True)
+    classical = first_block_solve(space, moments, first_block_tables(full, space, None), True)
+    units = [tuple(int(j == i) for j in range(space.n)) for i in range(space.n)]
+    centring = [_shift_matrix(r, Fraction(1), -moments[u]) for r, u in zip(space.arities, units)]
+    centred = per_axis(space, moments, centring)
+    centred[(0,) * space.n] = Fraction(1)
+    centred.update(dict.fromkeys(units, Fraction(0)))
+    moved = per_axis(space, moments, [_shift_matrix(r, a, b) for r, a, b in zip(space.arities, scale, shift)])
+    return {
+        "moments_from_distribution": CoordinateVector(space, MOMENTS, moments),
+        "to_lcumulants": CoordinateVector(space, LCUMULANTS, kappa, family=fam),
+        "classical_cumulants": CoordinateVector(space, CLASSICAL_CUMULANTS, classical, family=full),
+        "from_lcumulants": CoordinateVector(space, MOMENTS, first_block_solve(space, kappa, tables, False)),
+        "central_moments": CoordinateVector(space, CENTRAL_MOMENTS, centred),
+        "transform_values": CoordinateVector(space, MOMENTS, moved),
+    }
 
 
 def split_minors(values, side_a, side_b):

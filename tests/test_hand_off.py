@@ -5,15 +5,23 @@ returns, and the next transform reads them.  A vector rebuilt through
 ``to_json``/``from_json`` carries no integer form, so it derives one from
 its Fractions.  Both routes must give the same Fractions, and the form
 must stay out of the value: ``==``, ``repr`` and ``to_json``.
+
+A vector the library computes builds its ``entries`` from its form on the
+first read, so a chained round trip never builds the moment vectors it
+passes through.  Read or not, its value is that of the vector built with
+every entry at once (``oracles.eager_vectors``).
 """
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family
-from lcumulants.lcumulant import from_lcumulants, to_lcumulants
+from lcumulants.lcumulant import classical_cumulants, from_lcumulants, to_lcumulants
 from lcumulants.moments import (
     MOMENTS,
     CoordinateVector,
@@ -123,6 +131,99 @@ def test_the_integer_form_is_not_part_of_the_value(rng):
     again = DiscreteDistribution.from_json(dist.to_json())
     assert dist == again and dist.to_json() == again.to_json()
     assert distribution_from_moments(mv, algebraic=True) == dist
+
+
+def _produced(dist, fam, scale, shift):
+    """The six producers' vectors on ``dist``, keyed as ``oracles.eager_vectors`` keys them."""
+    mv = moments_from_distribution(dist)
+    lv = to_lcumulants(mv, fam)
+    return {
+        "moments_from_distribution": mv,
+        "to_lcumulants": lv,
+        "classical_cumulants": classical_cumulants(mv),
+        "from_lcumulants": from_lcumulants(lv),
+        "central_moments": central_moments(mv),
+        "transform_values": transform_values(mv, scale=scale, shift=shift),
+    }
+
+
+def _lazy_case(box, values, signed, rng):
+    """A table on the box, a family for it, an affine change, and the eager vectors."""
+    space = _space(box, values)
+    dist = random_distribution(space, rng, algebraic=signed)
+    fam = TREE_FAMILIES[1] if set(box) == {2} else Family(NONCROSSING)
+    scale, shift = _affine(space.n)
+    return (dist, fam, scale, shift), oracles.eager_vectors(dist, fam, scale, shift)
+
+
+class TestEntriesOnFirstRead:
+    """A computed vector holds only its form until its entries are read."""
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["probability", "signed"])
+    @pytest.mark.parametrize("values", ["default", "rational"])
+    @pytest.mark.parametrize("box", HAND_OFF_BOXES, ids=str)
+    def test_the_first_read_builds_the_eager_fractions(self, box, values, signed, rng):
+        args, eager = _lazy_case(box, values, signed, rng)
+        produced = _produced(*args)
+        # No producer read the entries of the vector it was given either.
+        assert not [name for name, vec in produced.items() if "entries" in vec.__dict__]
+        for name, vec in produced.items():
+            entries = vec.entries
+            assert vec.__dict__["entries"] is entries and vec.entries is entries, name
+            assert_same(entries, eager[name].entries)
+
+    @pytest.mark.parametrize("read", ["read-before", "unread"])
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda vec: vec,
+            repr,
+            lambda vec: vec.to_json(),
+            dataclasses.replace,
+            lambda vec: dataclasses.replace(vec, family=None),
+            copy.copy,
+            copy.deepcopy,
+            lambda vec: pickle.loads(pickle.dumps(vec)),
+        ],
+        ids=["eq", "repr", "to_json", "replace", "replace-family", "copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("box", HAND_OFF_BOXES, ids=str)
+    def test_the_value_is_the_eager_vector(self, box, operation, read, rng):
+        args, eager = _lazy_case(box, "rational", True, rng)
+        for name, vec in _produced(*args).items():
+            if read == "read-before":
+                vec.entries
+            got, want = operation(vec), operation(eager[name])
+            assert got == want and want == got, name
+            if isinstance(got, CoordinateVector):
+                assert_same(got.entries, want.entries)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("box, fam", CASES, ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_a_round_trip_leaves_both_moment_vectors_unbuilt(self, box, fam, rng):
+        dist = random_distribution(_space(box, "rational"), rng, algebraic=True)
+        mv = moments_from_distribution(dist)
+        lv = to_lcumulants(mv, fam, capacity=None)
+        back = from_lcumulants(lv, capacity=None)
+        assert distribution_from_moments(back, algebraic=True).table == dist.table
+        assert "entries" not in mv.__dict__ and "entries" not in back.__dict__
+        assert "entries" not in lv.__dict__
+        assert lv.to_json() == rebuilt(lv).to_json()
+
+    def test_an_unknown_attribute_raises_attribute_error(self, rng):
+        mv = moments_from_distribution(random_distribution(StateSpace.of([3, 2]), rng))
+        with pytest.raises(AttributeError, match="^'CoordinateVector' object has no attribute 'x'$"):
+            mv.x
+        assert getattr(mv, "x", None) is None
+        assert "entries" not in mv.__dict__  # a missing name other than entries builds nothing
+        caller = rebuilt(mv)
+        with pytest.raises(AttributeError, match="^'CoordinateVector' object has no attribute 'x'$"):
+            caller.x
+        with pytest.raises(AttributeError, match="_form"):
+            caller._form
+        # A vector made from a caller's entries holds them as given.
+        entries = dict(mv.entries)
+        assert CoordinateVector(mv.space, MOMENTS, entries).entries is entries
 
 
 def _tables_from(mv):

@@ -10,6 +10,7 @@ denominators, zero and integer entries.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,7 @@ from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums, tree_cumulants
 
 from conftest import random_distribution
-from test_first_blocks import TREES
+from test_first_blocks import SHAPE_TREES, TREES
 
 SIZE_INDEXED = [FULL, NONCROSSING, INTERVAL, ONECLUSTER]
 BOXES = [(2,) * 6, (2,) * 7, (3, 3, 2, 2), (4, 3, 2)]
@@ -288,6 +289,27 @@ class TestSolvePlan:
             with pytest.raises(CapacityError, match="size 5 exceeds the cap of 4"):
                 from_lcumulants(lv, capacity=4)
         assert _cached_plan.cache_info().currsize == size
+
+    @pytest.mark.parametrize(
+        "arities, fam",
+        [(box, Family(kind)) for box in CODE_BOXES for kind in SIZE_INDEXED]
+        + [((2,) * tree.num_leaves, Family(TREE, tree)) for tree in SHAPE_TREES.values()]
+        + [((2,) * 6, Family(TREE, TREES["balanced7"]))],  # leaf 7 is in the splits but names no variable
+        ids=str,
+    )
+    def test_the_plan_equals_the_plan_built_table_by_table(self, arities, fam):
+        assert _cached_plan.__wrapped__(fam, arities, None) == oracles.solve_plan_by_tables(fam, arities, None)
+
+    @pytest.mark.parametrize("shape", ["({},{},({},({},({},{})h4)h3)h2)h1;", "((({},{})x,({},{})y)u,(({},{})z,{})w)r;"])
+    def test_relabelled_plans_equal_the_plans_built_table_by_table(self, shape):
+        n = shape.count("{}")
+        for seed in range(12):
+            labels = random.Random(seed).sample(range(1, n + 1), n)
+            fam = Family(TREE, from_newick(shape.format(*labels)))
+            for capacity in (None, n):
+                assert _cached_plan.__wrapped__(fam, (2,) * n, capacity) == oracles.solve_plan_by_tables(
+                    fam, (2,) * n, capacity
+                )
 
     def test_a_tree_family_is_checked_when_its_plan_is_warm(self, rng):
         fam = Family(TREE, TREES["caterpillar6"])
