@@ -84,8 +84,17 @@ TREECUMULANTS = "treecumulants"
 
 
 def _capacity() -> int:
+    """The ground-set cap: ``LCUM_CAPACITY`` when set, which must be a positive integer."""
     raw = os.environ.get("LCUM_CAPACITY")
-    return int(raw) if raw else DEFAULT_CAPACITY
+    if not raw:
+        return DEFAULT_CAPACITY
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SystemExit2(f"LCUM_CAPACITY must be a positive integer, not {raw!r}")
+    return cap
 
 
 def _within_capacity(size: int, what: str) -> None:
@@ -430,11 +439,13 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
 def _run_trials(fn: Callable, items: list, jobs: int | None) -> list[dict]:
     """Map a picklable trial over its inputs, merging in index order.
 
-    The worker count is capped at the machine's CPU count.  The per-trial
-    seeds are derived up front, so the report is byte-identical whatever
-    the worker count.
+    The worker count is capped at the CPUs this process may run on: its
+    affinity mask where the platform has one, else the machine's CPU
+    count.  The per-trial seeds are derived up front, so the report is
+    byte-identical whatever the worker count.
     """
-    jobs = min(jobs or 1, os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs or 1, usable)
     if jobs > 1:
         import multiprocessing
 
@@ -733,7 +744,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--jobs", type=int, help="worker processes for trial batches, at most the CPU count")
+    p.add_argument("--jobs", type=int, help="worker processes for trial batches, at most the usable CPU count")
     p.add_argument("--family", default=FULL)
     p.add_argument("--tree")
     p.add_argument("--params")

@@ -24,12 +24,16 @@ the same d.  The output vector keeps that form, so the inverse of a
 forward map, or the moment map's output fed forward, starts from the
 integers the previous call made.
 The loop's shape depends only on the family and the box: the states in
-index-size order, their strides and their tables.  That plan is cached
-in a process LRU keyed by ``(family, arities, cap)``, so a warm
-transform reads no table per index; only the numbers change per call.
-The tables hold position sets as bitmasks, and each state lists the box
-positions of its sub-multisets once, so a term reads its entries by
-bitmask with no sum of strides.
+index-size order, the stride of each one's last position, and their
+tables.  That plan is cached in a process LRU keyed by ``(family,
+arities)``, so a warm transform reads no table per index; only the
+numbers change per call.  The family and the cap are checked on every
+call, before the cache is read.  The tables hold position sets as
+bitmasks, and each state lists the box positions of its sub-multisets
+once, so a term reads its entries by bitmask with no sum of strides.
+The one-cluster family needs no loop: its cumulants are the means and
+the central moments, so both of its transforms are one per-axis shift
+by the means, the centring kernel of :func:`moments.central_moments`.
 
 The paper's other formulas are compositions of the two transforms.  The
 classical-cumulant bridge: the classical cumulants fix the moments, and
@@ -60,11 +64,13 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .lattice import (
     FULL,
     INTERVAL,
+    ONECLUSTER,
     TREE,
     Family,
     FirstBlockMasks,
     _cached_first_blocks,
     _first_block_masks,
+    _ground_labels,
     _positions,
     _table_key,
 )
@@ -76,6 +82,7 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     _Graded,
+    _shift_by,
     _strides,
     distribution_from_moments,
 )
@@ -101,11 +108,24 @@ def _ground_of(fam: Family, space: StateSpace) -> Callable[[Sequence[int]], int 
     return tuple
 
 
-# Solve plans live for the whole process, keyed by the family, the arities
-# and the cap, so the forward and inverse transforms of a box share one.
-# The api-session mix reads 26 size-indexed plans per pass and one per tree
+def _check_box(fam: Family, space: StateSpace, capacity: int | None) -> None:
+    """Check the family against the box, and the cap against its largest index.
+
+    Every index of the box lies inside the largest, so that one check
+    covers them all.  Every transform runs it first, before any cache is
+    read or any work is done, so the check rests on no cache key.
+    """
+    ground = _ground_of(fam, space)
+    largest = space.index_multiset(tuple(r - 1 for r in space.arities))
+    if largest:
+        _ground_labels(fam, ground(largest), capacity)
+
+
+# Solve plans live for the whole process, keyed by the family and the
+# arities, so the forward and inverse transforms of a box share one.  The
+# api-session mix reads 19 size-indexed plans per pass and one per tree
 # labelling; 32 keep them warm.  A plan on a 12-variable binary box holds
-# 0.8 MiB of its own (tracemalloc).  It also holds its mask tables, so a
+# 0.4 MiB of its own (tracemalloc).  It also holds its mask tables, so a
 # tree plan keeps them alive after the table LRU drops them: 14.2 MiB for
 # the relabelled balanced 12-leaf tree of ``FIRST_BLOCK_CACHE_SIZE``.
 PLAN_CACHE_SIZE = 32
@@ -115,68 +135,82 @@ class _SolvePlan(NamedTuple):
     """The shape of the first-block recursion on one box.
 
     ``sizes`` holds every state's index size in product order.  ``order``
-    holds ``(code, step, table)`` for every nonzero state by increasing
-    index size: the state's position in the box, the stride of each of
-    its positions, and its :func:`lattice.first_blocks` table with each
+    holds ``(code, stride, table)`` for every nonzero state by increasing
+    index size: the state's position in the box, the stride of its last
+    position, and its :func:`lattice.first_blocks` table with each
     position set as a bitmask.
     """
 
     sizes: tuple[int, ...]
-    order: tuple[tuple[int, tuple[int, ...], FirstBlockMasks], ...]
-
-
-def _solve_plan(fam: Family, space: StateSpace, capacity: int | None) -> _SolvePlan:
-    """The cached plan of ``fam`` on the box.
-
-    The family is checked against the box on every call, before the cache
-    is read, so the check does not rest on what the key holds.  A cold
-    build reads the largest index's table first, so the cap refuses an
-    oversized box before any state is listed.
-    """
-    _ground_of(fam, space)
-    return _cached_plan(fam, space.arities, capacity)
+    order: tuple[tuple[int, int, FirstBlockMasks], ...]
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _cached_plan(fam: Family, arities: tuple[int, ...], capacity: int | None) -> _SolvePlan:
-    """The plan of :func:`_solve_plan`, with one pass over the splits per state.
+def _cached_plan(fam: Family, arities: tuple[int, ...]) -> _SolvePlan:
+    """The plan of ``fam`` on the box, with one pass over the splits per state.
 
-    The largest index's table is read first: it checks the labels and the
-    cap for every smaller index, before any state is listed.  A state's
-    step, and each split side's bitmask of its positions, are those of its
-    head (the state without its last position) with that position
-    appended; the bitmasks give its table key (:func:`lattice._table_key`).
+    The caller has run :func:`_check_box`.  A state's head is the state
+    without its last position, one stride down in the box.  Each split
+    side's bitmask of the state's positions is its head's with that
+    position added, and the bitmasks give its table key
+    (:func:`lattice._table_key`).
     """
-    space = StateSpace.of(arities)
-    ground = _ground_of(fam, space)
-    largest = space.index_multiset(tuple(r - 1 for r in arities))
-    if largest:
-        _first_block_masks(fam, ground(largest), capacity)
-    states = list(space.states())  # product order: a state's position is its code
+    states = list(StateSpace.of(arities).states())  # product order: a state's position is its code
     strides = _strides(arities)
     sizes = tuple(map(sum, states))
     splits = fam.splits  # leaf-label bitmasks, empty for size-indexed families
-    grown = {0: ((), [0] * len(splits))}  # code: (step, the split sides' position bitmasks)
+    grown = {0: [0] * len(splits)}  # code: the split sides' position bitmasks
     order = []
     for code in sorted(range(1, len(states)), key=sizes.__getitem__):
         x, i = states[code], len(arities) - 1
         while not x[i]:  # i becomes the variable of the last position
             i -= 1
-        step, masks = grown[code - strides[i]]
-        bit, label = 1 << len(step), 1 << (i + 1)
-        masks = [mask | bit if side & label else mask for mask, side in zip(masks, splits)]
-        step += (strides[i],)
-        grown[code] = step, masks
-        order.append((code, step, _cached_first_blocks(fam.kind, _table_key(len(step), masks))))
+        size, stride = sizes[code], strides[i]
+        bit, label = 1 << (size - 1), 1 << (i + 1)
+        masks = [mask | bit if side & label else mask for mask, side in zip(grown[code - stride], splits)]
+        grown[code] = masks
+        order.append((code, stride, _cached_first_blocks(fam.kind, _table_key(size, masks))))
     return _SolvePlan(sizes, tuple(order))
+
+
+def _centring_solve(space: StateSpace, given: _Graded, forward: bool) -> _Graded:
+    """The one-cluster transforms, as one per-axis shift.
+
+    The one-cluster cumulants are the means at order 1 and the central
+    moments at order 2 and up, and :func:`moments._shift_by` moves every
+    variable by its mean.  Forward: m(0), which the recursion never reads,
+    is read as 1, the shift by minus the means gives the central moments,
+    and the zero state and the unit states take 0 and the means.  Inverse:
+    kappa(0) is read as 1 and the unit states as 0, which are the central
+    moments there, and the shift by plus the means gives the moments.  The
+    result is graded by c and c*d.
+    """
+    nums, sizes, d, c = given
+    units = _strides(space.arities)
+    means = [nums[u] for u in units]
+    nums = list(nums)
+    nums[0] = c
+    if forward:
+        solved = _shift_by(space.arities, nums, c, [-mean for mean in means])
+        solved[0] = 0
+        for u, mean in zip(units, means):
+            solved[u] = c * mean  # the mean, regraded from c*d to c * (c*d)
+    else:
+        for u in units:
+            nums[u] = 0
+        solved = _shift_by(space.arities, nums, c, means)
+    return _Graded(solved, sizes, c * d, c)
 
 
 def _first_block_solve(space: StateSpace, given: _Graded, fam: Family, capacity: int | None, forward: bool) -> _Graded:
     """Solve the first-block recursion for every state of the box.
 
     ``given`` holds the moments when ``forward`` and the cumulants
-    otherwise; the other system is returned.  The family's tables are read
-    through the plan of :func:`_solve_plan`.  States are visited by
+    otherwise; the other system is returned.  The family and the cap are
+    checked first (:func:`_check_box`).  The one-cluster family has the
+    recursion's solution in closed form, :func:`_centring_solve`, so it
+    reads no table.  Every other family reads its tables through the
+    cached plan of :func:`_cached_plan`.  States are visited by
     increasing index size, so every kappa(B) and m(S) the recursion reads
     for a proper B or S is known by then.  A sub-multiset is looked up by
     its position in the box, the sum of its positions' strides, in a list
@@ -193,7 +227,10 @@ def _first_block_solve(space: StateSpace, given: _Graded, fam: Family, capacity:
     (c*d)^|A| times an entry is its numerator times c^(|A| - 1).  The
     zero state is never read; it is solved as 0 (forward) or 1.
     """
-    sizes, order = _solve_plan(fam, space, capacity)
+    _check_box(fam, space, capacity)
+    if fam.kind == ONECLUSTER:
+        return _centring_solve(space, given, forward)
+    sizes, order = _cached_plan(fam, space.arities)
     known, _, d, common = given  # read, never written
     if common != 1:
         fold = [0] + [common**k for k in range(max(sizes))]
@@ -202,10 +239,9 @@ def _first_block_solve(space: StateSpace, given: _Graded, fam: Family, capacity:
     solved[0] = 0 if forward else 1  # the zero exponent
     moments, cumulants = (known, solved) if forward else (solved, known)
     below, level, level_size = {0: [0]}, {}, 1  # code lists one index size down, and of this size
-    for code, step, table in order:
-        if len(step) > level_size:
-            below, level, level_size = level, {}, len(step)
-        s = step[-1]
+    for code, s, table in order:
+        if sizes[code] > level_size:
+            below, level, level_size = level, {}, sizes[code]
         head = below[code - s]  # A without its last position
         codes = level[code] = head + [c + s for c in head]
         lower = 0
@@ -313,11 +349,11 @@ def _top_cumulant(d: int, moment_of: MomentFunction, fam: Family, capacity: int 
     ``moment_of`` takes the 0-based positions of a nonempty subset in
     increasing order.  Its moments fill a binary box over the positions,
     one exponent per subset and 1 at the zero exponent, and the forward
-    recursion runs on it.  The plan checks the family and the cap before
-    the 2^d box is filled.
+    recursion runs on it.  The family and the cap are checked before the
+    2^d box is filled.
     """
     space = StateSpace.binary(d)
-    _solve_plan(fam, space, capacity)
+    _check_box(fam, space, capacity)
     entries = {
         x: moment_of([j for j, e in enumerate(x) if e]) if any(x) else Fraction(1) for x in space.states()
     }

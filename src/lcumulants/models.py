@@ -215,6 +215,20 @@ def _nonempty_subsets(pool: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _rank_at_most_one(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every 2x2 minor of the matrix vanishes, in O(rows * cols).
+
+    With p = M[i0][j0] its first nonzero entry, M has rank at most one
+    exactly when M[i][j] * p = M[i][j0] * M[i0][j] for every cell.  A zero
+    matrix passes.
+    """
+    for pivot_row in rows:
+        for j0, p in enumerate(pivot_row):
+            if p:
+                return all(v * p == row[j0] * w for row in rows for v, w in zip(row, pivot_row))
+    return True
+
+
 def verify_split_binomials(
     tree_cums: Mapping[tuple[int, ...], Fraction] | CoordinateVector,
     side_a: Sequence[int],
@@ -226,8 +240,11 @@ def verify_split_binomials(
     t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
     points of a tree model realizing the split across an edge.  The
     flattening matrix of t(I+J) is read once and scaled by the lcm L of
-    its denominators, then every minor is taken in turn on integers; a
-    nonzero integer minor r is the residual r / L^2.
+    its denominators.  Every minor vanishes exactly when the matrix has
+    rank at most one, which :func:`_rank_at_most_one` tests first.  Only a
+    matrix that fails has every minor taken in turn on integers; a nonzero
+    integer minor r is the residual r / L^2.  ``checked`` counts every
+    minor either way.
     """
     if isinstance(tree_cums, CoordinateVector):
         values = {
@@ -244,13 +261,15 @@ def verify_split_binomials(
     ints, scale = _scaled_integers(((key, values[key]) for row in keys for key in row), "index")
     width = len(subsets_b)
     flat = [ints[k : k + width] for k in range(0, len(ints), width)]
+    checked = len(subsets_a) ** 2 * len(subsets_b) ** 2
+    if _rank_at_most_one(flat):
+        return BinomialReport((side_a, side_b), checked, [])
     violations = []
     for (I, row), (I2, row2) in itertools.product(zip(subsets_a, flat), repeat=2):
         for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
             residual = row[j] * row2[j2] - row[j2] * row2[j]
             if residual:
                 violations.append(((I, subsets_b[j], I2, subsets_b[j2]), Fraction(residual, scale * scale)))
-    checked = len(subsets_a) ** 2 * len(subsets_b) ** 2
     return BinomialReport((side_a, side_b), checked, violations)
 
 

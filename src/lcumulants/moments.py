@@ -574,6 +574,18 @@ def _shift_matrix(r: int, scale, shift) -> list[list]:
     return [[comb(k, j) * scale**j * shift ** (k - j) if j <= k else 0 for j in range(r)] for k in range(r)]
 
 
+def _shift_by(arities: Sequence[int], nums: Sequence[int], c: int, shifts: Sequence[int]) -> list[int]:
+    """The centring kernel: move variable i by ``shifts[i] / (c*d)`` on a graded form.
+
+    ``nums`` are the numerators of a form graded by c and d.  Row k of
+    variable i expands (c*v + shifts[i])^k, one :func:`_shift_matrix` per
+    axis, so the result is integral and graded by c and c*d.  Shifting by
+    minus the first-order numerators centres every variable; shifting by
+    plus them undoes it.
+    """
+    return _per_axis(nums, 1, [(_shift_matrix(r, c, shift), 1) for r, shift in zip(arities, shifts)])[0]
+
+
 def moments_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
     """Raw moments over the box: entry at x is E of prod values^x.
 
@@ -646,18 +658,16 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
     as a combination of raw moments at componentwise-smaller exponents, and
     that combination is the tensor product of the per-variable matrices of
     :func:`_shift_matrix` with scale 1 and shift -m_i.  On the graded form
-    it is integral: with the grading c * d, row k of variable i expands
-    (c*v - M_i)^k, where M_i = c * d * m_i is the first-order numerator.
-    The zero exponent is set to 1 and first-order indices to 0 whatever
-    the raw entries hold.
+    it is integral: :func:`_shift_by` moves each variable by -M_i, where
+    M_i = c * d * m_i is the first-order numerator.  The zero exponent is
+    set to 1 and first-order indices to 0 whatever the raw entries hold.
     """
     if mv.system != MOMENTS:
         raise ValueError(f"expected moments, got {mv.system}")
     space = mv.space
     nums, sizes, d, c = mv._integers()
     units = _strides(space.arities)
-    matrices = [(_shift_matrix(r, c, -nums[u]), 1) for r, u in zip(space.arities, units)]
-    flat, _ = _per_axis(nums, 1, matrices)
+    flat = _shift_by(space.arities, nums, c, [-nums[u] for u in units])
     flat[0] = c
     for u in units:
         flat[u] = 0

@@ -6,10 +6,14 @@ of ``models.verify_split_binomials`` compute on integers.  ``first_block_solve``
 ran before; the kernels must return the same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
 them per index (``first_block_tables``).  The plan derives each state's
-step and table key from its head's; ``solve_plan_by_tables`` builds it
+stride and table key from its head's; ``solve_plan_by_tables`` builds it
 state by state through ``lattice._first_block_masks``, as it was built
-before.  The per-axis pass rotates one
-flat list, and ``per_axis`` indexes the box state by state.
+before, with every stride of each state's positions.  The per-axis pass
+rotates one flat list, and ``per_axis`` indexes the box state by state.
+The one-cluster transforms run the per-axis centring shift in place of
+the recursion; ``first_block_solve`` on the one-cluster tables is their
+oracle.  ``verify_split_binomials`` walks the minors only when its
+rank-one test fails; ``split_minors`` walks them always.
 
 ``lattice._elements`` derives a family's elements from its first-block
 table, and ``lattice.mobius_weights`` gives mu(pi, top) in closed form.
@@ -90,7 +94,6 @@ from lcumulants.lcumulant import (
     UnsupportedFamilyError,
     _brillinger_supported,
     _ground_of,
-    _SolvePlan,
     _moment_function,
     _y_table,
 )
@@ -127,8 +130,11 @@ def first_block_tables(fam, space, capacity):
 def solve_plan_by_tables(fam, arities, capacity):
     """The plan of ``lcumulant._cached_plan``, built as it was before.
 
-    Each state's multiset, step and table are derived from scratch, its
-    labels checked and its table key computed over every split, through
+    Returns ``(sizes, order)``, with ``(code, step, table)`` in ``order``:
+    each state's step holds the stride of every one of its positions, where
+    the plan keeps the last one, and its length is the index size.  Each
+    state's multiset, step and table are derived from scratch, its labels
+    checked and its table key computed over every split, through
     ``lattice._first_block_masks``.
     """
     space = StateSpace.of(arities)
@@ -144,7 +150,7 @@ def solve_plan_by_tables(fam, arities, capacity):
         multiset = space.index_multiset(states[code])
         step = tuple(strides[i - 1] for i in multiset)
         order.append((code, step, _first_block_masks(fam, ground(multiset), capacity)))
-    return _SolvePlan(sizes, tuple(order))
+    return sizes, tuple(order)
 
 
 def first_block_solve(space, given, tables, forward):

@@ -538,9 +538,21 @@ class TestVerify:
         _, multi = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2", "--jobs", "2")
         assert solo == multi
 
-    @pytest.mark.parametrize("requested, cpus, expected", [("64", 2, [2]), ("2", 4, [2]), ("8", 1, [])])
-    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, requested, cpus, expected):
+    @pytest.mark.parametrize(
+        "requested, cpus, affinity, expected",
+        [
+            ("64", 2, 2, [2]),
+            ("2", 4, 4, [2]),
+            ("8", 1, 1, []),
+            ("4", 4, 1, []),  # taskset -c 0 on a 4-CPU machine
+            ("4", 8, 3, [3]),
+            ("64", 2, None, [2]),  # no affinity mask on the platform: the CPU count
+            ("8", 1, None, []),
+        ],
+    )
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch, requested, cpus, affinity, expected):
         import multiprocessing
+        import os
 
         started = []
 
@@ -559,6 +571,10 @@ class TestVerify:
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         _, solo = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2")
         _, pooled = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2", "--jobs", requested)
         assert started == expected
@@ -743,6 +759,25 @@ class TestGoldenBytes:
 
 class TestCapacitySetting:
     """``LCUM_CAPACITY`` reaches every library call the CLI makes."""
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0", "3.5", "12x"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["lattice", "--family", "full", "--n", "3"], ["verify", "secant", "--n", "3", "--trials", "1"]],
+        ids=["lattice", "verify"],
+    )
+    def test_a_malformed_or_non_positive_cap_is_a_usage_error(self, capsys, monkeypatch, raw, argv):
+        monkeypatch.setenv("LCUM_CAPACITY", raw)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: LCUM_CAPACITY must be a positive integer, not {raw!r}\n"
+
+    def test_an_empty_cap_is_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("LCUM_CAPACITY", "")
+        assert main(["lattice", "--family", "interval", "--n", "12"]) == 0
+        assert main(["lattice", "--family", "interval", "--n", "13"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("exceeds the cap of 12")
 
     def test_transform_at_thirteen(self, capsys, monkeypatch, tmp_path):
         import itertools

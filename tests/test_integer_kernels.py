@@ -26,7 +26,7 @@ from lcumulants.lcumulant import (
     from_lcumulants,
     to_lcumulants,
 )
-from lcumulants.models import gmm_distribution, random_gmm_params, verify_split_binomials
+from lcumulants.models import _rank_at_most_one, gmm_distribution, random_gmm_params, verify_split_binomials
 from lcumulants.moments import (
     LCUMULANTS,
     MOMENTS,
@@ -50,7 +50,7 @@ from lcumulants.moments import (
     transform_values,
 )
 from lcumulants.partition import CapacityError
-from lcumulants.topology import caterpillar, from_newick
+from lcumulants.topology import caterpillar, edge_splits, from_newick
 from lcumulants.trees import _singleton_free_sums, tree_cumulants
 
 from conftest import random_distribution
@@ -231,6 +231,23 @@ def _warm_and_cold_against_the_oracle(space, fam, moments):
         assert_same(cold, want)
 
 
+def assert_plan_is_the_oracles(fam, arities, capacity):
+    """The cold plan against ``oracles.solve_plan_by_tables``, entry by entry.
+
+    The plan keeps each state's last stride where the oracle keeps every
+    stride of the state's positions, and its index size in ``sizes``.
+    """
+    sizes, order = _cached_plan.__wrapped__(fam, arities)
+    want_sizes, want_order = oracles.solve_plan_by_tables(fam, arities, capacity)
+    assert sizes == want_sizes
+    assert len(order) == len(want_order)
+    for (code, stride, table), (want_code, step, want_table) in zip(order, want_order):
+        assert code == want_code
+        assert stride == step[-1]
+        assert sizes[code] == len(step)
+        assert table == want_table
+
+
 class TestSolvePlan:
     """The cached plan of ``_first_block_solve`` against a cold one and the oracle.
 
@@ -298,7 +315,7 @@ class TestSolvePlan:
         ids=str,
     )
     def test_the_plan_equals_the_plan_built_table_by_table(self, arities, fam):
-        assert _cached_plan.__wrapped__(fam, arities, None) == oracles.solve_plan_by_tables(fam, arities, None)
+        assert_plan_is_the_oracles(fam, arities, None)
 
     @pytest.mark.parametrize("shape", ["({},{},({},({},({},{})h4)h3)h2)h1;", "((({},{})x,({},{})y)u,(({},{})z,{})w)r;"])
     def test_relabelled_plans_equal_the_plans_built_table_by_table(self, shape):
@@ -307,9 +324,7 @@ class TestSolvePlan:
             labels = random.Random(seed).sample(range(1, n + 1), n)
             fam = Family(TREE, from_newick(shape.format(*labels)))
             for capacity in (None, n):
-                assert _cached_plan.__wrapped__(fam, (2,) * n, capacity) == oracles.solve_plan_by_tables(
-                    fam, (2,) * n, capacity
-                )
+                assert_plan_is_the_oracles(fam, (2,) * n, capacity)
 
     def test_a_tree_family_is_checked_when_its_plan_is_warm(self, rng):
         fam = Family(TREE, TREES["caterpillar6"])
@@ -412,6 +427,10 @@ class TestPerAxis:
                 call(mv)
 
 
+def _subsets(side):
+    return [c for r in range(1, len(side) + 1) for c in itertools.combinations(side, r)]
+
+
 class TestSplitMinors:
     def test_perturbed_split_matrix(self, rng):
         tree = caterpillar(5)
@@ -428,6 +447,53 @@ class TestSplitMinors:
         assert violations
         assert (report.checked, report.violations) == (checked, violations)
         assert all(type(r) is Fraction for _, r in report.violations)
+
+    @pytest.mark.parametrize("name", ["caterpillar6", "relabelled-caterpillar6", "balanced7"])
+    def test_perturbed_points_take_the_walk_of_the_oracle(self, name, rng):
+        # Every inner edge split of a tree model point passes the rank test;
+        # one or two perturbed entries, or a zeroed one, send it to the walk.
+        tree = TREES[name]
+        tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
+        point = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
+        failed = 0
+        for split in (split for split in edge_splits(tree) if min(map(len, split)) >= 2):
+            report = verify_split_binomials(point, *split)
+            assert (report.checked, report.violations) == oracles.split_minors(point, *split)
+            assert not report.violations
+            keys = sorted(tuple(sorted(I + J)) for I in _subsets(split[0]) for J in _subsets(split[1]))
+            for changes in (
+                [(keys[-1], Fraction(1, 7))],
+                [(keys[0], Fraction(-2, 13)), (keys[len(keys) // 2], 1)],
+                [(keys[0], -point[keys[0]])],
+            ):
+                values = dict(point)
+                for key, delta in changes:
+                    values[key] += delta
+                report = verify_split_binomials(values, *split)
+                assert (report.checked, report.violations) == oracles.split_minors(values, *split)
+                failed += bool(report.violations)
+        assert failed
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+        st.one_of(st.none(), st.tuples(st.integers(0, 20), st.integers(-2, 2))),
+    )
+    def test_rank_one_matrices_and_one_changed_cell(self, u, v, change):
+        # The 3 x 7 flattening of the split (1, 2) | (3, 4, 5) is u v^T, with
+        # zero rows and columns and a zero matrix among the draws, and at
+        # most one cell changed; the report must be the oracle's.
+        side_a, side_b = (1, 2), (3, 4, 5)
+        cells = [tuple(sorted(I + J)) for I in _subsets(side_a) for J in _subsets(side_b)]
+        values = {key: Fraction(u[k // 7] * v[k % 7], 5) for k, key in enumerate(cells)}
+        if change is not None:
+            values[cells[change[0]]] += change[1]
+        report = verify_split_binomials(values, side_a, side_b)
+        checked, violations = oracles.split_minors(values, side_a, side_b)
+        assert (report.checked, report.violations) == (checked, violations)
+        rows = [[values[cells[7 * i + j]] * 5 for j in range(7)] for i in range(3)]
+        assert _rank_at_most_one(rows) is not bool(violations)
 
     def test_a_float_entry_is_refused(self):
         values = {c: Fraction(1, 3) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)}

@@ -252,6 +252,54 @@ class TestInverse:
         assert mv[(4,)] == expected
 
 
+class TestOneClusterCentring:
+    """The one-cluster transforms are one per-axis centring shift: no plan, no table."""
+
+    @pytest.mark.parametrize("box", [(2,) * 6, (3, 3, 2, 2), (4, 3, 2)], ids=str)
+    def test_a_round_trip_builds_no_plan_and_reads_no_table(self, box, rng):
+        import lcumulants.lattice
+        import lcumulants.lcumulant
+
+        caches = [lcumulants.lcumulant._cached_plan, lcumulants.lattice._cached_first_blocks]
+        for cache in caches:
+            cache.cache_clear()
+        fam = Family(ONECLUSTER)
+        space = StateSpace.of(box)
+        pairs = []
+        for algebraic in (False, True):
+            mv = random_moments(space, rng, algebraic=algebraic)
+            lv = to_lcumulants(mv, fam)
+            assert from_lcumulants(lv).entries == mv.entries
+            pairs.append((mv, lv))
+        means = {0: [Fraction(1, 3)] * space.n, 1: [Fraction(-2, 5)] * space.n}
+        conditional_collapse({0: Fraction(1, 4), 1: Fraction(3, 4)}, means, fam)
+        cumulant_tensor(random_distribution(space, rng), fam, 2)
+        for cache in caches:
+            info = cache.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        tables = oracles.first_block_tables(fam, space, None)  # the oracle reads the tables
+        for mv, lv in pairs:
+            assert lv.entries == oracles.first_block_solve(space, mv.entries, tables, forward=True)
+
+    def test_a_capped_call_raises_the_cap_message(self, rng):
+        # The largest index of the (3, 2, 2) box has size 4.
+        fam = Family(ONECLUSTER)
+        dist = random_distribution(StateSpace.of([3, 2, 2]), rng)
+        mv = moments_from_distribution(dist)
+        lv = to_lcumulants(mv, fam, capacity=None)
+        means = {0: [Fraction(1, 3)] * 4, 1: [Fraction(-2, 5)] * 4}
+        calls = [
+            lambda: to_lcumulants(mv, fam, capacity=3),
+            lambda: from_lcumulants(lv, capacity=3),
+            lambda: cumulant_tensor(dist, fam, 4, capacity=3),
+            lambda: conditional_collapse({0: Fraction(1, 4), 1: Fraction(3, 4)}, means, fam, capacity=3),
+        ]
+        for call in calls:
+            with pytest.raises(CapacityError, match=r"^ground set of size 4 exceeds the cap of 3$"):
+                call()
+        assert to_lcumulants(mv, fam, capacity=4).entries == lv.entries
+
+
 class TestClassicalBridge:
     def test_full_family_is_identity(self, rng):
         kv = classical_cumulants(random_moments(StateSpace.binary(3), rng))
