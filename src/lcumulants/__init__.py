@@ -20,9 +20,7 @@ from .lattice import (
     ConditionReport,
     Family,
     PartitionLattice,
-    build,
     check_condition,
-    custom_lattice,
     mobius_weights,
 )
 from .lcumulant import (

@@ -31,11 +31,13 @@ first-block LRU holds each table once, with every position set as a
 bitmask; the transforms read the masks, and :func:`first_blocks` decodes
 them into position tuples.
 
-A :class:`PartitionLattice` holds the elements, the refinement order as
-explicit up/down sets (one refinement test per pair) and a lazily filled
-Moebius memo, whose idempotent writes need no lock.  Only the C0..C3
-checks, :func:`build` and :func:`custom_lattice` build one; the tests use
-its Moebius recursion as the oracle for the weights.
+The structural checks C0..C3 (:func:`check_condition`) read the element
+lists of :func:`mobius_weights` too, which come in lattice order, and
+test the order pair by pair with ``refines``.  A :class:`PartitionLattice`
+holds the elements, the refinement order as explicit up/down sets and a
+lazily filled Moebius memo, whose idempotent writes need no lock.
+Nothing here builds one; the tests build them as the oracle for the
+weights and the checks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Sequence
 
 from .partition import (
@@ -384,15 +386,22 @@ def _elements(kind: str, key: TableKey) -> list[SetPartition]:
     return [SetPartition(rgs) for rgs in sorted(found, key=lambda rgs: (-max(rgs), rgs))]
 
 
-def build(
-    fam: Family,
-    ground: int | Sequence[int],
-    capacity: int | None = DEFAULT_CAPACITY,
-) -> PartitionLattice:
-    """Build the lattice of a family over a ground set (a size or labels)."""
+def element_count(fam: Family, ground: int | Sequence[int], capacity: int | None = DEFAULT_CAPACITY) -> int:
+    """The number of elements of the family lattice, with none built.
+
+    :func:`_elements` counted: the top, and for each first block B the
+    product of the counts on the parts of its ``rest``.
+    """
     labels = _ground_labels(fam, ground, capacity)
-    elements = _elements(fam.kind, _sub_ground(fam.splits, labels))
-    return PartitionLattice(elements, family_tag=fam, labels=labels)
+
+    @cache
+    def count(key: TableKey) -> int:
+        return 1 + sum(
+            prod(count(_sub_ground(key[1], _positions(part))) for part in rest)
+            for _, rest in _cached_first_blocks(fam.kind, key)
+        )
+
+    return count(_sub_ground(fam.splits, labels))
 
 
 # -- Moebius weights without the order ---------------------------------------
@@ -473,11 +482,11 @@ def mobius_weights(
     """``(pi, mu(pi, top))`` for every element pi of the family lattice.
 
     The pairs come in :attr:`PartitionLattice.elements` order (finest
-    first, the top last) and agree with ``build(fam, ground).mobius_to_top``,
-    but no order is built: every family has a closed form for mu
-    (:data:`_CLOSED_FORMS`).  Tables are cached per family kind and shape
-    (:func:`_sub_ground`), so tree leaf sets of one shape share one.  The
-    transforms read :func:`first_blocks` instead.
+    first, the top last) and agree with the Moebius recursion of the
+    explicit order, but no order is built: every family has a closed form
+    for mu (:data:`_CLOSED_FORMS`).  Tables are cached per family kind and
+    shape (:func:`_sub_ground`), so tree leaf sets of one shape share one.
+    The transforms read :func:`first_blocks` instead.
     """
     labels = _ground_labels(fam, ground, capacity)
     return _cached_weights(fam.kind, _sub_ground(fam.splits, labels))
@@ -622,11 +631,6 @@ _REST: dict[str, Callable[[int, int, tuple[int, ...]], tuple[int, ...]]] = {
 }
 
 
-def custom_lattice(elements: Iterable[SetPartition], labels: Sequence[int] | None = None) -> PartitionLattice:
-    """Wrap a user-supplied element list after validating lattice structure."""
-    return PartitionLattice(list(elements), family_tag=None, labels=labels)
-
-
 # -- structural conditions -------------------------------------------------
 
 
@@ -635,7 +639,6 @@ class ConditionReport:
     condition: str
     holds: bool | None
     witness: str | None = None
-    checked_sizes: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         if self.holds is None:
@@ -649,13 +652,6 @@ CONDITION_CHECK_LIMIT = 6
 def _subsets(labels: Sequence[int]) -> Iterable[tuple[int, ...]]:
     for r in range(1, len(labels) + 1):
         yield from itertools.combinations(labels, r)
-
-
-def _lattice_family_sizes(fam: Family, max_size: int) -> list[int]:
-    if fam.kind == TREE:
-        assert fam.tree is not None
-        return [fam.tree.num_leaves]
-    return list(range(1, max_size + 1))
 
 
 def check_condition(
@@ -675,6 +671,8 @@ def check_condition(
     C3: every coarsening interval, read on the blocks, reproduces the
         family lattice of the block count (conditional cumulant formula).
 
+    The checks read the element lists of :func:`mobius_weights`, in
+    lattice order, and test the order pair by pair with ``refines``.
     Verification is exhaustive for the given sizes and never extrapolates:
     sizes above :data:`CONDITION_CHECK_LIMIT`, and sizes below 1, which
     check nothing, return ``holds=None``.
@@ -683,37 +681,27 @@ def check_condition(
     if which not in {"C0", "C1", "C2", "C3"}:
         raise ValueError(f"unknown condition {which!r}")
     if max_size < 1:
-        return ConditionReport(which, None, f"size {max_size} leaves no ground set to check", ())
+        return ConditionReport(which, None, f"size {max_size} leaves no ground set to check")
     if max_size > CONDITION_CHECK_LIMIT:
-        return ConditionReport(which, None, f"size {max_size} above the exhaustive-check limit", ())
-    sizes = _lattice_family_sizes(fam, max_size)
-    if any(n > max_size for n in sizes):
-        # A tree family cannot be truncated to a smaller ground set, so a
-        # tree wider than the requested size is reported unchecked rather
-        # than vacuously true.
-        return ConditionReport(
-            which, None, f"tree with {max(sizes)} leaves exceeds the requested size {max_size}", ()
-        )
+        return ConditionReport(which, None, f"size {max_size} above the exhaustive-check limit")
+    if fam.kind == TREE:
+        assert fam.tree is not None
+        sizes = [fam.tree.num_leaves]
+        if sizes[0] > max_size:
+            # A tree family cannot be truncated to a smaller ground set, so a
+            # tree wider than the requested size is reported unchecked rather
+            # than vacuously true.
+            return ConditionReport(
+                which, None, f"tree with {sizes[0]} leaves exceeds the requested size {max_size}"
+            )
+    else:
+        sizes = list(range(1, max_size + 1))
     checker = {"C0": _check_c0, "C1": _check_c1, "C2": _check_c2, "C3": _check_c3}[which]
     for n in sizes:
         witness = checker(fam, n, capacity)
         if witness is not None:
-            return ConditionReport(which, False, witness, tuple(sizes))
-    return ConditionReport(which, True, None, tuple(sizes))
-
-
-def _check_c1(fam: Family, n: int, capacity) -> str | None:
-    labels = _root_labels(fam, n)
-    for ground in _subsets(labels):
-        if len(ground) < 2:
-            continue
-        lat = build(fam, ground, capacity)
-        d = len(ground)
-        for i in range(d):
-            split = SetPartition.from_blocks([[i], [j for j in range(d) if j != i]], size=d)
-            if split not in lat:
-                return f"split {format_partition(split, ground)} missing from the lattice on {ground}"
-    return None
+            return ConditionReport(which, False, witness)
+    return ConditionReport(which, True, None)
 
 
 def _root_labels(fam: Family, n: int) -> tuple[int, ...]:
@@ -723,34 +711,31 @@ def _root_labels(fam: Family, n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def _element_list(fam: Family, labels: Sequence[int], capacity: int | None) -> list[SetPartition]:
+    """The family's elements on a ground of labels, in lattice order."""
+    return [p for p, _ in mobius_weights(fam, labels, capacity)]
+
+
 def _check_c0(fam: Family, n: int, capacity) -> str | None:
     root_labels = _root_labels(fam, n)
-    sub_cache: dict[tuple[int, ...], PartitionLattice] = {}
-
-    def sub_lattice(block_labels: tuple[int, ...]) -> PartitionLattice:
-        if block_labels not in sub_cache:
-            sub_cache[block_labels] = build(fam, block_labels, capacity)
-        return sub_cache[block_labels]
-
     # Size-indexed families are covered by the initial segment; tree
     # lattices differ per leaf subset, so every ground set is visited.
     grounds: list[tuple[int, ...]] = (
         list(_subsets(root_labels)) if fam.kind == TREE else [root_labels]
     )
     for labels in grounds:
-        lat = sub_lattice(labels)
-        for hi in lat.elements:
-            blocks = [tuple(labels[i] for i in block) for block in hi.blocks]
-            for lo in lat.elements:
-                if not refines(lo, hi):
-                    continue
-                inside = lat.interval(lo, hi)
+        elements = _element_list(fam, labels, capacity)
+        for hi in elements:
+            below = [q for q in elements if refines(q, hi)]
+            # hi restricted to a block is the block's top, so the interval
+            # [lo|B, hi|B] is everything above lo|B in the block's lattice.
+            subs = [_element_list(fam, [labels[i] for i in block], capacity) for block in hi.blocks]
+            for lo in below:
+                inside = [q for q in below if refines(lo, q)]
                 factor_sets = []
-                for block, block_labels in zip(hi.blocks, blocks):
-                    sub = sub_lattice(block_labels)
+                for block, sub in zip(hi.blocks, subs):
                     lo_b = restrict(lo, block)
-                    hi_b = restrict(hi, block)
-                    factor_sets.append({q.rgs for q in sub.interval(lo_b, hi_b)})
+                    factor_sets.append({q.rgs for q in sub if refines(lo_b, q)})
                 product = set(itertools.product(*factor_sets))
                 image = {tuple(restrict(delta, block).rgs for block in hi.blocks) for delta in inside}
                 if len(image) != len(inside) or image != product:
@@ -761,12 +746,25 @@ def _check_c0(fam: Family, n: int, capacity) -> str | None:
     return None
 
 
+def _check_c1(fam: Family, n: int, capacity) -> str | None:
+    labels = _root_labels(fam, n)
+    for ground in _subsets(labels):
+        if len(ground) < 2:
+            continue
+        members = {p.rgs for p in _element_list(fam, ground, capacity)}
+        d = len(ground)
+        for i in range(d):
+            split = SetPartition.from_blocks([[i], [j for j in range(d) if j != i]], size=d)
+            if split.rgs not in members:
+                return f"split {format_partition(split, ground)} missing from the lattice on {ground}"
+    return None
+
+
 def _check_c2(fam: Family, n: int, capacity) -> str | None:
     labels = _root_labels(fam, n)
     for ground in _subsets(labels):
-        lat = build(fam, ground, capacity)
-        ref = build(fam, labels[: len(ground)], capacity)
-        if {p.rgs for p in lat.elements} != {p.rgs for p in ref.elements}:
+        members = {p.rgs for p in _element_list(fam, ground, capacity)}
+        if members != {p.rgs for p in _element_list(fam, labels[: len(ground)], capacity)}:
             return (
                 f"lattice on {ground} does not match the lattice on "
                 f"{labels[: len(ground)]} under the order bijection"
@@ -776,23 +774,17 @@ def _check_c2(fam: Family, n: int, capacity) -> str | None:
 
 def _check_c3(fam: Family, n: int, capacity) -> str | None:
     labels = _root_labels(fam, n)
-    lat = build(fam, labels, capacity)
-    for pi in lat.elements:
+    elements = _element_list(fam, labels, capacity)
+    for pi in elements:
         m = pi.num_blocks
-        if fam.kind == TREE:
-            assert fam.tree is not None
-            if m > fam.tree.num_leaves:
-                return f"cannot form a block lattice of size {m}"
-            ref = build(fam, fam.tree.leaves[:m], capacity)
-        else:
-            ref = build(fam, m, capacity)
-        above = lat.interval(pi, lat.top)
+        ref = {p.rgs for p in _element_list(fam, _root_labels(fam, m), capacity)}
         image = set()
-        for nu in above:
-            image.add(_blocks_partition(pi, nu).rgs)
-        if image != {p.rgs for p in ref.elements}:
-            missing = {p.rgs for p in ref.elements} - image
-            extra = image - {p.rgs for p in ref.elements}
+        for nu in elements:
+            if refines(pi, nu):
+                image.add(_blocks_partition(pi, nu).rgs)
+        if image != ref:
+            missing = ref - image
+            extra = image - ref
             detail = []
             if missing:
                 detail.append(f"missing {format_partition(SetPartition(next(iter(missing))))}")

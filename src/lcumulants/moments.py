@@ -674,10 +674,6 @@ def central_moments(mv: CoordinateVector) -> CoordinateVector:
     return CoordinateVector._of_integers(space, CENTRAL_MOMENTS, _Graded(flat, sizes, c * d, c))
 
 
-def _unit(n: int, i: int) -> Exponent:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 # -- marginals and conditioning ---------------------------------------------
 
 

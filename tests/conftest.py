@@ -26,11 +26,10 @@ def frac(text) -> Fraction:
 
 @pytest.fixture
 def no_lattice_order(monkeypatch):
-    """Make building a lattice order fail, through ``build`` or the class itself."""
+    """Make building a lattice order fail: every route to one constructs the class."""
     import lcumulants.lattice
 
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice order was built")
 
-    monkeypatch.setattr(lcumulants.lattice, "build", refuse)
     monkeypatch.setattr(lcumulants.lattice.PartitionLattice, "__init__", refuse)

@@ -23,6 +23,16 @@ every partition of a tree's leaves.  ``pushed_weights`` and
 closed forms replaced: mu pushed up through every first block, and the
 recursion down from the top over coarsenings.
 
+``lattice.check_condition`` checks C0..C3 on the element lists of
+``lattice.mobius_weights``, with ``refines`` filters for the intervals
+and coarsenings.  ``check_condition`` here gives the same ``(holds,
+witness)`` by the checks it replaced, ``check_c0`` to ``check_c3``, which
+read explicit lattices: ``build`` wraps a family's elements in a
+``lattice.PartitionLattice``, with its up/down sets and Moebius
+recursion, and ``custom_lattice`` wraps any element list after checking
+that every pair has a meet.  The tests use them as the oracle of the
+weights too.
+
 ``lattice.first_blocks`` reads a tree's table off the splits of the
 subtree its leaves induce, one table per shape.  ``tree_first_blocks``
 builds it per leaf tuple, as it was built before, with ``tree_rest``: a
@@ -81,10 +91,16 @@ from lcumulants.lattice import (
     FULL,
     TREE,
     Family,
+    PartitionLattice,
+    _blocks_partition,
     _cached_first_blocks,
+    _elements,
     _first_block_masks,
+    _ground_labels,
     _positions,
+    _root_labels,
     _sub_ground,
+    _subsets,
     first_blocks,
     mobius_weights,
 )
@@ -113,7 +129,15 @@ from lcumulants.moments import (
     _vandermonde,
     central_moments,
 )
-from lcumulants.partition import DEFAULT_CAPACITY, SetPartition, _canonical, all_partitions, refines
+from lcumulants.partition import (
+    DEFAULT_CAPACITY,
+    SetPartition,
+    _canonical,
+    all_partitions,
+    format_partition,
+    refines,
+    restrict,
+)
 from lcumulants.topology import induced_subtree
 from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
 
@@ -240,6 +264,113 @@ def split_minors(values, side_a, side_b):
             if residual != 0:
                 violations.append(((I, subsets_b[j], I2, subsets_b[j2]), residual))
     return len(subsets_a) ** 2 * len(subsets_b) ** 2, violations
+
+
+def build(fam, ground, capacity=DEFAULT_CAPACITY):
+    """The explicit lattice of a family over a ground set (a size or labels)."""
+    labels = _ground_labels(fam, ground, capacity)
+    return PartitionLattice(_elements(fam.kind, _sub_ground(fam.splits, labels)), family_tag=fam, labels=labels)
+
+
+def custom_lattice(elements, labels=None):
+    """Wrap a user-supplied element list after validating lattice structure."""
+    return PartitionLattice(list(elements), family_tag=None, labels=labels)
+
+
+def check_condition(fam, which, max_size, capacity=DEFAULT_CAPACITY):
+    """``(holds, witness)`` of ``lattice.check_condition`` at a checkable size, on explicit lattices."""
+    sizes = [fam.tree.num_leaves] if fam.kind == TREE else range(1, max_size + 1)
+    checker = {"C0": check_c0, "C1": check_c1, "C2": check_c2, "C3": check_c3}[which]
+    for n in sizes:
+        witness = checker(fam, n, capacity)
+        if witness is not None:
+            return False, witness
+    return True, None
+
+
+def check_c0(fam, n, capacity):
+    root_labels = _root_labels(fam, n)
+    sub_cache = {}
+
+    def sub_lattice(block_labels):
+        if block_labels not in sub_cache:
+            sub_cache[block_labels] = build(fam, block_labels, capacity)
+        return sub_cache[block_labels]
+
+    grounds = list(_subsets(root_labels)) if fam.kind == TREE else [root_labels]
+    for labels in grounds:
+        lat = sub_lattice(labels)
+        for hi in lat.elements:
+            blocks = [tuple(labels[i] for i in block) for block in hi.blocks]
+            for lo in lat.elements:
+                if not refines(lo, hi):
+                    continue
+                inside = lat.interval(lo, hi)
+                factor_sets = []
+                for block, block_labels in zip(hi.blocks, blocks):
+                    sub = sub_lattice(block_labels)
+                    lo_b = restrict(lo, block)
+                    hi_b = restrict(hi, block)
+                    factor_sets.append({q.rgs for q in sub.interval(lo_b, hi_b)})
+                product = set(itertools.product(*factor_sets))
+                image = {tuple(restrict(delta, block).rgs for block in hi.blocks) for delta in inside}
+                if len(image) != len(inside) or image != product:
+                    return (
+                        f"interval [{format_partition(lo, labels)}, {format_partition(hi, labels)}] "
+                        "does not restrict bijectively onto the blockwise product"
+                    )
+    return None
+
+
+def check_c1(fam, n, capacity):
+    labels = _root_labels(fam, n)
+    for ground in _subsets(labels):
+        if len(ground) < 2:
+            continue
+        lat = build(fam, ground, capacity)
+        d = len(ground)
+        for i in range(d):
+            split = SetPartition.from_blocks([[i], [j for j in range(d) if j != i]], size=d)
+            if split not in lat:
+                return f"split {format_partition(split, ground)} missing from the lattice on {ground}"
+    return None
+
+
+def check_c2(fam, n, capacity):
+    labels = _root_labels(fam, n)
+    for ground in _subsets(labels):
+        lat = build(fam, ground, capacity)
+        ref = build(fam, labels[: len(ground)], capacity)
+        if {p.rgs for p in lat.elements} != {p.rgs for p in ref.elements}:
+            return (
+                f"lattice on {ground} does not match the lattice on "
+                f"{labels[: len(ground)]} under the order bijection"
+            )
+    return None
+
+
+def check_c3(fam, n, capacity):
+    labels = _root_labels(fam, n)
+    lat = build(fam, labels, capacity)
+    for pi in lat.elements:
+        m = pi.num_blocks
+        ref = build(fam, fam.tree.leaves[:m] if fam.kind == TREE else m, capacity)
+        image = set()
+        for nu in lat.interval(pi, lat.top):
+            image.add(_blocks_partition(pi, nu).rgs)
+        if image != {p.rgs for p in ref.elements}:
+            missing = {p.rgs for p in ref.elements} - image
+            extra = image - {p.rgs for p in ref.elements}
+            detail = []
+            if missing:
+                detail.append(f"missing {format_partition(SetPartition(next(iter(missing))))}")
+            if extra:
+                detail.append(f"extra {format_partition(SetPartition(next(iter(extra))))}")
+            return (
+                f"coarsenings of {format_partition(pi, labels)} do not match the "
+                f"family lattice on {m} blocks ({'; '.join(detail)})"
+            )
+    return None
 
 
 def tree_elements(tree, labels):

@@ -19,7 +19,6 @@ from lcumulants.lattice import (
     ONECLUSTER,
     TREE,
     Family,
-    build,
 )
 from lcumulants.lcumulant import (
     UnsupportedFamilyError,
@@ -64,6 +63,7 @@ from lcumulants.trees import (
     subset_tree_cumulants,
     tree_cumulants,
 )
+from oracles import build
 
 from conftest import random_distribution
 

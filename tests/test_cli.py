@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+import lcumulants.lattice
 from lcumulants.cli import main
 from lcumulants.topology import from_newick, to_newick
 
@@ -113,6 +115,19 @@ class TestLattice:
 
     def test_missing_n(self, capsys):
         assert main(["lattice", "--family", "full"]) == 2
+
+    def test_a_dump_over_the_element_limit_is_refused(self, capsys, monkeypatch):
+        # Counted from the first-block tables: no element is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight table was read")
+
+        monkeypatch.setattr(lcumulants.lattice, "mobius_weights", refuse)
+        start = time.perf_counter()
+        assert main(["lattice", "--family", "full", "--n", "12"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the full lattice has 4213597 elements, above the dump limit of 1000000\n"
 
 
 class TestTransform:
@@ -429,6 +444,31 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {witness}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["--family", "full"], 0, "f07d2f56fb216b670151e76df4e1698027876d2fac7e6c2ab78d57fb034856c8"),
+            (["--family", "noncrossing"], 1, "2ec8368433d81bc6566874c3687c64dacd2a79858cb412de53a898a2f3030351"),
+            (["--family", "interval"], 1, "86ec35198d0399f0208ab05ae7b50f376841df63f2b5e8ca3971be2a393f3e8f"),
+            (["--family", "onecluster"], 1, "411349d8e44b3b6a46d1c8813a85b4ab27e889cbc3c168b1fb0d3c056b53300a"),
+            (
+                ["--family", "tree", "--tree", "caterpillar6"],
+                1,
+                "845e27baa7ac43d7850232ce2b317bd3f77f230b2db56c47db47890b2b103984",
+            ),
+            (
+                ["--family", "tree", "--tree", "(2,3,(1,(6,(5,4)h4)h3)h2)h1;"],
+                1,
+                "aa2e4644ad42c5130ddf9b9c86bf63355be04d234b0dcc3fdde9b57cc7a3927c",
+            ),
+        ],
+        ids=["full", "noncrossing", "interval", "onecluster", "caterpillar6", "relabelled-caterpillar6"],
+    )
+    def test_conditions_bytes(self, capsys, argv, code, digest):
+        got, out = run(capsys, "verify", "conditions", *argv, "--n", "6")
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_conditions_expectation_flag(self, capsys):
         code, data = run_json(

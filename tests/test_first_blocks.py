@@ -23,7 +23,7 @@ from lcumulants.lattice import (
     ONECLUSTER,
     TREE,
     Family,
-    build,
+    element_count,
     first_blocks,
     mobius_weights,
 )
@@ -48,9 +48,11 @@ from lcumulants.partition import (
     is_interval,
     is_noncrossing,
     is_one_cluster,
+    meet,
 )
 from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums, subset_tree_cumulants
+from oracles import build
 
 from conftest import random_distribution
 
@@ -329,6 +331,42 @@ class TestDerivedFromTheTables:
         fam = Family(TREE, SHAPE_TREES[name])
         for support in {_key(fam, support): support for support in self._leaf_subsets(fam.tree)}.values():
             self._check_weights(fam, support)
+
+    @staticmethod
+    def _assert_closed_under_meets(kind, key):
+        # A partition is its same-block relation, one bit per pair of
+        # positions, and the meet of two is the intersection of theirs.
+        elements = lcumulants.lattice._elements(kind, key)
+        pairs = list(itertools.combinations(range(key[0]), 2))
+        relations = [sum(1 << k for k, (i, j) in enumerate(pairs) if p.rgs[i] == p.rgs[j]) for p in elements]
+        members = set(relations)
+        for i, p in enumerate(relations):
+            for j, q in enumerate(relations[i + 1 :], i + 1):
+                if p & q not in members:
+                    raise AssertionError(f"{key}: {meet(elements[i], elements[j])} escapes the lattice")
+
+    @pytest.mark.parametrize(
+        "kind, d", [(kind, d) for kind in SIZE_INDEXED for d in range(1, 7 if kind == FULL else 8)]
+    )
+    def test_size_indexed_elements_are_closed_under_meets(self, kind, d):
+        self._assert_closed_under_meets(kind, (d, ()))
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
+    def test_tree_elements_are_closed_under_meets(self, name):
+        fam = Family(TREE, SHAPE_TREES[name])
+        keys = {_key(fam, support) for support in self._leaf_subsets(fam.tree) if len(support) <= 7}
+        for key in keys:
+            self._assert_closed_under_meets(TREE, key)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("kind", SIZE_INDEXED)
+    def test_size_indexed_element_counts(self, kind, d):
+        assert element_count(Family(kind), d) == len(mobius_weights(Family(kind), d))
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
+    def test_tree_element_counts(self, name):
+        fam = Family(TREE, SHAPE_TREES[name])
+        assert element_count(fam, fam.tree.leaves) == len(mobius_weights(fam, fam.tree.leaves))
 
 
 class TestShapeKeys:

@@ -29,7 +29,6 @@ from lcumulants.moments import (
     StateSpace,
     _invert,
     _shift_matrix,
-    _unit,
     _vandermonde,
     central_moments,
     distribution_from_moments,
@@ -40,6 +39,7 @@ from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums
 
 from conftest import random_distribution
+from test_integer_kernels import unit
 
 HAND_OFF_BOXES = [(2,) * 6, (3, 3, 2, 2), (4, 3, 2)]
 TREE_FAMILIES = [Family(TREE, caterpillar(6)), Family(TREE, from_newick("(4,2,(6,(1,(3,5)h4)h3)h2)h1;"))]
@@ -266,7 +266,7 @@ class TestErrorContract:
         mv = transform_values(caller, scale=scale, shift=shift)
         matrices = [_shift_matrix(r, Fraction(a), Fraction(b)) for r, a, b in zip(space.arities, scale, shift)]
         assert_same(mv.entries, oracles.per_axis(space, entries, matrices))
-        units = [_unit(space.n, i) for i in range(space.n)]
+        units = [unit(space.n, i) for i in range(space.n)]
         for vec in (caller, mv):
             centring = [_shift_matrix(r, Fraction(1), -vec.entries[u]) for r, u in zip(space.arities, units)]
             want = oracles.per_axis(space, vec.entries, centring)

@@ -42,7 +42,6 @@ from lcumulants.moments import (
     _scaled_integers,
     _scaled_matrix,
     _shift_matrix,
-    _unit,
     _vandermonde,
     central_moments,
     distribution_from_moments,
@@ -59,6 +58,11 @@ from test_first_blocks import SHAPE_TREES, TREES
 SIZE_INDEXED = [FULL, NONCROSSING, INTERVAL, ONECLUSTER]
 BOXES = [(2,) * 6, (2,) * 7, (3, 3, 2, 2), (4, 3, 2)]
 VALUE_MAPS = [(Fraction(-1, 2), Fraction(3, 7)), (Fraction(0), Fraction(1, 3), Fraction(-5, 2)), (2, Fraction(7, 11))]
+
+
+def unit(n, i):
+    """The exponent of the i-th variable alone: its first moment's index."""
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def _primes(count):
@@ -125,11 +129,11 @@ def _check_moment_maps(space, dist):
         dict(distribution_from_moments(mv, algebraic=True).table), oracles.per_axis(space, mv.entries, inverses)
     )
     assert_same(dict(oracles.central_moments_direct(dist).entries), oracles.per_axis(space, dist.table, centred))
-    shifts = [_shift_matrix(r, Fraction(1), -mv.entries[_unit(space.n, i)]) for i, r in enumerate(space.arities)]
+    shifts = [_shift_matrix(r, Fraction(1), -mv.entries[unit(space.n, i)]) for i, r in enumerate(space.arities)]
     want = oracles.per_axis(space, mv.entries, shifts)
     want[(0,) * space.n] = Fraction(1)
     for i in range(space.n):
-        want[_unit(space.n, i)] = Fraction(0)
+        want[unit(space.n, i)] = Fraction(0)
     assert_same(dict(central_moments(mv).entries), want)
     return mv
 
@@ -267,7 +271,7 @@ class TestSolvePlan:
     def test_central_moments_skip_every_singleton_block(self, box, kind, rng):
         space = StateSpace.of(box)
         cm = central_moments(moments_from_distribution(random_distribution(space, rng, algebraic=True)))
-        assert all(cm.entries[_unit(space.n, i)] == 0 for i in range(space.n))
+        assert all(cm.entries[unit(space.n, i)] == 0 for i in range(space.n))
         _warm_and_cold_against_the_oracle(space, Family(kind), cm.entries)
 
     def test_two_spellings_of_one_tree_share_a_plan(self, rng):

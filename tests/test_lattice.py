@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from lcumulants.lattice import (
     FULL,
     INTERVAL,
@@ -11,9 +12,7 @@ from lcumulants.lattice import (
     ONECLUSTER,
     TREE,
     Family,
-    build,
     check_condition,
-    custom_lattice,
     mobius_weights,
 )
 from lcumulants.partition import (
@@ -24,6 +23,7 @@ from lcumulants.partition import (
 )
 from lcumulants.rng import SplitMix64
 from lcumulants.topology import caterpillar, from_newick, quartet, star
+from oracles import build, custom_lattice
 
 FAMILIES_AT = {
     FULL: lambda n: Family(FULL),
@@ -345,6 +345,39 @@ class TestConditions:
         report = check_condition(Family(TREE, caterpillar(6)), "C0", 4)
         assert report.holds is None
         assert "6" in report.witness
+
+
+CONDITION_TREES = {
+    **{f"caterpillar{k}": caterpillar(k) for k in range(3, 7)},
+    "hub5": from_newick("(1,2,3,(4,5)a)r;"),
+    "degree-four": from_newick("((1,2)a,3,4,(5,6)b)r;"),
+    "snowflake": from_newick("((1,2)a,(3,4)b,(5,6)c)r;"),
+    "relabelled-snowflake": from_newick("((1,4)a,(2,6)b,(3,5)c)r;"),
+    "relabelled-caterpillar6": from_newick("(2,3,(1,(6,(5,4)h4)h3)h2)h1;"),
+}
+
+
+class TestConditionsAgainstTheOracle:
+    """C0..C3 on the element lists against the explicit lattices they replaced."""
+
+    @pytest.mark.parametrize("which", ["C0", "C1", "C2", "C3"])
+    @pytest.mark.parametrize("max_size", range(1, 7))
+    @pytest.mark.parametrize("kind", [FULL, NONCROSSING, INTERVAL, ONECLUSTER])
+    def test_size_indexed_families(self, kind, max_size, which):
+        report = check_condition(Family(kind), which, max_size)
+        assert (report.holds, report.witness) == oracles.check_condition(Family(kind), which, max_size)
+
+    @pytest.mark.parametrize("which", ["C0", "C1", "C2", "C3"])
+    @pytest.mark.parametrize("name", sorted(CONDITION_TREES))
+    def test_trees(self, name, which):
+        fam = Family(TREE, CONDITION_TREES[name])
+        report = check_condition(fam, which, fam.tree.num_leaves)
+        assert (report.holds, report.witness) == oracles.check_condition(fam, which, fam.tree.num_leaves)
+
+    def test_no_lattice_order_is_built(self, no_lattice_order):
+        for fam in [Family(FULL), Family(NONCROSSING), Family(TREE, caterpillar(5))]:
+            for which in ["C0", "C1", "C2", "C3"]:
+                assert check_condition(fam, which, 5).holds is not None
 
 
 class TestCustomLattices:

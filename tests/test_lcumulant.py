@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family, build
+from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family
 from lcumulants.lcumulant import (
     UnsupportedFamilyError,
     brillinger,
@@ -32,6 +32,7 @@ from lcumulants.moments import (
 )
 from lcumulants.partition import CapacityError, SetPartition, all_partitions, parse_partition
 from lcumulants.topology import caterpillar, from_newick, star
+from oracles import build
 
 from conftest import random_distribution
 

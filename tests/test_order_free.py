@@ -22,7 +22,6 @@ from lcumulants.lattice import (
     ONECLUSTER,
     TREE,
     Family,
-    build,
     mobius_weights,
     weights_json,
     weisner_fibres,
@@ -39,6 +38,7 @@ from lcumulants.lcumulant import (
 from lcumulants.moments import DiscreteDistribution, StateSpace, moments_from_distribution
 from lcumulants.partition import SetPartition
 from lcumulants.topology import caterpillar, to_newick
+from oracles import build
 
 from conftest import random_distribution
 from test_first_blocks import TREES
@@ -92,7 +92,7 @@ def test_meet_fibres_are_the_weisner_sums(fam, ground, capsys):
 
 
 class TestNoOrderIsBuilt:
-    """Every reader of the weights runs with ``build`` and the class refused."""
+    """Every reader of the weights runs with the lattice class refused."""
 
     @pytest.mark.parametrize(
         "argv, size", [(["--family", NONCROSSING, "--n", "5"], 42), (["--family", TREE, "--tree", "caterpillar5"], 34)]

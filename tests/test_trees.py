@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from lcumulants.lattice import ONECLUSTER, TREE, Family, build, mobius_weights
+from lcumulants.lattice import ONECLUSTER, TREE, Family, mobius_weights
 from lcumulants.moments import (
     DiscreteDistribution,
     StateSpace,
@@ -38,6 +38,7 @@ from lcumulants.trees import (
     trivalent_refinement,
     variances_from_distribution,
 )
+from oracles import build
 
 from conftest import random_distribution
 
