@@ -719,11 +719,18 @@ def _element_list(fam: Family, labels: Sequence[int], capacity: int | None) -> l
 def _check_c0(fam: Family, n: int, capacity) -> str | None:
     root_labels = _root_labels(fam, n)
     # Size-indexed families are covered by the initial segment; tree
-    # lattices differ per leaf subset, so every ground set is visited.
+    # lattices differ per leaf subset, but subsets of one table key have the
+    # same element lists and verdict, so the first subset of each key stands
+    # for the rest.
     grounds: list[tuple[int, ...]] = (
         list(_subsets(root_labels)) if fam.kind == TREE else [root_labels]
     )
+    seen: set[TableKey] = set()
     for labels in grounds:
+        key = _sub_ground(fam.splits, labels)
+        if key in seen:
+            continue
+        seen.add(key)
         elements = _element_list(fam, labels, capacity)
         for hi in elements:
             below = [q for q in elements if refines(q, hi)]

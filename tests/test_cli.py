@@ -1,12 +1,17 @@
 import hashlib
+import importlib.util
 import json
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lcumulants.lattice
 from lcumulants.cli import main
+from lcumulants.commands import WEISNER_FIBRE_LIMIT
+from lcumulants.lattice import Family
 from lcumulants.topology import from_newick, to_newick
 
 
@@ -419,6 +424,42 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a one-element lattice has no meet-fiber sum to check\n"
+
+    def test_weisner_over_the_fibre_limit_is_refused(self, capsys, monkeypatch):
+        # Counted from the first-block tables: no weight is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weight table was read")
+
+        monkeypatch.setattr(lcumulants.lattice, "mobius_weights", refuse)
+        start = time.perf_counter()
+        assert main(["verify", "weisner", "--family", "full", "--n", "8"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the full lattice has 17135460 meet-fiber sums to check, above the limit of 5000000\n"
+        )
+
+    @pytest.mark.parametrize("kind, n", [("full", 7), ("noncrossing", 8)])
+    def test_weisner_fibre_limit_admits(self, kind, n):
+        count = lcumulants.lattice.element_count(Family(kind), n)
+        assert (count - 1) * count <= WEISNER_FIBRE_LIMIT
+
+    def test_weisner_fibre_limit_admits_the_benchmark_jobs(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("jobs", Path(__file__).parent.parent / "perfbench" / "jobs.py")
+        jobs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "jobs", jobs)  # its dataclasses look their module up there
+        spec.loader.exec_module(jobs)
+        weisner = [
+            job.argv
+            for workload in jobs.WORKLOADS
+            for job in jobs.draw(workload, 0)
+            if job.argv[:2] == ["verify", "weisner"]
+        ]
+        assert weisner
+        for argv in weisner:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
     def test_conditions_failure_reports_witness(self, capsys):
         code, data = run_json(
@@ -846,7 +887,7 @@ class TestCapacitySetting:
         # The split minors cannot finish at 13, so spy on the calls at 4.
         import inspect
 
-        import lcumulants.cli
+        import lcumulants.commands
 
         seen = []
 
@@ -858,7 +899,7 @@ class TestCapacitySetting:
             return wrapper
 
         for name in ["classical_cumulants", "subset_tree_cumulants"]:
-            monkeypatch.setattr(lcumulants.cli, name, spy(getattr(lcumulants.cli, name)))
+            monkeypatch.setattr(lcumulants.commands, name, spy(getattr(lcumulants.commands, name)))
         monkeypatch.setenv("LCUM_CAPACITY", "5")
         code, data = run_json(capsys, "verify", "secant", "--n", "4", "--trials", "1")
         assert code == 0 and data["passed"] is True
