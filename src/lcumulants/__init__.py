@@ -41,7 +41,7 @@ _EXPORTS = {
             "binary_regression_identity_check", "gmm_distribution", "hmm_distribution",
             "hmm_normalized_tree_cumulants", "hmm_pipeline_tree_cumulants", "hmm_tree_cumulants_closed",
             "random_gmm_params", "random_hmm_params", "regression_mean_check", "reroot_params",
-            "secant_moments", "secant_tree_cumulants", "verify_split_binomials",
+            "secant_moments", "secant_tree_cumulants", "split_binomials", "verify_split_binomials",
         ),
         "partition": (
             "CapacityError", "SetPartition", "all_partitions", "bell_number", "format_partition",

@@ -60,7 +60,7 @@ from .models import (
     reroot_params,
     secant_moments,
     secant_tree_cumulants,
-    verify_split_binomials,
+    split_binomials,
 )
 from .partition import DEFAULT_CAPACITY, CapacityError
 from .rng import SplitMix64
@@ -488,10 +488,7 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
         distribution_from_moments(mv, algebraic=True), caterpillar(n), _capacity()
     )
     results.append(_check(f"trial {trial}: closed form vs pipeline", _max_diff(closed, pipeline)))
-    binom_worst = Fraction(0)
-    for side_a, side_b in _all_splits(n):
-        rep = verify_split_binomials(closed, side_a, side_b)
-        binom_worst = max(binom_worst, rep.max_abs_residual)
+    binom_worst = max((rep.max_abs_residual for rep in split_binomials(closed, _all_splits(n))), default=Fraction(0))
     results.append(_check(f"trial {trial}: split binomials", binom_worst))
     return results
 
@@ -539,10 +536,7 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
         redist = gmm_distribution(retree, reparams)
         reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
     results.append(_check(f"trial {trial}: rooting invariance", reroot_worst))
-    split_worst = Fraction(0)
-    for side_a, side_b in edge_splits(tree):
-        rep = verify_split_binomials(pipeline, side_a, side_b)
-        split_worst = max(split_worst, rep.max_abs_residual)
+    split_worst = max((rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(tree))), default=Fraction(0))
     results.append(_check(f"trial {trial}: edge split binomials", split_worst))
     return results
 
@@ -567,8 +561,8 @@ def _suite_hmm(args) -> list[dict]:
     import itertools as it
 
     n = args.n
-    if n < 1 or args.trials < 0:
-        raise SystemExit2("verify hmm needs --n of at least 1 and a nonnegative --trials")
+    if n < 2 or args.trials < 0:
+        raise SystemExit2("verify hmm needs --n of at least 2 and a nonnegative --trials")
     _within_capacity(n, "--n")
     seeds = _trial_seeds(args.seed, args.trials + 1)
     items = [(trial, s, n) for trial, s in enumerate(seeds[:-1])]
@@ -652,8 +646,8 @@ def _suite_split_binomials(args) -> list[dict]:
     dist = gmm_distribution(tree, params)
     tv = tree_cumulants(moments_from_distribution(dist), tree, _capacity())
     results = []
-    for side_a, side_b in edge_splits(tree):
-        rep = verify_split_binomials(tv, side_a, side_b)
+    for rep in split_binomials(tv, edge_splits(tree)):
+        side_a, side_b = rep.split
         name = f"split {'|'.join(map(str, side_a))} / {'|'.join(map(str, side_b))}"
         results.append(
             _check(name, rep.max_abs_residual, checked=rep.checked)

@@ -208,10 +208,10 @@ class BinomialReport:
         return not self.violations
 
 
-def _nonempty_subsets(pool: Sequence[int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+def _nonempty_subsets(pool: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    out: list[tuple[tuple[int, ...], int]] = []
     for r in range(1, len(pool) + 1):
-        out.extend(itertools.combinations(pool, r))
+        out.extend((c, sum(1 << i for i in c)) for c in itertools.combinations(pool, r))
     return out
 
 
@@ -229,48 +229,54 @@ def _rank_at_most_one(rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def split_binomials(
+    tree_cums: Mapping[tuple[int, ...], Fraction] | CoordinateVector,
+    splits: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> list[BinomialReport]:
+    """Evaluate every rank-one 2x2 determinant attached to each split A|B.
+
+    For nonempty I, I' in A and J, J' in B the residual is
+    t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
+    points of a tree model realizing the split across an edge.  The map is
+    read once, scaled by the lcm L of its denominators and keyed by leaf
+    bitmask; an index with a repeated leaf would alias a set and is left
+    out.  A split's minors all vanish exactly when its flattening t(I+J)
+    has rank at most one, which :func:`_rank_at_most_one` tests first.
+    Only a matrix that fails has every minor taken in turn on integers; a
+    nonzero integer minor r is the residual r / L^2.  ``checked`` counts
+    every minor either way.
+    """
+    if isinstance(tree_cums, CoordinateVector):
+        tree_cums = {tree_cums.space.index_multiset(x): v for x, v in tree_cums.entries.items()}
+    entries = [(key, v) for key, v in tree_cums.items() if len(set(key)) == len(key)]
+    ints, scale = _scaled_integers(entries, "index")
+    values = {sum(1 << i for i in key): v for (key, _), v in zip(entries, ints)}
+    reports = []
+    for side_a, side_b in splits:
+        side_a, side_b = tuple(sorted(side_a)), tuple(sorted(side_b))
+        if set(side_a) & set(side_b):
+            raise ValueError("split sides overlap")
+        subsets_a = _nonempty_subsets(side_a)
+        subsets_b = _nonempty_subsets(side_b)
+        flat = [[values[mask_i | mask_j] for _, mask_j in subsets_b] for _, mask_i in subsets_a]
+        violations = []
+        if not _rank_at_most_one(flat):
+            for ((I, _), row), ((I2, _), row2) in itertools.product(zip(subsets_a, flat), repeat=2):
+                for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
+                    residual = row[j] * row2[j2] - row[j2] * row2[j]
+                    if residual:
+                        violations.append(((I, subsets_b[j][0], I2, subsets_b[j2][0]), Fraction(residual, scale * scale)))
+        reports.append(BinomialReport((side_a, side_b), len(subsets_a) ** 2 * len(subsets_b) ** 2, violations))
+    return reports
+
+
 def verify_split_binomials(
     tree_cums: Mapping[tuple[int, ...], Fraction] | CoordinateVector,
     side_a: Sequence[int],
     side_b: Sequence[int],
 ) -> BinomialReport:
-    """Evaluate every rank-one 2x2 determinant attached to a split A|B.
-
-    For nonempty I, I' in A and J, J' in B the residual is
-    t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
-    points of a tree model realizing the split across an edge.  The
-    flattening matrix of t(I+J) is read once and scaled by the lcm L of
-    its denominators.  Every minor vanishes exactly when the matrix has
-    rank at most one, which :func:`_rank_at_most_one` tests first.  Only a
-    matrix that fails has every minor taken in turn on integers; a nonzero
-    integer minor r is the residual r / L^2.  ``checked`` counts every
-    minor either way.
-    """
-    if isinstance(tree_cums, CoordinateVector):
-        values = {
-            tree_cums.space.index_multiset(x): v for x, v in tree_cums.entries.items()
-        }
-    else:
-        values = dict(tree_cums)
-    side_a, side_b = tuple(sorted(side_a)), tuple(sorted(side_b))
-    if set(side_a) & set(side_b):
-        raise ValueError("split sides overlap")
-    subsets_a = _nonempty_subsets(side_a)
-    subsets_b = _nonempty_subsets(side_b)
-    keys = [[tuple(sorted(I + J)) for J in subsets_b] for I in subsets_a]
-    ints, scale = _scaled_integers(((key, values[key]) for row in keys for key in row), "index")
-    width = len(subsets_b)
-    flat = [ints[k : k + width] for k in range(0, len(ints), width)]
-    checked = len(subsets_a) ** 2 * len(subsets_b) ** 2
-    if _rank_at_most_one(flat):
-        return BinomialReport((side_a, side_b), checked, [])
-    violations = []
-    for (I, row), (I2, row2) in itertools.product(zip(subsets_a, flat), repeat=2):
-        for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
-            residual = row[j] * row2[j2] - row[j2] * row2[j]
-            if residual:
-                violations.append(((I, subsets_b[j], I2, subsets_b[j2]), Fraction(residual, scale * scale)))
-    return BinomialReport((side_a, side_b), checked, violations)
+    """The :func:`split_binomials` report of the one split A|B."""
+    return split_binomials(tree_cums, [(side_a, side_b)])[0]
 
 
 # -- hidden two-state chains --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Slow paths kept as the oracles of the fast ones that replaced them.
 
 ``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
-of ``models.verify_split_binomials`` compute on integers.  ``first_block_solve``, ``per_axis`` and
+of ``models.split_binomials`` compute on integers.  ``first_block_solve``, ``per_axis`` and
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
 ran before; the kernels must return the same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
@@ -12,7 +12,7 @@ before, with every stride of each state's positions.  The per-axis pass
 rotates one flat list, and ``per_axis`` indexes the box state by state.
 The one-cluster transforms run the per-axis centring shift in place of
 the recursion; ``first_block_solve`` on the one-cluster tables is their
-oracle.  ``verify_split_binomials`` walks the minors only when its
+oracle.  ``split_binomials`` walks a split's minors only when its
 rank-one test fails; ``split_minors`` walks them always.
 
 ``lattice._elements`` derives a family's elements from its first-block

@@ -26,7 +26,14 @@ from lcumulants.lcumulant import (
     from_lcumulants,
     to_lcumulants,
 )
-from lcumulants.models import _rank_at_most_one, gmm_distribution, random_gmm_params, verify_split_binomials
+import lcumulants.models
+from lcumulants.models import (
+    _rank_at_most_one,
+    gmm_distribution,
+    random_gmm_params,
+    split_binomials,
+    verify_split_binomials,
+)
 from lcumulants.moments import (
     LCUMULANTS,
     MOMENTS,
@@ -498,6 +505,55 @@ class TestSplitMinors:
         assert (report.checked, report.violations) == (checked, violations)
         rows = [[values[cells[7 * i + j]] * 5 for j in range(7)] for i in range(3)]
         assert _rank_at_most_one(rows) is not bool(violations)
+
+    def test_every_bipartition_in_one_pass(self, rng):
+        # Each of the 31 bipartitions of a perturbed 6-leaf point gets, in
+        # order, the report the oracle gives it alone.
+        tree = caterpillar(6)
+        tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
+        values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
+        values[(2, 5)] += Fraction(1, 7)
+        values[(1, 3, 4, 6)] -= Fraction(2, 13)
+        leaves = tuple(range(1, 7))
+        splits = [(a, tuple(sorted(set(leaves) - set(a)))) for a in _subsets(leaves) if 1 in a and a != leaves]
+        assert len(splits) == 31
+        reports = split_binomials(values, splits)
+        expected = [oracles.split_minors(values, *split) for split in splits]
+        assert [(report.checked, report.violations) for report in reports] == expected
+        assert [report.split for report in reports] == splits
+        assert any(violations for _, violations in expected)
+
+    def test_a_vector_with_higher_levels_reads_its_binary_states(self, rng):
+        # An index with a repeated leaf, such as (1, 1, 3), must not stand in
+        # for a set of leaves.
+        space = StateSpace.of((3, 2, 2, 2))
+        entries = {x: rng.fraction(11, signed=True) for x in space.states()}
+        vector = CoordinateVector(space, LCUMULANTS, entries)
+        values = {space.index_multiset(x): v for x, v in entries.items() if max(x) <= 1}
+        splits = [((1,), (2, 3, 4)), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)), ((2,), (1, 3, 4))]
+        reports = split_binomials(vector, splits)
+        assert [(report.checked, report.violations) for report in reports] == [
+            oracles.split_minors(values, *split) for split in splits
+        ]
+        assert any(report.violations for report in reports)
+
+    def test_the_map_is_scaled_once_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return _scaled_integers(*args, **kwargs)
+
+        monkeypatch.setattr(lcumulants.models, "_scaled_integers", spy)
+        values = {c: Fraction(sum(c), 1 + len(c)) for c in _subsets((1, 2, 3, 4, 5))}
+        splits = [((1, 2), (3, 4, 5)), ((1, 3), (2, 4, 5)), ((4,), (1, 2, 3, 5))]
+        for count in (0, 1, 3):
+            calls.clear()
+            assert len(split_binomials(values, splits[:count])) == count
+            assert len(calls) == 1
+        calls.clear()
+        verify_split_binomials(values, *splits[0])
+        assert len(calls) == 1
 
     def test_a_float_entry_is_refused(self):
         values = {c: Fraction(1, 3) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)}

@@ -135,8 +135,9 @@ class TestLazyPackage:
         assert names == sorted(lcumulants.__all__)
         assert set(names) <= set(dir(lcumulants))
         # The 94 exports and the eight layer modules that the package bound
-        # when it imported every layer eagerly.
-        assert len(names) == 102
-        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+        # when it imported every layer eagerly, and split_binomials.
+        assert len(names) == 103
+        earlier = [name for name in names if name != "split_binomials"]
+        assert hashlib.sha256("\n".join(earlier).encode()).hexdigest() == (
             "14275c128b4fb170e722ab6d9efac38272f6f42825d3088ee7d2e402563a5313"
         )
