@@ -44,16 +44,15 @@ _EXPORTS = {
             "secant_moments", "secant_tree_cumulants", "split_binomials", "verify_split_binomials",
         ),
         "partition": (
-            "CapacityError", "SetPartition", "all_partitions", "bell_number", "format_partition",
-            "is_interval", "is_noncrossing", "is_one_cluster", "join", "meet", "parse_partition",
+            "CapacityError", "SetPartition", "format_partition", "join", "meet", "parse_partition",
             "refines", "restrict",
         ),
         "rng": (
             "SplitMix64",
         ),
         "topology": (
-            "TreeTopology", "caterpillar", "edge_splits", "from_newick", "induced_subtree",
-            "is_caterpillar", "quartet", "star", "suppress_degree_two", "to_newick",
+            "TreeTopology", "caterpillar", "edge_splits", "from_newick", "is_caterpillar",
+            "quartet", "star", "suppress_degree_two", "to_newick",
         ),
         "trees": (
             "GMMParams", "contracted_tree_cumulants", "exact_sqrt", "gmm_tree_cumulants",

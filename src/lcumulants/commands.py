@@ -536,14 +536,21 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
         redist = gmm_distribution(retree, reparams)
         reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
     results.append(_check(f"trial {trial}: rooting invariance", reroot_worst))
-    split_worst = max((rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(tree))), default=Fraction(0))
+    split_worst = max(rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(tree)))
     results.append(_check(f"trial {trial}: edge split binomials", split_worst))
     return results
 
 
+def _two_leaves(suite: str, tree) -> None:
+    if tree.num_leaves < 2:
+        raise SystemExit2(f"verify {suite} needs a tree with at least two leaves")
+
+
 def _suite_gmm(args) -> list[dict]:
     _positive_trials("gmm", args.trials)
-    _within_capacity((_load_tree(args.tree) if args.tree else quartet()).num_leaves, "the tree's leaf count")
+    tree = _load_tree(args.tree) if args.tree else quartet()
+    _two_leaves("gmm", tree)
+    _within_capacity(tree.num_leaves, "the tree's leaf count")
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.tree) for trial, s in enumerate(seeds)]
     return _run_trials(_gmm_trial, items, args.jobs)
@@ -636,6 +643,7 @@ def _suite_conditions(args) -> list[dict]:
 
 def _suite_split_binomials(args) -> list[dict]:
     tree = _load_tree(args.tree) if args.tree else quartet()
+    _two_leaves("split-binomials", tree)
     _within_capacity(tree.num_leaves, "the tree's leaf count")
     if args.params:
         params, root = _load_gmm_params(args.params)

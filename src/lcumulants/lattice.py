@@ -28,8 +28,7 @@ alone for size-indexed families, and for a tree the splits of the subtree
 its leaves induce, so leaf sets of one shape share their tables
 (:func:`_sub_ground`).  The cap is checked before either is read.  The
 first-block LRU holds each table once, with every position set as a
-bitmask; the transforms read the masks, and :func:`first_blocks` decodes
-them into position tuples.
+bitmask, and every reader reads the masks.
 
 The structural checks C0..C3 (:func:`check_condition`) read the element
 lists of :func:`mobius_weights` too, which come in lattice order, and
@@ -513,9 +512,7 @@ def weisner_fibres(weights: Weights, pi0: SetPartition) -> dict[SetPartition, in
 
 # -- first blocks ---------------------------------------------------------------
 
-Positions = tuple[int, ...]
-FirstBlocks = tuple[tuple[Positions, tuple[Positions, ...]], ...]
-# The same table with each position set as a bitmask, bit j for position j.
+# A first-block table with each position set as a bitmask, bit j for position j.
 FirstBlockMasks = tuple[tuple[int, tuple[int, ...]], ...]
 
 # Keyed like the weight tables: per size for size-indexed families, per
@@ -534,8 +531,8 @@ def first_blocks(
     fam: Family,
     ground: int | Sequence[int],
     capacity: int | None = DEFAULT_CAPACITY,
-) -> FirstBlocks:
-    """``(B, rest)`` for every proper block B holding position 0.
+) -> FirstBlockMasks:
+    """``(B, rest)`` for every proper block B holding position 0, as bitmasks.
 
     Every family here has the blockwise product property (C0), so the
     elements whose block at position 0 is B are the products of the
@@ -554,23 +551,15 @@ def first_blocks(
     * ``tree``: the largest split sides of the induced subtree that miss
       B, one for each component left when the span of B is removed.
 
-    Position tuples are increasing.  The top block (all positions) is left
-    out.  The cap is checked before the cached table is read.  The cache
-    holds the bitmask form (:func:`_first_block_masks`), decoded here.
+    Each position set is a bitmask, bit j for position j.  The top block
+    (all positions) is left out.  The cap is checked before the cached
+    table is read.
     """
-    return tuple(
-        (_positions(block), tuple(map(_positions, rest)))
-        for block, rest in _first_block_masks(fam, ground, capacity)
-    )
-
-
-def _first_block_masks(fam: Family, ground: int | Sequence[int], capacity: int | None) -> FirstBlockMasks:
-    """:func:`first_blocks` with each position set as a bitmask, as cached."""
     labels = _ground_labels(fam, ground, capacity)
     return _cached_first_blocks(fam.kind, _sub_ground(fam.splits, labels))
 
 
-def _positions(mask: int) -> Positions:
+def _positions(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of ``mask``, increasing."""
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 

@@ -69,10 +69,10 @@ from .lattice import (
     Family,
     FirstBlockMasks,
     _cached_first_blocks,
-    _first_block_masks,
     _ground_labels,
     _positions,
     _table_key,
+    first_blocks,
 )
 from .moments import (
     CLASSICAL_CUMULANTS,
@@ -137,8 +137,7 @@ class _SolvePlan(NamedTuple):
     ``sizes`` holds every state's index size in product order.  ``order``
     holds ``(code, stride, table)`` for every nonzero state by increasing
     index size: the state's position in the box, the stride of its last
-    position, and its :func:`lattice.first_blocks` table with each
-    position set as a bitmask.
+    position, and its :func:`lattice.first_blocks` table.
     """
 
     sizes: tuple[int, ...]
@@ -388,24 +387,34 @@ def cumulant_tensor(
     return CumulantTensor(order, n, entries)
 
 
+def _expand(rows: list[tuple[Fraction, ...]], n: int, idx: Sequence[int], value_of: MomentFunction) -> Fraction:
+    """``sum over js of prod over k of rows[i_k][j_k] * value_of(js)``, for ``idx = (i_1, ...)``.
+
+    Each j_k runs over 1..n.  A js whose coefficient is zero is skipped
+    without reading its value.
+    """
+    total = Fraction(0)
+    for js in itertools.product(range(1, n + 1), repeat=len(idx)):
+        coeff = Fraction(1)
+        for i, j in zip(idx, js):
+            coeff *= rows[i - 1][j - 1]
+            if coeff == 0:
+                break
+        if coeff:
+            total += coeff * value_of(js)
+    return total
+
+
 def multilinear_action(Q: Sequence[Sequence], tensor: CumulantTensor) -> CumulantTensor:
     """Contract each tensor slot with the rows of Q."""
     rows = [tuple(Fraction(v) for v in row) for row in Q]
     m = len(rows)
     if any(len(row) != tensor.n for row in rows):
         raise ValueError("matrix width must match the tensor dimension")
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for idx in itertools.product(range(1, m + 1), repeat=tensor.order):
-        total = Fraction(0)
-        for js in itertools.product(range(1, tensor.n + 1), repeat=tensor.order):
-            coeff = Fraction(1)
-            for i, j in zip(idx, js):
-                coeff *= rows[i - 1][j - 1]
-                if coeff == 0:
-                    break
-            if coeff:
-                total += coeff * tensor.entries[js]
-        entries[idx] = total
+    entries = {
+        idx: _expand(rows, tensor.n, idx, tensor.entries.__getitem__)
+        for idx in itertools.product(range(1, m + 1), repeat=tensor.order)
+    }
     return CumulantTensor(tensor.order, m, entries)
 
 
@@ -415,21 +424,7 @@ def linear_image_moments(Q: Sequence[Sequence], source, n: int | None = None) ->
     moment_fn, n = _moment_function(source, n)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix width must match the variable count")
-
-    def image_moment(multiset: Sequence[int]) -> Fraction:
-        idx = tuple(multiset)
-        total = Fraction(0)
-        for js in itertools.product(range(1, n + 1), repeat=len(idx)):
-            coeff = Fraction(1)
-            for i, j in zip(idx, js):
-                coeff *= rows[i - 1][j - 1]
-                if coeff == 0:
-                    break
-            if coeff:
-                total += coeff * moment_fn(js)
-        return total
-
-    return image_moment
+    return lambda multiset: _expand(rows, n, tuple(multiset), moment_fn)
 
 
 # -- shift invariance ---------------------------------------------------------
@@ -518,14 +513,14 @@ def detect_independence_structure(
         raise ValueError("the cumulant vector does not carry its family; pass one")
     n = lv.space.n
     ground = _ground_of(fam, lv.space)
-    _first_block_masks(fam, ground(tuple(range(1, n + 1))), capacity)  # the cap refuses before delta
+    first_blocks(fam, ground(tuple(range(1, n + 1))), capacity)  # the cap refuses before delta
     components = _support_components(lv)
     blocks, parts = [], [(1 << n) - 1]
     while parts:
         part = parts.pop()
         positions = _positions(part)  # the table's local position k is positions[k]
         local = [sum(1 << k for k, j in enumerate(positions) if c >> j & 1) for c in components if c & part]
-        table = _first_block_masks(fam, ground(tuple(j + 1 for j in positions)), capacity)
+        table = first_blocks(fam, ground(tuple(j + 1 for j in positions)), capacity)
         block, rest = next(
             ((b, r) for b, r in table if all(any(c & m == c for m in (b, *r)) for c in local)),
             ((1 << len(positions)) - 1, ()),

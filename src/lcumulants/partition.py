@@ -11,14 +11,13 @@ aliases index ``i_j``; the alias tuple is kept by the caller, which lets
 one machinery serve plain sets and multisets alike.
 
 Position order is total, which is what the non-crossing and interval
-predicates consume.  Everything here is immutable and side-effect free.
+first-block rules of :mod:`lattice` read.  Everything here is immutable
+and side-effect free.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_CAPACITY = 12
 
@@ -116,61 +115,6 @@ def _canonical(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def bell_number(d: int) -> int:
-    if d < 0:
-        raise ValueError("negative ground set size")
-    if d == 0:
-        return 1
-    # Bell triangle recurrence.
-    row = [1]
-    for _ in range(d - 1):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[-1]
-
-
-def all_partitions(d: int, capacity: int | None = DEFAULT_CAPACITY) -> list[SetPartition]:
-    """All partitions of ``0..d-1``, finest first, then lexicographic by RGS.
-
-    The order is deterministic: the all-singletons partition leads, the
-    one-block partition closes, and within a fixed block count RGS compare
-    lexicographically.
-    """
-    if d < 1:
-        raise ValueError("ground set must be nonempty")
-    if capacity is not None and d > capacity:
-        raise CapacityError(
-            f"partition enumeration for d={d} exceeds the cap of {capacity} "
-            f"(Bell({d})={bell_number(d)}); raise the capacity explicitly to proceed"
-        )
-    out = [SetPartition(rgs) for rgs in _rgs_iter(d)]
-    out.sort(key=lambda p: (-p.num_blocks, p.rgs))
-    return out
-
-
-def _rgs_iter(d: int) -> Iterator[tuple[int, ...]]:
-    rgs = [0] * d
-    maxes = [0] * d
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == d:
-            yield tuple(rgs)
-            return
-        top = maxes[i - 1]
-        for value in range(top + 2):
-            rgs[i] = value
-            maxes[i] = max(top, value)
-            yield from rec(i + 1)
-
-    if d == 1:
-        yield (0,)
-    else:
-        yield from rec(1)
-
-
 def refines(pi: SetPartition, nu: SetPartition) -> bool:
     """True iff ``pi <= nu`` in refinement order (same ground set)."""
     if pi.size != nu.size:
@@ -229,25 +173,6 @@ def restrict(pi: SetPartition, positions: Iterable[int]) -> SetPartition:
     if positions[0] < 0 or positions[-1] >= pi.size:
         raise ValueError("positions outside the ground set")
     return SetPartition(_canonical([pi.rgs[p] for p in positions]))
-
-
-def is_noncrossing(pi: SetPartition) -> bool:
-    """No quadruple i<j<k<l with i~k, j~l and i~/j."""
-    rgs = pi.rgs
-    for i, j, k, l in itertools.combinations(range(pi.size), 4):
-        if rgs[i] == rgs[k] and rgs[j] == rgs[l] and rgs[i] != rgs[j]:
-            return False
-    return True
-
-
-def is_interval(pi: SetPartition) -> bool:
-    """Every block is a contiguous run of positions."""
-    return all(block[-1] - block[0] == len(block) - 1 for block in pi.blocks)
-
-
-def is_one_cluster(pi: SetPartition) -> bool:
-    """At most one block of size greater than one."""
-    return sum(1 for block in pi.blocks if len(block) > 1) <= 1
 
 
 def format_partition(pi: SetPartition, labels: Sequence[int] | None = None) -> str:

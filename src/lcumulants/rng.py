@@ -55,12 +55,3 @@ class SplitMix64:
         raw = [self.randint(1, top) for _ in range(count)]
         total = sum(raw)
         return [Fraction(w, total) for w in raw]
-
-    def signed_unit_sum(self, count: int, top: int = 9) -> list[Fraction]:
-        """Signed rationals summing to one (an algebraic table)."""
-        raw = [self.randint(-top, top) for _ in range(count - 1)]
-        total = sum(raw)
-        denom = 2 * top * count + 1
-        out = [Fraction(w, denom) for w in raw]
-        out.append(1 - Fraction(total, denom))
-        return out

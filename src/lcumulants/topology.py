@@ -125,39 +125,6 @@ class TreeTopology:
         return f"TreeTopology({to_newick(self)!r})"
 
 
-def induced_subtree(tree: TreeTopology, leaf_subset: Iterable[int]) -> TreeTopology:
-    """Smallest subtree spanning the given leaves; degree-2 nodes are kept.
-
-    The root of the result, when the input is rooted, is the node of the
-    subtree closest to the original root.
-    """
-    chosen = sorted(set(leaf_subset))
-    if not chosen:
-        raise ValueError("need at least one leaf")
-    if not set(chosen) <= set(tree.leaves):
-        raise ValueError("unknown leaf labels")
-    if len(chosen) == 1:
-        # A single leaf induces the one-node tree; keep its pendant edge so
-        # the structure stays a tree with that leaf.
-        leaf = chosen[0]
-        anchor = tree.neighbors(leaf)[0]
-        return TreeTopology([(leaf, anchor)], root=anchor)
-    keep_nodes: set[object] = set()
-    keep_edges: set[tuple[object, object]] = set()
-    for u, v in ((u, v) for u in chosen for v in chosen if u < v):
-        path = tree.path(u, v)
-        keep_nodes.update(path)
-        keep_edges.update(zip(path, path[1:]))
-    sub_root: object | None = None
-    if tree.root is not None:
-        node: object = tree.root
-        while node not in keep_nodes:
-            # Walk towards the subtree along the unique path to a kept leaf.
-            node = tree.path(node, chosen[0])[1]
-        sub_root = node
-    return TreeTopology([tuple(e) for e in keep_edges], root=sub_root)
-
-
 def suppress_degree_two(tree: TreeTopology) -> TreeTopology:
     """Contract paths through non-root inner nodes of degree 2."""
     protected = {tree.root} if tree.root is not None else set()

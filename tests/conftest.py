@@ -12,9 +12,19 @@ def rng():
     return SplitMix64(0xC0FFEE)
 
 
+def signed_unit_sum(rng: SplitMix64, count: int, top: int = 9) -> list[Fraction]:
+    """Signed rationals summing to one (an algebraic table)."""
+    raw = [rng.randint(-top, top) for _ in range(count - 1)]
+    total = sum(raw)
+    denom = 2 * top * count + 1
+    out = [Fraction(w, denom) for w in raw]
+    out.append(1 - Fraction(total, denom))
+    return out
+
+
 def random_distribution(space: StateSpace, rng: SplitMix64, algebraic: bool = False) -> DiscreteDistribution:
     if algebraic:
-        weights = rng.signed_unit_sum(space.size)
+        weights = signed_unit_sum(rng, space.size)
     else:
         weights = rng.weights(space.size)
     return DiscreteDistribution(space, dict(zip(space.states(), weights)), algebraic=algebraic)

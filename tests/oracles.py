@@ -1,5 +1,16 @@
 """Slow paths kept as the oracles of the fast ones that replaced them.
 
+The library defines each family once, by its first-block rule
+(``lattice.first_blocks``).  The second definitions live here:
+``all_partitions`` lists every partition of a ground set by
+restricted-growth sequences (``bell_number`` sizes its cap message), and
+``is_noncrossing``, ``is_interval`` and ``is_one_cluster`` filter them
+into the size-indexed families.  ``induced_subtree`` is the smallest
+subtree spanning a leaf set, which ``tree_elements`` and
+``gmm_tree_cumulants_by_subtree`` walk.  ``first_block_positions``
+decodes the bitmask table of ``lattice.first_blocks`` into position
+tuples, the form ``first_block_solve`` and ``tree_first_blocks`` use.
+
 ``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
 of ``models.split_binomials`` compute on integers.  ``first_block_solve``, ``per_axis`` and
 ``split_minors`` here are the same loops on ``Fraction`` entries, as they
@@ -7,7 +18,7 @@ ran before; the kernels must return the same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
 them per index (``first_block_tables``).  The plan derives each state's
 stride and table key from its head's; ``solve_plan_by_tables`` builds it
-state by state through ``lattice._first_block_masks``, as it was built
+state by state through ``lattice.first_blocks``, as it was built
 before, with every stride of each state's positions.  The per-axis pass
 rotates one flat list, and ``per_axis`` indexes the box state by state.
 The one-cluster transforms run the per-axis centring shift in place of
@@ -95,7 +106,6 @@ from lcumulants.lattice import (
     _blocks_partition,
     _cached_first_blocks,
     _elements,
-    _first_block_masks,
     _ground_labels,
     _positions,
     _root_labels,
@@ -131,15 +141,129 @@ from lcumulants.moments import (
 )
 from lcumulants.partition import (
     DEFAULT_CAPACITY,
+    CapacityError,
     SetPartition,
     _canonical,
-    all_partitions,
     format_partition,
     refines,
     restrict,
 )
-from lcumulants.topology import induced_subtree
+from lcumulants.topology import TreeTopology
 from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
+
+
+@functools.cache
+def bell_number(d):
+    if d < 0:
+        raise ValueError("negative ground set size")
+    if d == 0:
+        return 1
+    # Bell triangle recurrence.
+    row = [1]
+    for _ in range(d - 1):
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+    return row[-1]
+
+
+def all_partitions(d, capacity=DEFAULT_CAPACITY):
+    """All partitions of ``0..d-1``, finest first, then lexicographic by RGS.
+
+    The order is deterministic: the all-singletons partition leads, the
+    one-block partition closes, and within a fixed block count RGS compare
+    lexicographically.
+    """
+    if d < 1:
+        raise ValueError("ground set must be nonempty")
+    if capacity is not None and d > capacity:
+        raise CapacityError(
+            f"partition enumeration for d={d} exceeds the cap of {capacity} "
+            f"(Bell({d})={bell_number(d)}); raise the capacity explicitly to proceed"
+        )
+    out = [SetPartition(rgs) for rgs in _rgs_iter(d)]
+    out.sort(key=lambda p: (-p.num_blocks, p.rgs))
+    return out
+
+
+def _rgs_iter(d):
+    rgs = [0] * d
+    maxes = [0] * d
+
+    def rec(i):
+        if i == d:
+            yield tuple(rgs)
+            return
+        top = maxes[i - 1]
+        for value in range(top + 2):
+            rgs[i] = value
+            maxes[i] = max(top, value)
+            yield from rec(i + 1)
+
+    if d == 1:
+        yield (0,)
+    else:
+        yield from rec(1)
+
+
+def is_noncrossing(pi):
+    """No quadruple i<j<k<l with i~k, j~l and i~/j."""
+    rgs = pi.rgs
+    for i, j, k, l in itertools.combinations(range(pi.size), 4):
+        if rgs[i] == rgs[k] and rgs[j] == rgs[l] and rgs[i] != rgs[j]:
+            return False
+    return True
+
+
+def is_interval(pi):
+    """Every block is a contiguous run of positions."""
+    return all(block[-1] - block[0] == len(block) - 1 for block in pi.blocks)
+
+
+def is_one_cluster(pi):
+    """At most one block of size greater than one."""
+    return sum(1 for block in pi.blocks if len(block) > 1) <= 1
+
+
+def induced_subtree(tree, leaf_subset):
+    """Smallest subtree spanning the given leaves; degree-2 nodes are kept.
+
+    The root of the result, when the input is rooted, is the node of the
+    subtree closest to the original root.
+    """
+    chosen = sorted(set(leaf_subset))
+    if not chosen:
+        raise ValueError("need at least one leaf")
+    if not set(chosen) <= set(tree.leaves):
+        raise ValueError("unknown leaf labels")
+    if len(chosen) == 1:
+        # A single leaf induces the one-node tree; keep its pendant edge so
+        # the structure stays a tree with that leaf.
+        leaf = chosen[0]
+        anchor = tree.neighbors(leaf)[0]
+        return TreeTopology([(leaf, anchor)], root=anchor)
+    keep_nodes = set()
+    keep_edges = set()
+    for u, v in ((u, v) for u in chosen for v in chosen if u < v):
+        path = tree.path(u, v)
+        keep_nodes.update(path)
+        keep_edges.update(zip(path, path[1:]))
+    sub_root = None
+    if tree.root is not None:
+        node = tree.root
+        while node not in keep_nodes:
+            # Walk towards the subtree along the unique path to a kept leaf.
+            node = tree.path(node, chosen[0])[1]
+        sub_root = node
+    return TreeTopology([tuple(e) for e in keep_edges], root=sub_root)
+
+
+def first_block_positions(fam, ground, capacity=DEFAULT_CAPACITY):
+    """``lattice.first_blocks`` with each bitmask decoded into its increasing positions."""
+    return tuple(
+        (_positions(block), tuple(map(_positions, rest))) for block, rest in first_blocks(fam, ground, capacity)
+    )
 
 
 def first_block_tables(fam, space, capacity):
@@ -148,7 +272,7 @@ def first_block_tables(fam, space, capacity):
     ``_first_block_solve`` reads the same tables through its cached plan.
     """
     ground = _ground_of(fam, space)
-    return lambda multiset: first_blocks(fam, ground(multiset), capacity=capacity)
+    return lambda multiset: first_block_positions(fam, ground(multiset), capacity=capacity)
 
 
 def solve_plan_by_tables(fam, arities, capacity):
@@ -159,13 +283,13 @@ def solve_plan_by_tables(fam, arities, capacity):
     the plan keeps the last one, and its length is the index size.  Each
     state's multiset, step and table are derived from scratch, its labels
     checked and its table key computed over every split, through
-    ``lattice._first_block_masks``.
+    ``lattice.first_blocks``.
     """
     space = StateSpace.of(arities)
     ground = _ground_of(fam, space)
     largest = space.index_multiset(tuple(r - 1 for r in arities))
     if largest:
-        _first_block_masks(fam, ground(largest), capacity)
+        first_blocks(fam, ground(largest), capacity)
     states = list(space.states())
     strides = _strides(arities)
     sizes = tuple(map(sum, states))
@@ -173,7 +297,7 @@ def solve_plan_by_tables(fam, arities, capacity):
     for code in sorted(range(1, len(states)), key=sizes.__getitem__):
         multiset = space.index_multiset(states[code])
         step = tuple(strides[i - 1] for i in multiset)
-        order.append((code, step, _first_block_masks(fam, ground(multiset), capacity)))
+        order.append((code, step, first_blocks(fam, ground(multiset), capacity)))
     return sizes, tuple(order)
 
 

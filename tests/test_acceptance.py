@@ -54,7 +54,6 @@ from lcumulants.models import (
     secant_tree_cumulants,
     verify_split_binomials,
 )
-from lcumulants.partition import all_partitions
 from lcumulants.rng import SplitMix64
 from lcumulants.topology import caterpillar, quartet
 from lcumulants.trees import (
@@ -63,7 +62,7 @@ from lcumulants.trees import (
     subset_tree_cumulants,
     tree_cumulants,
 )
-from oracles import build
+from oracles import all_partitions, build
 
 from conftest import random_distribution
 

@@ -588,9 +588,11 @@ class TestVerify:
             ("secant", ["--n", "4", "--trials", "-2"]),
             ("gmm", ["--trials", "0"]),
             ("gmm", ["--trials", "-1"]),
+            ("gmm", ["--tree", "(1)r;", "--trials", "1"]),
+            ("split-binomials", ["--tree", "(1)r;"]),
         ],
         ids=["hmm-n0", "hmm-n1", "hmm-negative-trials", "secant-zero-trials", "secant-negative-trials",
-             "gmm-zero-trials", "gmm-negative-trials"],
+             "gmm-zero-trials", "gmm-negative-trials", "gmm-one-leaf", "split-binomials-one-leaf"],
     )
     def test_bad_sizes_are_usage_errors(self, capsys, suite, extra):
         assert main(["verify", suite, *extra]) == 2
@@ -787,10 +789,6 @@ class TestGoldenBytes:
                 "4cd47e0c026bf59a845fad8ece826019e0b75fc606e98b2f14d77c209971b9a1",
             ),
             (
-                ["verify", "gmm", "--tree", "(1)r;", "--trials", "1"],
-                "51b0d88244396b69a7a5eb94194ea3d386e7c094da6620ef72ff8a3698bd4536",
-            ),
-            (
                 ["verify", "split-binomials", "--tree", "caterpillar5", "--params", "params.json"],
                 "75cf006f36f47498c6be0a943200df66a3e25e88341d5c384d58dc43f8389d3c",
             ),
@@ -826,7 +824,6 @@ class TestGoldenBytes:
             "verify-hmm-n7",
             "verify-secant-n6",
             "verify-secant-n9",
-            "verify-gmm-one-leaf",
             "verify-split-binomials-leaf-root",
             "model-gmm-leaf-root",
             "transform-central-moments-values",

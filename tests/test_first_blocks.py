@@ -44,15 +44,11 @@ from lcumulants.moments import (
 from lcumulants.partition import (
     CapacityError,
     SetPartition,
-    all_partitions,
-    is_interval,
-    is_noncrossing,
-    is_one_cluster,
     meet,
 )
 from lcumulants.topology import caterpillar, from_newick
 from lcumulants.trees import _singleton_free_sums, subset_tree_cumulants
-from oracles import build
+from oracles import all_partitions, build, is_interval, is_noncrossing, is_one_cluster
 
 from conftest import random_distribution
 
@@ -233,7 +229,7 @@ class TestTables:
         for p in lat.elements:
             by_first.setdefault(p.blocks[0], set()).add(p.rgs)
         del by_first[tuple(range(d))]  # the top is left out of the table
-        table = first_blocks(fam, ground)
+        table = oracles.first_block_positions(fam, ground)
         assert len({block for block, _ in table}) == len(table)
         assert {block for block, _ in table} == set(by_first)
         for block, rest in table:
@@ -268,13 +264,14 @@ class TestTables:
     )
     def test_the_cache_holds_one_bitmask_copy(self, fam):
         ground = 6 if fam.size_indexed else (1, 2, 4, 5, 6, 7)
-        masks = lcumulants.lattice._first_block_masks(fam, ground, None)
+        masks = first_blocks(fam, ground, None)
         assert all(type(block) is int and all(type(part) is int for part in rest) for block, rest in masks)
 
         def bits(mask):
             return tuple(j for j in range(6) if mask >> j & 1)
 
-        assert first_blocks(fam, ground) == tuple((bits(block), tuple(map(bits, rest))) for block, rest in masks)
+        decoded = tuple((bits(block), tuple(map(bits, rest))) for block, rest in masks)
+        assert oracles.first_block_positions(fam, ground) == decoded
 
     def test_cap_is_checked_before_a_cached_table(self):
         first_blocks(Family(FULL), 4)
@@ -378,7 +375,7 @@ class TestShapeKeys:
         fam = Family(TREE, tree)
         for r in range(1, tree.num_leaves + 1):
             for support in itertools.combinations(tree.leaves, r):
-                assert first_blocks(fam, support) == oracles.tree_first_blocks(tree, support), support
+                assert oracles.first_block_positions(fam, support) == oracles.tree_first_blocks(tree, support), support
 
     def test_leaf_sets_of_one_shape_share_a_table(self, rng):
         # Every leaf subset of a caterpillar with leaves in spine order

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family, first_blocks
+from lcumulants.lattice import FULL, INTERVAL, NONCROSSING, ONECLUSTER, TREE, Family
 from lcumulants.lcumulant import (
     UnsupportedFamilyError,
     _cached_plan,
@@ -172,7 +172,7 @@ class TestFirstBlockSolve:
         dist = random_distribution(StateSpace.of([3] + [2] * (n - 2) + [4]), rng, algebraic=True)
         cm = oracles.central_moments_direct(dist)
         given = {x: cm.entries[x] for x in space.states()}
-        sums = oracles.first_block_solve(space, given, lambda leaves: first_blocks(fam, leaves, None), True)
+        sums = oracles.first_block_solve(space, given, oracles.first_block_tables(fam, space, None), True)
         want = {tuple(i + 1 for i, e in enumerate(x) if e): v for x, v in sums.items() if sum(x) > 1}
         assert_same(_singleton_free_sums(tree, cm, None), want)
 

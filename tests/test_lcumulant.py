@@ -30,9 +30,9 @@ from lcumulants.moments import (
     moments_from_distribution,
     transform_values,
 )
-from lcumulants.partition import CapacityError, SetPartition, all_partitions, parse_partition
+from lcumulants.partition import CapacityError, SetPartition, parse_partition
 from lcumulants.topology import caterpillar, from_newick, star
-from oracles import build
+from oracles import all_partitions, build
 
 from conftest import random_distribution
 

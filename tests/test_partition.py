@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 from lcumulants.partition import (
     CapacityError,
     SetPartition,
-    all_partitions,
-    bell_number,
     format_partition,
-    is_interval,
-    is_noncrossing,
-    is_one_cluster,
     join,
     meet,
     parse_partition,
     refines,
     restrict,
 )
+from oracles import all_partitions, bell_number, is_interval, is_noncrossing, is_one_cluster
 
 
 def bell_oracle(n: int) -> int:

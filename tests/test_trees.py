@@ -12,14 +12,13 @@ from lcumulants.moments import (
     moments_from_distribution,
 )
 from lcumulants.models import gmm_distribution, random_gmm_params
-from lcumulants.partition import CapacityError, all_partitions, is_interval
+from lcumulants.partition import CapacityError
 from lcumulants.rng import SplitMix64
 from lcumulants.topology import (
     TreeTopology,
     caterpillar,
     edge_splits,
     from_newick,
-    induced_subtree,
     is_caterpillar,
     quartet,
     star,
@@ -38,7 +37,7 @@ from lcumulants.trees import (
     trivalent_refinement,
     variances_from_distribution,
 )
-from oracles import build
+from oracles import all_partitions, build, induced_subtree, is_interval
 
 from conftest import random_distribution
 
