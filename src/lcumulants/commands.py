@@ -66,7 +66,7 @@ from .partition import DEFAULT_CAPACITY, CapacityError
 from .rng import SplitMix64
 from .topology import TreeTopology, caterpillar, edge_splits, from_newick, quartet, star
 from .trees import (
-    gmm_tree_cumulants,
+    contracted_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
 )
@@ -526,8 +526,10 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
     params = random_gmm_params(tree, rng)
     dist = gmm_distribution(tree, params)
     mv = moments_from_distribution(dist)
-    pipeline = tree_cumulants(mv, tree, _capacity())
-    closed = gmm_tree_cumulants(tree, params, _capacity())
+    # An unresolved tree's closed form is in the coordinates of its
+    # trivalent refinement; a trivalent tree is its own refinement.
+    refined, closed = contracted_tree_cumulants(tree, params, _capacity())
+    pipeline = tree_cumulants(mv, refined, _capacity())
     worst = _max_diff(dict(closed.entries), dict(pipeline.entries))
     results = [_check(f"trial {trial}: closed form vs pipeline", worst)]
     reroot_worst = Fraction(0)
@@ -536,7 +538,7 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
         redist = gmm_distribution(retree, reparams)
         reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
     results.append(_check(f"trial {trial}: rooting invariance", reroot_worst))
-    split_worst = max(rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(tree)))
+    split_worst = max(rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(refined)))
     results.append(_check(f"trial {trial}: edge split binomials", split_worst))
     return results
 
@@ -679,6 +681,8 @@ def cmd_verify(args) -> int:
     suite = _SUITES.get(args.suite)
     if suite is None:
         raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
+    if args.jobs is not None and args.jobs < 1:
+        raise SystemExit2(f"--jobs must be at least 1, not {args.jobs}")
     start = time.perf_counter()
     results = suite(args)
     elapsed = time.perf_counter() - start if args.timing else None

@@ -4,10 +4,13 @@ Three constructions are covered: the two-state latent tree model (a
 Bayesian network on a rooted binary tree, marginalized to the leaves),
 its one-latent-class special case written as a rank-two mixture chart,
 and processes whose observations are independent given an unobserved
-two-state Markov chain, all three laws through one upward sum-product
-pass over binary latent nodes with the observed variables at the leaves.
-Verifiers return exact residuals rather than booleans so that callers in
-float mode can apply their own tolerance.
+two-state Markov chain.  All three are latent tree models with the
+observed variables at the leaves: their laws come from one upward
+sum-product pass over the binary latent nodes, and their tree cumulants
+from the one closed form of :mod:`trees`, on the star with one hidden
+node for the chart and on the hidden chain for the process.  Verifiers
+return exact residuals rather than booleans so that callers in float
+mode can apply their own tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .moments import (
     _scaled_integers,
 )
 from .partition import DEFAULT_CAPACITY
-from .topology import TreeTopology, caterpillar
-from .trees import GMMParams, exact_sqrt, subset_tree_cumulants
+from .topology import TreeTopology, caterpillar, star
+from .trees import GMMParams, _closed_form, exact_sqrt, subset_tree_cumulants
 
 
 # -- the upward pass -------------------------------------------------------------
@@ -61,6 +64,12 @@ def _upward_pass(children: Mapping, rows: Mapping, root: object, weights: Sequen
     perm = sorted(range(len(leaves)), key=leaves.__getitem__)
     w0, w1 = weights
     return {tuple(k[j] for j in perm): w0 * q0 + w1 * q1 for k, (q0, q1) in msg.items()}
+
+
+def _by_support(values: Mapping[int, Fraction], n: int) -> dict[tuple[int, ...], Fraction]:
+    """Bitmask-keyed values by leaf tuple, by size and then lexicographically."""
+    leaves = range(1, n + 1)
+    return {s: values[sum(1 << (i - 1) for i in s)] for r in leaves for s in itertools.combinations(leaves, r)}
 
 
 # -- latent tree distributions -------------------------------------------------
@@ -170,24 +179,16 @@ def secant_moments(params: SecantParams) -> CoordinateVector:
 def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fraction]:
     """Closed-form caterpillar tree cumulants of the mixture chart.
 
-    Order one gives the mixed means; an index set of size d >= 2 gives
+    The chart is the latent tree model on the star with one hidden node:
+    root weights ``(1-t, t)`` and rows ``(a_i, b_i)``.  So order one gives
+    the mixed means, and an index set of size d >= 2 gives
     t(1-t)(1-2t)^(d-2) times the product of the component mean gaps.
     """
     if params.n < 2:
         raise ValueError("need at least two variables")
     t = Fraction(params.t)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for r in range(1, params.n + 1):
-        for support in itertools.combinations(range(1, params.n + 1), r):
-            if r == 1:
-                i = support[0] - 1
-                out[support] = (1 - t) * params.a[i] + t * params.b[i]
-                continue
-            value = t * (1 - t) * (1 - 2 * t) ** (r - 2)
-            for i in support:
-                value *= params.b[i - 1] - params.a[i - 1]
-            out[support] = value
-    return out
+    rows = {("c", i): (a, b) for i, (a, b) in enumerate(zip(params.a, params.b), 1)}
+    return _by_support(_closed_form(star(params.n), GMMParams((1 - t, t), rows)), params.n)
 
 
 # -- split binomials --------------------------------------------------------------
@@ -421,14 +422,19 @@ def random_hmm_params(
     return HMMParams(space, initial, transitions, emissions)
 
 
-def hmm_distribution(params: HMMParams) -> DiscreteDistribution:
-    """Exact joint law of the observations: the upward pass on the chain
-    h1 ... hn, leaf i under h_i, from the initial distribution.
-    """
+def _hidden_chain(params: HMMParams) -> tuple[list[str], dict[str, list[object]]]:
+    """The chain h1 ... hn and the children of each h_i: leaf i, then h_(i+1)."""
     if any(m in (0, 1) for m in params.hidden_means()):
         raise ValueError("degenerate hidden state")
     hidden = [f"h{i}" for i in range(1, params.n + 1)]
-    children = {h: [i, *hidden[i : i + 1]] for i, h in enumerate(hidden, 1)}
+    return hidden, {h: [i, *hidden[i : i + 1]] for i, h in enumerate(hidden, 1)}
+
+
+def hmm_distribution(params: HMMParams) -> DiscreteDistribution:
+    """Exact joint law of the observations: the upward pass on the hidden
+    chain from the initial distribution.
+    """
+    hidden, children = _hidden_chain(params)
     rows = {(h, i): em for i, (h, em) in enumerate(zip(hidden, params.emissions), 1)}
     for u, v, (a0, a1) in zip(hidden, hidden[1:], params.transitions):
         rows[(u, v)] = ((1 - a0, a0), (1 - a1, a1))
@@ -438,52 +444,18 @@ def hmm_distribution(params: HMMParams) -> DiscreteDistribution:
 def hmm_tree_cumulants_closed(params: HMMParams) -> dict[tuple[int, ...], Fraction]:
     """Rational closed form for the caterpillar tree cumulants of the chain.
 
-    Collecting the variance normalizations of the correlation/skewness
-    parametrization onto one denominator leaves a square-root-free
-    expression: the numerator multiplies the chain's third central moments
-    over the inner indices, its step covariances across the whole index
-    span, and the hidden-observed covariances; the denominator multiplies
-    cubed hidden variances at inner indices, plain ones at the endpoints
-    and at skipped positions, and nothing else.
-
-    Grouped by index, the value at s_1 < ... < s_r (r >= 2) is end(s_1)
-    times link(s_k, s_k+1) for each consecutive pair, inner(s_k) for each
-    inner index, and end(s_r): end(i) = e_i / v_i, inner(j) = t3_j e_j / v_j^3,
-    and link(a, b) is the step covariances from a to b over the variances
-    strictly between.  So each support extends the running product of its
-    prefix by one factor pair.
+    The chain is the latent tree model on h1 ... hn, from the initial
+    distribution through the transition rows, with leaf rows
+    ``(E[v(X_i) | h_i = 0], E[v(X_i) | h_i = 1])``: a leaf's slope is the
+    regression slope of its value on h_i, and its mean the observed mean.
     """
-    v = params.hidden_variances()
-    t3 = params.hidden_third_central()
-    c = params.hidden_step_covariances()
-    e = params.hidden_observed_covariances()
-    x_means = params.observed_means()
-    if any(val == 0 for val in v):
-        raise ValueError("degenerate hidden state")
-    n = params.n
-    end = [e[i] / v[i] for i in range(n)]
-    inner = [t3[i] * e[i] / v[i] ** 3 for i in range(n)]
-    link = [[Fraction(1)] * n for _ in range(n)]
-    for a in range(n):
-        running = Fraction(1)
-        for b in range(a + 1, n):
-            running *= c[b - 1]
-            link[a][b] = running
-            running /= v[b]
-    out = {(i + 1,): x_means[i] for i in range(n)}
-    # The supports of each size in lexicographic order, each with the
-    # running product up to its last index taken as an inner index.
-    level = [((i + 1,), end[i]) for i in range(n)]
-    while level:
-        grown = []
-        for support, head in level:
-            a = support[-1] - 1
-            for b in range(a + 1, n):
-                step = head * link[a][b]
-                out[support + (b + 1,)] = step * end[b]
-                grown.append((support + (b + 1,), step * inner[b]))
-        level = grown
-    return out
+    hidden, children = _hidden_chain(params)
+    tree = TreeTopology([(h, c) for h, cs in children.items() for c in cs], root=hidden[0])
+    emission_mean = params.emission_value_moment
+    tables = {(h, i): (emission_mean(i, 0), emission_mean(i, 1)) for i, h in enumerate(hidden, 1)}
+    for u, v, row in zip(hidden, hidden[1:], params.transitions):
+        tables[(u, v)] = row
+    return _by_support(_closed_form(tree, GMMParams(params.initial, tables)), params.n)
 
 
 def hmm_normalized_tree_cumulants(params: HMMParams) -> dict[tuple[int, ...], Fraction | float]:

@@ -246,7 +246,7 @@ def to_newick(tree: TreeTopology) -> str:
     return render(root, None) + ";"
 
 
-def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
+def from_newick(text: str) -> TreeTopology:
     """Parse a Newick string with named inner nodes, e.g. ``((1,2)a,(3,4)b)r;``.
 
     Integer tokens are leaves; the label after a closing parenthesis names
@@ -314,4 +314,4 @@ def from_newick(text: str, root_is_first: bool = True) -> TreeTopology:
     root, edges = parse_node()
     if pos != len(text):
         raise ValueError(f"trailing characters at offset {pos} in {text!r}")
-    return TreeTopology(edges, root=root if root_is_first else None)
+    return TreeTopology(edges, root=root)

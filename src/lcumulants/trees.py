@@ -12,9 +12,11 @@ tree's first-block tables and builds no lattice or weight table.
 For a tree whose inner nodes are binary latent variables (the general
 Markov construction), every coordinate of the observed leaf vector is,
 up to a variance factor at the meeting point, a monomial in per-edge
-regression slopes and per-node mean offsets.  That closed form, its
-extension to unresolved trees by contracting edges of a canonical
-trivalent refinement, and variance-normalized coordinates live here.
+regression slopes and per-node mean offsets.  One pass up from the
+leaves evaluates that closed form on any rooted tree; the latent tree,
+its contraction onto a trivalent refinement, and the mixture chart and
+hidden chain of :mod:`models` differ only in the tree and the parameters
+they hand it.  Variance-normalized coordinates live here too.
 """
 
 from __future__ import annotations
@@ -123,8 +125,63 @@ class GMMParams:
         return means
 
 
-def _bar(mean: Fraction) -> Fraction:
-    return 1 - 2 * mean
+def _closed_form(tree: TreeTopology, params: GMMParams) -> dict[int, Fraction]:
+    """The latent tree closed form of every nonempty leaf set, keyed by bitmask.
+
+    Bit v-1 stands for leaf v, and a single leaf gets its mean.  A larger
+    set gets (1 - bar(r)^2) / 4 at the top node r of its span (a leaf root
+    steps to its child), bar(v)^(k-2) = (1 - 2 mean(v))^(k-2) at each node v
+    with k span edges, and the slope of each span edge (Zwiernik & Smith
+    2012).  One pass, leaves up: each node maps every leaf set below it to
+    the product over the set's span down from it, counting its edge up.
+    Joining its children one at a time, the node meets a set held from j
+    children with a set of the next: the join's top is the node, closed
+    with (1 - bar^2) / 4 and the j - 1 factors of bar the entry holds, and
+    passed up with one more.  Any inner degree works: the copies of a node
+    in a trivalent refinement share its mean, are joined by slope-one
+    edges, and their exponents k - 2 add up to the node's own.
+    """
+    means = params.node_means(tree)
+    parents = tree.parent_map()  # each parent before its children
+    children: dict[object, list[object]] = {v: [] for v in tree.nodes}
+    for v, u in parents.items():
+        children[u].append(v)
+    values = {1 << (v - 1): means[v] for v in tree.leaves}
+    tables: dict[object, dict[int, Fraction]] = {}
+    for v in reversed([tree.root, *parents]):
+        # A leaf starts from its own set.  A leaf root joins it to its
+        # child's sets, and the child is the top of the joined sets.
+        table = {1 << (v - 1): Fraction(1)} if isinstance(v, int) else {}
+        top = children[v][0] if isinstance(v, int) and children[v] else v
+        bar = 1 - 2 * means[top]
+        quarter = (1 - bar * bar) / 4
+        for c in children[v]:
+            eta = params.eta(v, c)
+            up = {mask: eta * value for mask, value in tables.pop(c).items()}
+            for mask, value in list(table.items()):
+                closing, passing = quarter * value, bar * value
+                for child_mask, child_value in up.items():
+                    values[mask | child_mask] = closing * child_value
+                    table[mask | child_mask] = passing * child_value
+            table.update(up)
+        tables[v] = table
+    return values
+
+
+def _closed_form_vector(
+    tree: TreeTopology, params: GMMParams, family_tree: TreeTopology, capacity: int | None
+) -> CoordinateVector:
+    """:func:`_closed_form` on every binary state, tagged with the family of ``family_tree``."""
+    if tree.root is None:
+        raise ValueError("closed form needs the rooted parametrization")
+    n = tree.num_leaves
+    if capacity is not None and n > capacity:
+        raise CapacityError(f"ground set of size {n} exceeds the cap of {capacity}")
+    space = StateSpace.binary(n)
+    values = _closed_form(tree, params)
+    values[0] = Fraction(0)
+    entries = {x: values[sum(e << i for i, e in enumerate(x))] for x in space.states()}
+    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, family_tree))
 
 
 def gmm_tree_cumulants(
@@ -132,47 +189,14 @@ def gmm_tree_cumulants(
 ) -> CoordinateVector:
     """Closed-form tree cumulants of the latent tree model on its own tree.
 
-    Every inner node of the tree must have degree at most three; inner
-    nodes of higher degree need the contraction route through a trivalent
-    refinement.  A leaf set of two or more leaves gets (1 - bar(r)^2) / 4 at
-    the top node r of its span (a leaf root steps to its child), bar(v)^(k-2)
-    at each node v with k span edges and the slope of each span edge: the
-    edges u -> v with leaves of the set both below v and elsewhere.
+    The values are :func:`_closed_form`'s, which are the coordinates of a
+    trivalent refinement.  So every inner node must have degree at most
+    three for the tree's own family to tag them; inner nodes of higher
+    degree take :func:`contracted_tree_cumulants`.
     """
     if any(tree.degree(v) > 3 for v in tree.inner_nodes()):
         raise ValueError("inner degree above three; use contracted_tree_cumulants")
-    if tree.root is None:
-        raise ValueError("closed form needs the rooted parametrization")
-    n = tree.num_leaves
-    if capacity is not None and n > capacity:
-        raise CapacityError(f"ground set of size {n} exceeds the cap of {capacity}")
-    space = StateSpace.binary(n)
-    means = params.node_means(tree)
-    parents = tree.parent_map()  # each parent before its children
-    below = {v: 1 << (v - 1) for v in tree.leaves}
-    for v, u in reversed(parents.items()):
-        below[u] = below.get(u, 0) | below[v]
-    edges = [(u, v, below[v], params.eta(u, v)) for v, u in parents.items()]
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for x in space.states():
-        mask = sum(e << i for i, e in enumerate(x))
-        if mask.bit_count() < 2:
-            entries[x] = means[x.index(1) + 1] if mask else Fraction(0)
-            continue
-        value, degree, top = Fraction(1, 4), dict.fromkeys(means, 0), None
-        for u, v, side, eta in edges:
-            if mask & side and mask & ~side:
-                if top is None:  # the first span edge leaves the top node
-                    top = v if isinstance(u, int) else u
-                value *= eta
-                degree[u] += 1
-                degree[v] += 1
-        value *= 1 - _bar(means[top]) ** 2
-        for v, k in degree.items():
-            if k > 2:  # a leaf has one span edge at most
-                value *= _bar(means[v]) ** (k - 2)
-        entries[x] = value
-    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
+    return _closed_form_vector(tree, params, tree, capacity)
 
 
 def trivalent_refinement(tree: TreeTopology) -> tuple[TreeTopology, dict[object, object]]:
@@ -210,35 +234,6 @@ def trivalent_refinement(tree: TreeTopology) -> tuple[TreeTopology, dict[object,
     return TreeTopology(out_edges, root=root), origin
 
 
-def lift_params(
-    refined: TreeTopology,
-    origin: Mapping[object, object],
-    params: GMMParams,
-) -> GMMParams:
-    """Parameters on the refinement: cloned nodes copy their source.
-
-    Edges between two copies of one original node carry the identity
-    table (slope one, equal means); every original edge keeps its table,
-    reattached to whichever copies it now joins.
-    """
-    if refined.root is None:
-        raise ValueError("refined tree must stay rooted")
-    identity = (Fraction(0), Fraction(1))
-    tables: dict[tuple[object, object], tuple[Fraction, Fraction]] = {}
-    parents = refined.parent_map()
-    for child, parent in parents.items():
-        src_c, src_p = origin.get(child, child), origin.get(parent, parent)
-        if src_c == src_p:
-            tables[(parent, child)] = identity
-        elif (src_p, src_c) in params.tables:
-            tables[(parent, child)] = tuple(params.tables[(src_p, src_c)])  # type: ignore[assignment]
-        else:
-            # The original edge pointed the other way; slope tables are not
-            # direction-symmetric, so reversed edges are rejected here.
-            raise ValueError(f"edge {(src_p, src_c)} missing from the parameter tables")
-    return GMMParams(params.root_dist, tables)
-
-
 def contracted_tree_cumulants(
     tree: TreeTopology, params: GMMParams, capacity: int | None = DEFAULT_CAPACITY
 ) -> tuple[TreeTopology, CoordinateVector]:
@@ -246,11 +241,11 @@ def contracted_tree_cumulants(
 
     The model distribution is unchanged by the refinement since contracted
     edges copy states with probability one; the returned coordinates are
-    the refined tree's cumulants of that distribution.
+    the refined tree's cumulants of that distribution, which
+    :func:`_closed_form` reads off the unresolved tree itself.
     """
-    refined, origin = trivalent_refinement(tree)
-    lifted = lift_params(refined, origin, params)
-    return refined, gmm_tree_cumulants(refined, lifted, capacity)
+    refined, _ = trivalent_refinement(tree)
+    return refined, _closed_form_vector(tree, params, refined, capacity)
 
 
 # -- normalization ------------------------------------------------------------

@@ -76,9 +76,17 @@ routes to ``trees.tree_cumulants`` and ``moments.central_moments``: the
 singleton-free sum over central moments, and the per-axis pass of the
 centred values over the probability table.
 
-``trees.gmm_tree_cumulants`` reads the span of each leaf set off one
-bitmask per node.  ``gmm_tree_cumulants_by_subtree`` is the route it
-replaced: an induced subtree per leaf set, with its path walks.
+``trees._closed_form`` evaluates the latent tree closed form in one
+pass up from the leaves, for the latent tree, its contraction, the
+mixture chart and the hidden chain alike.  ``gmm_tree_cumulants_by_states``
+is the loop it replaced: for each leaf set, a walk over every edge that
+reads the span off one bitmask per node; it takes inner nodes of any
+degree.  ``gmm_tree_cumulants_by_subtree`` is the route before that: an
+induced subtree per leaf set, with its path walks.  ``lift_params`` is
+how unresolved trees reached the closed form before: it copies the
+parameters onto a trivalent refinement, with slope-one edges between the
+copies of a node.  ``secant_tree_cumulants`` is the mixture chart's
+formula, t(1-t)(1-2t)^(d-2) times the product of the mean gaps.
 
 ``models.hmm_distribution`` and ``models.secant_moments`` run the upward
 pass that ``models.gmm_distribution`` runs.  ``hmm_distribution_by_states``
@@ -149,7 +157,7 @@ from lcumulants.partition import (
     restrict,
 )
 from lcumulants.topology import TreeTopology
-from lcumulants.trees import TREE_CUMULANTS, _singleton_free_sums
+from lcumulants.trees import TREE_CUMULANTS, GMMParams, _singleton_free_sums
 
 
 @functools.cache
@@ -844,6 +852,75 @@ def gmm_tree_cumulants_by_subtree(tree, params):
             value *= params.eta(b, a) if parents.get(a) == b else params.eta(a, b)
         entries[x] = value
     return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
+
+
+def gmm_tree_cumulants_by_states(tree, params):
+    """The latent tree closed form with one walk over every edge per leaf set.
+
+    A leaf set of two or more leaves gets (1 - bar(r)^2) / 4 at the top
+    node r of its span (a leaf root steps to its child), bar(v)^(k-2) at
+    each node v with k span edges and the slope of each span edge: the
+    edges u -> v with leaves of the set both below v and elsewhere.
+    """
+    space = StateSpace.binary(tree.num_leaves)
+    means = params.node_means(tree)
+    parents = tree.parent_map()  # each parent before its children
+    below = {v: 1 << (v - 1) for v in tree.leaves}
+    for v, u in reversed(parents.items()):
+        below[u] = below.get(u, 0) | below.get(v, 0)
+    edges = [(u, v, below.get(v, 0), params.eta(u, v)) for v, u in parents.items()]
+    entries = {}
+    for x in space.states():
+        mask = sum(e << i for i, e in enumerate(x))
+        if mask.bit_count() < 2:
+            entries[x] = means[x.index(1) + 1] if mask else Fraction(0)
+            continue
+        value, degree, top = Fraction(1, 4), dict.fromkeys(means, 0), None
+        for u, v, side, eta in edges:
+            if mask & side and mask & ~side:
+                if top is None:  # the first span edge leaves the top node
+                    top = v if isinstance(u, int) else u
+                value *= eta
+                degree[u] += 1
+                degree[v] += 1
+        value *= 1 - (1 - 2 * means[top]) ** 2
+        for v, k in degree.items():
+            if k > 2:  # a leaf has one span edge at most
+                value *= (1 - 2 * means[v]) ** (k - 2)
+        entries[x] = value
+    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, tree))
+
+
+def lift_params(refined, origin, params):
+    """Parameters on the refinement: cloned nodes copy their source.
+
+    Edges between two copies of one original node carry the identity
+    table (slope one, equal means); every original edge keeps its table,
+    reattached to whichever copies it now joins.
+    """
+    identity = (Fraction(0), Fraction(1))
+    tables = {}
+    for child, parent in refined.parent_map().items():
+        src_c, src_p = origin.get(child, child), origin.get(parent, parent)
+        tables[(parent, child)] = identity if src_c == src_p else tuple(params.tables[(src_p, src_c)])
+    return GMMParams(params.root_dist, tables)
+
+
+def secant_tree_cumulants(params):
+    """The mixture chart's tree cumulants by their formula, support by support."""
+    t = Fraction(params.t)
+    out = {}
+    for r in range(1, params.n + 1):
+        for support in itertools.combinations(range(1, params.n + 1), r):
+            if r == 1:
+                i = support[0] - 1
+                out[support] = (1 - t) * params.a[i] + t * params.b[i]
+                continue
+            value = t * (1 - t) * (1 - 2 * t) ** (r - 2)
+            for i in support:
+                value *= params.b[i - 1] - params.a[i - 1]
+            out[support] = value
+    return out
 
 
 def hmm_distribution_by_states(params):

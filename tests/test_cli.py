@@ -525,6 +525,13 @@ class TestVerify:
         assert code == 0
         assert data["passed"] is True
 
+    @pytest.mark.parametrize("tree", ["star5", "(1,(2,3,4,5)a,6)r;"], ids=["star5", "degree-five-inner"])
+    def test_gmm_suite_on_an_unresolved_tree(self, capsys, tree):
+        # The closed form runs in the coordinates of the trivalent refinement.
+        code, data = run_json(capsys, "verify", "gmm", "--tree", tree, "--trials", "1")
+        assert code == 0
+        assert data["passed"] is True
+
     def test_hmm_suite(self, capsys):
         code, data = run_json(capsys, "verify", "hmm", "--n", "3", "--seed", "5", "--trials", "1")
         assert code == 0
@@ -616,6 +623,17 @@ class TestVerify:
         _, first = run(capsys, "verify", "secant", "--n", "3", "--seed", "11", "--trials", "2")
         _, second = run(capsys, "verify", "secant", "--n", "3", "--seed", "11", "--trials", "2")
         assert first == second
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_are_refused_before_any_trial(self, capsys, monkeypatch, jobs):
+        def refuse(item):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("lcumulants.commands._hmm_trial", refuse)
+        assert main(["verify", "hmm", "--n", "3", "--trials", "1", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, not {jobs}\n"
 
     def test_jobs_do_not_change_bytes(self, capsys):
         _, solo = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2")
@@ -748,6 +766,52 @@ MIXED_ARITY_HMM = {
     ],
 }
 
+TWELVE_MIXED_ARITY_HMM = {
+    "arities": [2, 3] * 6,
+    "values": [
+        ["-1", "2"],
+        ["0", "1/2", "3"],
+        ["1/3", "-2"],
+        ["-1", "1", "5/2"],
+        ["2", "7"],
+        ["0", "1", "4"],
+        ["-3/2", "1/2"],
+        ["1/5", "2/5", "-1"],
+        ["0", "3"],
+        ["-2", "0", "2"],
+        ["1", "1/4"],
+        ["3", "-1/3", "0"],
+    ],
+    "initial": ["2/5", "3/5"],
+    "transitions": [
+        ["1/3", "3/4"],
+        ["1/5", "2/3"],
+        ["1/2", "5/7"],
+        ["2/9", "4/5"],
+        ["1/4", "1/2"],
+        ["3/8", "5/6"],
+        ["1/6", "7/9"],
+        ["2/5", "3/5"],
+        ["1/7", "6/7"],
+        ["3/10", "2/3"],
+        ["1/3", "1/2"],
+    ],
+    "emissions": [
+        [["1/3", "2/3"], ["3/4", "1/4"]],
+        [["1/2", "1/4", "1/4"], ["1/6", "1/3", "1/2"]],
+        [["2/5", "3/5"], ["5/6", "1/6"]],
+        [["1/3", "1/3", "1/3"], ["1/8", "3/8", "1/2"]],
+        [["1/7", "6/7"], ["1/2", "1/2"]],
+        [["0", "1/2", "1/2"], ["2/3", "1/6", "1/6"]],
+        [["3/5", "2/5"], ["1/9", "8/9"]],
+        [["1/4", "1/2", "1/4"], ["1/5", "1/5", "3/5"]],
+        [["5/8", "3/8"], ["1/3", "2/3"]],
+        [["1/10", "3/10", "3/5"], ["1/2", "0", "1/2"]],
+        [["4/7", "3/7"], ["2/9", "7/9"]],
+        [["1/3", "1/6", "1/2"], ["3/4", "1/8", "1/8"]],
+    ],
+}
+
 SIGNED_SECANT = [
     "--n", "6", "--t=-2/7", "--a", "1/2,-3,5/4,0,-1/6,2", "--b=-1/3,4,1/5,-7/2,3,-1",
 ]
@@ -756,9 +820,10 @@ SIGNED_SECANT = [
 class TestGoldenBytes:
     """Output digests recorded before the moment maps and the model laws became per-axis and upward passes.
 
-    ``verify gmm`` needs a trivalent tree for its closed form, so the
-    degree-4 tree is pinned through ``verify split-binomials`` and
-    ``model gmm`` instead.
+    The degree-4 tree is pinned through ``verify split-binomials`` and
+    ``model gmm``: ``verify gmm`` refused unresolved trees when these were
+    recorded.  The twelve-variable chain's closed form was recorded before
+    it became a pass over the hidden chain as a latent tree.
     """
 
     @pytest.mark.parametrize(
@@ -809,6 +874,10 @@ class TestGoldenBytes:
                 "ebaad82c76962b6816f2e66f11169543f5a61933018b97ff481f5a47a2f263df",
             ),
             (
+                ["model", "hmm", "--params", "twelve.json", "--emit", "treecumulants"],
+                "08409ff61dad884ab64242ff7d1e554bf7b47c75e1c7a46350f4215b2b8085b0",
+            ),
+            (
                 ["model", "secant", *SIGNED_SECANT, "--emit", "moments"],
                 "a186cb5d4597e85595dca32fb4a7860985435f1ad85734f471f646574488d09c",
             ),
@@ -829,6 +898,7 @@ class TestGoldenBytes:
             "transform-central-moments-values",
             "model-hmm-mixed-arity",
             "model-hmm-mixed-arity-treecumulants",
+            "model-hmm-twelve-mixed-arity-treecumulants",
             "model-secant-signed",
             "model-gmm-relabelled-caterpillar",
         ],
@@ -840,6 +910,7 @@ class TestGoldenBytes:
         (tmp_path / "degree4.json").write_text(json.dumps(DEGREE_FOUR_PARAMS))
         (tmp_path / "valued.json").write_text(json.dumps(VALUED_TABLE))
         (tmp_path / "mixed.json").write_text(json.dumps(MIXED_ARITY_HMM))
+        (tmp_path / "twelve.json").write_text(json.dumps(TWELVE_MIXED_ARITY_HMM))
         (tmp_path / "relabelled.json").write_text(json.dumps(RELABELLED_PARAMS))
         code, out = run(capsys, *argv)
         assert code == 0

@@ -230,6 +230,33 @@ class TestSecant:
         pipeline = subset_tree_cumulants(dist, caterpillar(n))
         assert secant_tree_cumulants(params) == pipeline
 
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("t", [Fraction(2, 7), Fraction(1, 2), 0, 1, "random"], ids=["2/7", "1/2", "0", "1", "random"])
+    def test_star_pass_equals_the_formula(self, t, n, rng):
+        # The chart is the star with one hidden node; at t = 1/2 every
+        # coordinate of order three or more vanishes, and a zero gap kills
+        # every coordinate through its variable.
+        t = rng.fraction(30, signed=True) if t == "random" else t
+        a = tuple(rng.fraction(20, signed=True) for _ in range(n))
+        b = tuple(rng.fraction(20, signed=True) for _ in range(n))
+        zero_gap = a[:1] + b[1:]
+        for params in (SecantParams(t, a, b), SecantParams(t, a, zero_gap), SecantParams(t, a, a)):
+            got, want = secant_tree_cumulants(params), oracles.secant_tree_cumulants(params)
+            assert list(got.items()) == list(want.items())
+        got = secant_tree_cumulants(SecantParams(t, a, zero_gap))
+        assert all(v == 0 for ms, v in got.items() if 1 in ms and len(ms) > 1)
+        if t == Fraction(1, 2):
+            assert all(v == 0 for ms, v in secant_tree_cumulants(SecantParams(t, a, b)).items() if len(ms) > 2)
+
+    def test_star_pass_equals_pipeline_at_a_half_with_a_zero_gap(self, rng):
+        from lcumulants.moments import distribution_from_moments
+
+        a = tuple(rng.fraction(20) for _ in range(5))
+        b = (Fraction(0),) + tuple(rng.fraction(20) for _ in range(4))
+        params = SecantParams(Fraction(1, 2), (Fraction(0),) + a[1:], b)
+        dist = distribution_from_moments(secant_moments(params), algebraic=True)
+        assert secant_tree_cumulants(params) == subset_tree_cumulants(dist, caterpillar(5))
+
     def test_one_cluster_coordinate_is_messier(self, rng):
         t = rng.probability(24)
         a = tuple(rng.fraction(20) for _ in range(4))
@@ -400,6 +427,24 @@ class TestHiddenChainClosedForm:
             got, want = hmm_tree_cumulants_closed(params), oracles.hmm_tree_cumulants_closed(params)
             assert list(got) == list(want)
             assert got == want
+
+    @pytest.mark.parametrize(
+        "arities", [[3, 2, 4, 2], [2, 5], [4, 3, 2, 3, 2, 4], [3], [2, 3, 2, 3, 2, 3, 2, 3]]
+    )
+    def test_chain_pass_with_a_value_map_equals_the_rebuilt_products(self, arities, rng):
+        drawn = random_hmm_params(rng, len(arities), arities)
+        values = [[Fraction(2 * k - 1, k + 2) for k in range(r)] for r in arities]
+        params = HMMParams(StateSpace.of(arities, values), drawn.initial, drawn.transitions, drawn.emissions)
+        got, want = hmm_tree_cumulants_closed(params), oracles.hmm_tree_cumulants_closed(params)
+        assert list(got.items()) == list(want.items())
+        if 2 <= len(arities) <= 6:
+            assert got == hmm_pipeline_tree_cumulants(params)
+
+    def test_degenerate_hidden_state_is_refused(self, rng):
+        drawn = random_hmm_params(rng, 3)
+        stuck = HMMParams(drawn.space, (Fraction(1), Fraction(0)), ((Fraction(0), Fraction(1, 2)),) * 2, drawn.emissions)
+        with pytest.raises(ValueError, match="degenerate hidden state"):
+            hmm_tree_cumulants_closed(stuck)
 
     def test_pair_value_factorizes_through_the_chain(self, rng):
         params = random_hmm_params(rng, 4)

@@ -30,7 +30,6 @@ from lcumulants.trees import (
     contracted_tree_cumulants,
     exact_sqrt,
     gmm_tree_cumulants,
-    lift_params,
     normalized_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
@@ -40,6 +39,7 @@ from lcumulants.trees import (
 from oracles import all_partitions, build, induced_subtree, is_interval
 
 from conftest import random_distribution
+from test_first_blocks import SHAPE_TREES
 
 
 class TestTopology:
@@ -319,7 +319,7 @@ class TestContraction:
         st5 = star(5)
         params = random_gmm_params(st5, rng)
         refined, tv = contracted_tree_cumulants(st5, params)
-        lifted = lift_params(*trivalent_refinement(st5), params)
+        lifted = oracles.lift_params(*trivalent_refinement(st5), params)
         assert tv.entries == oracles.gmm_tree_cumulants_by_subtree(refined, lifted).entries
 
     def test_degenerate_mixture_collapses(self):
@@ -329,6 +329,48 @@ class TestContraction:
         params = GMMParams((Fraction(1), Fraction(0)), {("c", i + 1): (a[i], b[i]) for i in range(4)})
         _, tv = contracted_tree_cumulants(st4, params)
         assert all(v == 0 for x, v in tv.entries.items() if sum(x) >= 2)
+
+
+UNRESOLVED_TREES = ["(1,2,3,4,5)c;", "((1,2,3)a,4,(5,6)b)r;", "((1,2,3,4)a,(5,6,7)b)r;", "(1,(2,3,4,5)a,6)r;"]
+
+
+class TestOnePass:
+    """The leaves-up closed form against the per-state loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
+    def test_every_rooting_equals_the_per_state_loop(self, name):
+        tree = SHAPE_TREES[name]
+        for seed, node in enumerate(sorted(tree.nodes, key=str)):
+            rooted = tree.rooted_at(node)
+            params = random_gmm_params(rooted, SplitMix64(seed))
+            want = oracles.gmm_tree_cumulants_by_states(rooted, params).entries
+            _, contracted = contracted_tree_cumulants(rooted, params)
+            assert contracted.entries == want, node
+            if all(rooted.degree(v) <= 3 for v in rooted.inner_nodes()):
+                assert gmm_tree_cumulants(rooted, params).entries == want, node
+
+    def test_childless_inner_node(self):
+        # "d" is an inner node with no leaf below it: no span reaches it.
+        tree = TreeTopology([(1, "a"), (2, "a"), ("a", "b"), (3, "c"), ("c", "b"), ("c", "d")], root="a")
+        for seed in range(3):
+            params = random_gmm_params(tree, SplitMix64(seed))
+            got = gmm_tree_cumulants(tree, params)
+            assert got.entries == oracles.gmm_tree_cumulants_by_states(tree, params).entries
+            assert got.entries == oracles.gmm_tree_cumulants_by_subtree(tree, params).entries
+            pipeline = tree_cumulants(moments_from_distribution(gmm_distribution(tree, params)), tree)
+            assert got.entries == pipeline.entries
+
+    @pytest.mark.parametrize("text", UNRESOLVED_TREES)
+    def test_unresolved_tree_without_lifting(self, text):
+        tree = from_newick(text)
+        for seed, node in enumerate(sorted(tree.nodes, key=str)):
+            rooted = tree.rooted_at(node)
+            params = random_gmm_params(rooted, SplitMix64(seed))
+            refined, got = contracted_tree_cumulants(rooted, params)
+            assert got.family == Family(TREE, refined)
+            assert got.entries == oracles.gmm_tree_cumulants_by_states(rooted, params).entries, node
+            lifted = oracles.lift_params(*trivalent_refinement(rooted), params)
+            assert got.entries == oracles.gmm_tree_cumulants_by_subtree(refined, lifted).entries, node
 
 
 class TestNormalization:
