@@ -210,6 +210,8 @@ def _labels(fam: Family, n: int | None) -> tuple[int, ...]:
 def cmd_lattice(args) -> int:
     fam = _family_from_args(args.family, args.tree)
     labels = _labels(fam, args.n)
+    if args.n is not None and args.n != len(labels):
+        raise SystemExit2(f"--n {args.n} does not match the {len(labels)} leaves of the tree")
     count = lat_mod.element_count(fam, labels, capacity=_capacity())
     if count > DUMP_ELEMENT_LIMIT:
         raise SystemExit2(f"the {fam} lattice has {count} elements, above the dump limit of {DUMP_ELEMENT_LIMIT}")

@@ -42,7 +42,6 @@ weights and the checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import comb, factorial, prod
@@ -53,6 +52,8 @@ from .partition import (
     CapacityError,
     SetPartition,
     _canonical,
+    _Frozen,
+    _Value,
     format_partition,
     meet,
     refines,
@@ -67,21 +68,21 @@ ONECLUSTER = "onecluster"
 TREE = "tree"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """A lattice family tag; tree families carry their topology."""
 
-    kind: str
-    tree: TreeTopology | None = None
+    _fields = ("kind", "tree")
 
-    def __post_init__(self):
-        if self.kind == TREE:
-            if self.tree is None:
+    def __init__(self, kind: str, tree: TreeTopology | None = None):
+        if kind == TREE:
+            if tree is None:
                 raise ValueError("tree family needs a topology")
-        elif self.kind not in (FULL, NONCROSSING, INTERVAL, ONECLUSTER):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        elif self.tree is not None:
+        elif kind not in (FULL, NONCROSSING, INTERVAL, ONECLUSTER):
+            raise ValueError(f"unknown family kind {kind!r}")
+        elif tree is not None:
             raise ValueError("only tree families carry a topology")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tree", tree)
 
     @property
     def size_indexed(self) -> bool:
@@ -623,11 +624,16 @@ _REST: dict[str, Callable[[int, int, tuple[int, ...]], tuple[int, ...]]] = {
 # -- structural conditions -------------------------------------------------
 
 
-@dataclass
-class ConditionReport:
-    condition: str
-    holds: bool | None
-    witness: str | None = None
+class ConditionReport(_Value):
+    """Whether a structural condition holds: True, False, or None when it was not checked."""
+
+    _fields = ("condition", "holds", "witness")
+    __hash__ = None
+
+    def __init__(self, condition: str, holds: bool | None, witness: str | None = None):
+        self.condition = condition
+        self.holds = holds
+        self.witness = witness
 
     def __bool__(self) -> bool:
         if self.holds is None:

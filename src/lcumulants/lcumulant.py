@@ -54,7 +54,6 @@ or reads a Moebius table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -86,7 +85,7 @@ from .moments import (
     _strides,
     distribution_from_moments,
 )
-from .partition import DEFAULT_CAPACITY, SetPartition
+from .partition import DEFAULT_CAPACITY, SetPartition, _Frozen, _Value
 from .topology import is_caterpillar
 
 MomentFunction = Callable[[Sequence[int]], Fraction]
@@ -315,13 +314,15 @@ def l_from_classical(
 # -- cumulant tensors ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CumulantTensor:
+class CumulantTensor(_Frozen):
     """Dense order-d tensor of cumulants over 1-based variable tuples."""
 
-    order: int
-    n: int
-    entries: Mapping[tuple[int, ...], Fraction]
+    _fields = ("order", "n", "entries")
+
+    def __init__(self, order: int, n: int, entries: Mapping[tuple[int, ...], Fraction]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, idx: tuple[int, ...]) -> Fraction:
         return self.entries[idx]
@@ -430,13 +431,25 @@ def linear_image_moments(Q: Sequence[Sequence], source, n: int | None = None) ->
 # -- shift invariance ---------------------------------------------------------
 
 
-@dataclass
-class ShiftReport:
-    family: Family
-    shift: tuple[Fraction, ...]
-    first_order_ok: bool
-    invariant: bool
-    mismatches: list[tuple[tuple[int, ...], Fraction, Fraction]]
+class ShiftReport(_Value):
+    """The outcome of :func:`shift_invariance_check`, with each coordinate that moved."""
+
+    _fields = ("family", "shift", "first_order_ok", "invariant", "mismatches")
+    __hash__ = None
+
+    def __init__(
+        self,
+        family: Family,
+        shift: tuple[Fraction, ...],
+        first_order_ok: bool,
+        invariant: bool,
+        mismatches: list[tuple[tuple[int, ...], Fraction, Fraction]],
+    ):
+        self.family = family
+        self.shift = shift
+        self.first_order_ok = first_order_ok
+        self.invariant = invariant
+        self.mismatches = mismatches
 
 
 def shift_invariance_check(

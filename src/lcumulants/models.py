@@ -16,7 +16,6 @@ mode can apply their own tolerance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +26,7 @@ from .moments import (
     StateSpace,
     _scaled_integers,
 )
-from .partition import DEFAULT_CAPACITY
+from .partition import DEFAULT_CAPACITY, _Frozen, _Value
 from .topology import TreeTopology, caterpillar, star
 from .trees import GMMParams, _closed_form, exact_sqrt, subset_tree_cumulants
 
@@ -142,8 +141,7 @@ def reroot_params(
 # -- rank-two mixture chart -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecantParams:
+class SecantParams(_Frozen):
     """Mixing weight t and the two component mean vectors a, b.
 
     The chart is affine (the empty-index coordinate is one); nothing
@@ -151,13 +149,14 @@ class SecantParams:
     fine.
     """
 
-    t: Fraction
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    _fields = ("t", "a", "b")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __init__(self, t: Fraction, a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
+        if len(a) != len(b):
             raise ValueError("component mean vectors must have equal length")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
@@ -194,11 +193,21 @@ def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fractio
 # -- split binomials --------------------------------------------------------------
 
 
-@dataclass
-class BinomialReport:
-    split: tuple[tuple[int, ...], tuple[int, ...]]
-    checked: int
-    violations: list[tuple[tuple[tuple[int, ...], ...], Fraction]]
+class BinomialReport(_Value):
+    """The minors checked for one split A|B, and every one that did not vanish."""
+
+    _fields = ("split", "checked", "violations")
+    __hash__ = None
+
+    def __init__(
+        self,
+        split: tuple[tuple[int, ...], tuple[int, ...]],
+        checked: int,
+        violations: list[tuple[tuple[tuple[int, ...], ...], Fraction]],
+    ):
+        self.split = split
+        self.checked = checked
+        self.violations = violations
 
     @property
     def max_abs_residual(self) -> Fraction:
@@ -283,8 +292,7 @@ def verify_split_binomials(
 # -- hidden two-state chains --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HMMParams:
+class HMMParams(_Frozen):
     """A binary hidden chain with per-position emissions.
 
     ``initial`` is the distribution of the first hidden state;
@@ -294,18 +302,21 @@ class HMMParams:
     state space carries the value maps.
     """
 
-    space: StateSpace
-    initial: tuple[Fraction, Fraction]
-    transitions: tuple[tuple[Fraction, Fraction], ...]
-    emissions: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...]
+    _fields = ("space", "initial", "transitions", "emissions")
 
-    def __post_init__(self):
-        n = self.space.n
-        if len(self.transitions) != n - 1 or len(self.emissions) != n:
+    def __init__(
+        self,
+        space: StateSpace,
+        initial: tuple[Fraction, Fraction],
+        transitions: tuple[tuple[Fraction, Fraction], ...],
+        emissions: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...],
+    ):
+        n = space.n
+        if len(transitions) != n - 1 or len(emissions) != n:
             raise ValueError("need n-1 transition rows and n emission tables")
-        rows = [("initial distribution", self.initial, 2, True)]
-        rows += [(f"transition row {i + 1}", row, 2, False) for i, row in enumerate(self.transitions)]
-        for i, (pair, r) in enumerate(zip(self.emissions, self.space.arities), 1):
+        rows = [("initial distribution", initial, 2, True)]
+        rows += [(f"transition row {i + 1}", row, 2, False) for i, row in enumerate(transitions)]
+        for i, (pair, r) in enumerate(zip(emissions, space.arities), 1):
             rows += [(f"emission row {h} of variable {i}", pair[h], r, True) for h in (0, 1)]
         for name, row, size, total in rows:
             if len(row) != size:
@@ -315,6 +326,10 @@ class HMMParams:
                     raise ValueError(f"entry {j} of the {name} is {p}, outside [0, 1]")
             if total and sum(row) != 1:
                 raise ValueError(f"the {name} does not sum to one")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "emissions", emissions)
 
     @property
     def n(self) -> int:
@@ -508,15 +523,29 @@ def hmm_pipeline_tree_cumulants(
 # -- conditional regression identities ------------------------------------------
 
 
-@dataclass
-class RegressionReport:
-    applicable: bool
-    residual: Fraction
-    lhs: Fraction
-    rhs: Fraction
-    eta_ri: Fraction = Fraction(0)
-    eta_rj: Fraction = Fraction(0)
-    tau: Fraction = Fraction(0)
+class RegressionReport(_Value):
+    """Both sides of the binary regression identity, their residual and the terms it read."""
+
+    _fields = ("applicable", "residual", "lhs", "rhs", "eta_ri", "eta_rj", "tau")
+    __hash__ = None
+
+    def __init__(
+        self,
+        applicable: bool,
+        residual: Fraction,
+        lhs: Fraction,
+        rhs: Fraction,
+        eta_ri: Fraction = Fraction(0),
+        eta_rj: Fraction = Fraction(0),
+        tau: Fraction = Fraction(0),
+    ):
+        self.applicable = applicable
+        self.residual = residual
+        self.lhs = lhs
+        self.rhs = rhs
+        self.eta_ri = eta_ri
+        self.eta_rj = eta_rj
+        self.tau = tau
 
 
 def binary_regression_identity_check(

@@ -47,14 +47,13 @@ when ``algebraic=True`` since no transform here uses nonnegativity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .partition import SetPartition
+from .partition import SetPartition, _Frozen
 
 Exponent = tuple[int, ...]
 
@@ -162,12 +161,14 @@ def _fractions(states: Iterable[Exponent], form: _Graded) -> dict[Exponent, Frac
     return dict(zip(states, map(Fraction, form.nums, map(scales.__getitem__, form.sizes))))
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(_Frozen):
     """Arities plus per-variable value maps (level -> value)."""
 
-    arities: tuple[int, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    _fields = ("arities", "values")
+
+    def __init__(self, arities: tuple[int, ...], values: tuple[tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls, arities: Sequence[int], values: Sequence[Sequence] | None = None) -> StateSpace:
@@ -358,8 +359,7 @@ def _check_sum(ints: list[int], scale: int) -> None:
         raise ValueError(f"table sums to {Fraction(total, scale)}, not 1")
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
+class CoordinateVector(_Frozen):
     """Exact coordinates over the box, tagged with their system.
 
     ``system`` is one of the module tags; cumulant-like systems carry the
@@ -375,20 +375,23 @@ class CoordinateVector:
     form takes no part in ``==``, ``repr`` or :meth:`to_json`.
     """
 
-    space: StateSpace
-    system: str
-    entries: Mapping[Exponent, Fraction]
-    family: object | None = None
+    _fields = ("space", "system", "entries", "family")
 
-    def __post_init__(self):
+    def __init__(
+        self, space: StateSpace, system: str, entries: Mapping[Exponent, Fraction], family: object | None = None
+    ):
         # Lazy: on a huge box with a small table, a missing state turns up
         # among the first len(entries) + 1 states.
-        missing = next((x for x in self.space.states() if x not in self.entries), None)
+        missing = next((x for x in space.states() if x not in entries), None)
         if missing is not None:
             raise ValueError(f"missing entries, e.g. {missing}")
-        if len(self.entries) != self.space.size:
-            extra = set(self.entries) - set(self.space.states())
+        if len(entries) != space.size:
+            extra = set(entries) - set(space.states())
             raise ValueError(f"states outside the box: {sorted(extra)[:3]}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "family", family)
 
     @classmethod
     def _of_integers(
@@ -410,7 +413,7 @@ class CoordinateVector:
         """The entries of a computed vector, built from its form on the first read and then kept.
 
         Only a name missing from the instance lands here, so ``==``,
-        ``repr``, :meth:`to_json`, ``copy`` and ``dataclasses.replace``
+        ``repr``, :meth:`to_json`, ``copy`` and ``__replace__``
         read the entries through this as through a stored field.  Threads
         that race on the first read build equal dicts, and the last is kept.
         """

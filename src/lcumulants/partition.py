@@ -12,11 +12,13 @@ one machinery serve plain sets and multisets alike.
 
 Position order is total, which is what the non-crossing and interval
 first-block rules of :mod:`lattice` read.  Everything here is immutable
-and side-effect free.
+and side-effect free.  The base of the library's value classes lives here
+too, since every layer imports this module.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 DEFAULT_CAPACITY = 12
@@ -24,6 +26,56 @@ DEFAULT_CAPACITY = 12
 
 class CapacityError(ValueError):
     """Raised when an enumeration would exceed the configured size cap."""
+
+
+class _Value:
+    """A record whose ``==``, ``hash`` and ``repr`` read the fields named in ``_fields``.
+
+    The library's records subclass this and set their fields in an explicit
+    ``__init__``.  Two records are equal when they are of the same class and
+    their field tuples are equal, and the hash is the hash of that tuple.
+    The repr is ``Name(field=value, ...)``.  A record that may be mutated
+    sets ``__hash__ = None``.  Instances keep a ``__dict__``, so a
+    ``cached_property`` or a lazily set attribute works on them.  Every
+    subclass names at least two fields, so ``_key`` returns a tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __replace__(self, **changes):
+        """A copy built by ``__init__`` from the fields, with ``changes`` in place of some."""
+        kept = {name: getattr(self, name) for name in self._fields if name not in changes}
+        return type(self)(**kept, **changes)
+
+
+class _Frozen(_Value):
+    """A :class:`_Value` whose attributes cannot be set or deleted once built.
+
+    ``__init__`` sets the fields with ``object.__setattr__``.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SetPartition:

@@ -22,7 +22,6 @@ they hand it.  Variance-normalized coordinates live here too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -43,7 +42,7 @@ from .moments import (
     central_moments,
     moments_from_distribution,
 )
-from .partition import DEFAULT_CAPACITY, CapacityError
+from .partition import DEFAULT_CAPACITY, CapacityError, _Frozen
 from .topology import TreeTopology
 
 TREE_CUMULANTS = LCUMULANTS  # tree cumulants are the lattice cumulants of a tree family
@@ -93,21 +92,25 @@ def subset_tree_cumulants(
 # -- the two-state latent tree parametrization -------------------------------
 
 
-@dataclass(frozen=True)
-class GMMParams:
+class GMMParams(_Frozen):
     """Root distribution plus one conditional row pair per directed edge.
 
     ``tables[(u, v)]`` holds ``(p(X_v=1 | X_u=0), p(X_v=1 | X_u=1))`` for
     the edge directed from parent u to child v; all nodes are binary.
     """
 
-    root_dist: tuple[Fraction, Fraction]
-    tables: Mapping[tuple[object, object], tuple[Fraction, Fraction]]
+    _fields = ("root_dist", "tables")
 
-    def __post_init__(self):
-        p0, p1 = self.root_dist
+    def __init__(
+        self,
+        root_dist: tuple[Fraction, Fraction],
+        tables: Mapping[tuple[object, object], tuple[Fraction, Fraction]],
+    ):
+        p0, p1 = root_dist
         if p0 + p1 != 1:
             raise ValueError("root distribution must sum to one")
+        object.__setattr__(self, "root_dist", root_dist)
+        object.__setattr__(self, "tables", tables)
 
     def eta(self, u: object, v: object) -> Fraction:
         """Regression slope of the child on the parent along a directed edge."""

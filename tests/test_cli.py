@@ -108,6 +108,15 @@ class TestLattice:
         assert code == 0
         assert data["elements"] == quartet["elements"]
 
+    def test_a_tree_dump_checks_a_given_n(self, capsys):
+        _, quartet = run(capsys, "lattice", "--family", "tree", "--tree", "quartet")
+        assert run(capsys, "lattice", "--family", "tree", "--tree", "quartet", "--n", "4") == (0, quartet)
+        for n in ("3", "5"):
+            assert main(["lattice", "--family", "tree", "--tree", "quartet", "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --n {n} does not match the 4 leaves of the tree\n"
+
     def test_interval_singleton(self, capsys):
         code, data = run_json(capsys, "lattice", "--family", "interval", "--n", "1")
         assert code == 0

@@ -13,7 +13,6 @@ every entry at once (``oracles.eager_vectors``).
 """
 
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -179,8 +178,8 @@ class TestEntriesOnFirstRead:
             lambda vec: vec,
             repr,
             lambda vec: vec.to_json(),
-            dataclasses.replace,
-            lambda vec: dataclasses.replace(vec, family=None),
+            lambda vec: vec.__replace__(),
+            lambda vec: vec.__replace__(family=None),
             copy.copy,
             copy.deepcopy,
             lambda vec: pickle.loads(pickle.dumps(vec)),

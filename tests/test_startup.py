@@ -2,9 +2,11 @@
 
 ``python -m lcumulants.cli`` imports the package, ``cli`` and nothing of
 the library until a verb runs, so ``--help`` and a usage error load no
-layer module, no ``dataclasses``, ``fractions`` or ``hashlib``.  The
-package exports its names lazily, one module on first use.  None of this
-may change a byte of output.
+layer module, no ``dataclasses``, ``fractions`` or ``hashlib``.  A verb
+loads the layers it runs, but the value classes are written by hand, so
+no verb loads ``dataclasses`` or the ``inspect`` it imports.  The package
+exports its names lazily, one module on first use.  None of this may
+change a byte of output.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ NOT_AT_START = {f"lcumulants.{name}" for name in LAYERS if name != "partition"} 
 def _python(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+def _table(tmp_path: Path) -> str:
+    """A two-variable probability table written to a file; returns its path."""
+    source = tmp_path / "p.json"
+    table = {"0,0": "1/4", "0,1": "1/4", "1,0": "1/8", "1,1": "3/8"}
+    source.write_text(json.dumps({"arities": [2, 2], "system": "probabilities", "table": table}))
+    return str(source)
 
 
 def _imported(stderr: str) -> set[str]:
@@ -87,14 +97,27 @@ class TestStartup:
         assert imported & NOT_AT_START == set()
 
     def test_a_transform_loads_no_openssl(self, tmp_path):
-        source = tmp_path / "p.json"
-        table = {"0,0": "1/4", "0,1": "1/4", "1,0": "1/8", "1,1": "3/8"}
-        source.write_text(json.dumps({"arities": [2, 2], "system": "probabilities", "table": table}))
-        proc = _python("-X", "importtime", "-m", "lcumulants.cli", "transform", "-i", str(source), "--to", "moments")
+        proc = _python("-X", "importtime", "-m", "lcumulants.cli", "transform", "-i", _table(tmp_path), "--to", "moments")
         assert proc.returncode == 0
         imported = _imported(proc.stderr)
         assert "lcumulants.moments" in imported
         assert "hashlib" not in imported
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "-i", "TABLE", "--to", "lcumulants", "--family", "full"],
+            ["verify", "gmm", "--tree", "quartet", "--trials", "1"],
+        ],
+        ids=["transform", "verify"],
+    )
+    def test_a_verb_loads_no_dataclasses(self, tmp_path, argv):
+        argv = [_table(tmp_path) if arg == "TABLE" else arg for arg in argv]
+        proc = _python("-X", "importtime", "-m", "lcumulants.cli", *argv)
+        assert proc.returncode == 0
+        imported = _imported(proc.stderr)
+        assert "lcumulants.lcumulant" in imported
+        assert imported & {"dataclasses", "inspect"} == set()
 
     def test_verify_keeps_its_inputs_digest(self, capsys):
         assert main(["verify", "weisner", "--family", "full", "--n", "4"]) == 0
