@@ -33,15 +33,15 @@ _EXPORTS = {
             "CENTRAL_MOMENTS", "CLASSICAL_CUMULANTS", "FLOAT_TOLERANCE", "LCUMULANTS", "MOMENTS",
             "PROBABILITIES", "CoordinateVector", "DiscreteDistribution", "StateSpace",
             "central_moments", "conditional_moments", "distribution_from_moments",
-            "distribution_from_vector", "factorizes_over", "marginal", "moments_from_distribution",
-            "transform_values", "vector_from_distribution", "within_tolerance",
+            "factorizes_over", "marginal", "moments_from_distribution", "transform_values",
+            "within_tolerance",
         ),
         "models": (
             "BinomialReport", "HMMParams", "RegressionReport", "SecantParams",
             "binary_regression_identity_check", "gmm_distribution", "hmm_distribution",
             "hmm_normalized_tree_cumulants", "hmm_pipeline_tree_cumulants", "hmm_tree_cumulants_closed",
             "random_gmm_params", "random_hmm_params", "regression_mean_check", "reroot_params",
-            "secant_moments", "secant_tree_cumulants", "split_binomials", "verify_split_binomials",
+            "secant_moments", "secant_tree_cumulants", "split_binomials",
         ),
         "partition": (
             "CapacityError", "SetPartition", "format_partition", "join", "meet", "parse_partition",
@@ -52,12 +52,11 @@ _EXPORTS = {
         ),
         "topology": (
             "TreeTopology", "caterpillar", "edge_splits", "from_newick", "is_caterpillar",
-            "quartet", "star", "suppress_degree_two", "to_newick",
+            "quartet", "star", "to_newick",
         ),
         "trees": (
-            "GMMParams", "contracted_tree_cumulants", "exact_sqrt", "gmm_tree_cumulants",
-            "normalized_tree_cumulants", "subset_tree_cumulants", "tree_cumulants",
-            "trivalent_refinement", "variances_from_distribution", "variances_from_moments",
+            "GMMParams", "contracted_tree_cumulants", "exact_sqrt", "normalized_tree_cumulants",
+            "subset_tree_cumulants", "tree_cumulants", "trivalent_refinement", "variances_from_moments",
         ),
     }.items()
     for name in names

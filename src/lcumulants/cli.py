@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded identity suite")
     p.add_argument("suite", help=" | ".join(_SUITE_NAMES))
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--jobs", type=int, help="worker processes for trial batches, at most the usable CPU count")

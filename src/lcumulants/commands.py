@@ -39,12 +39,11 @@ from .moments import (
     MOMENTS,
     PROBABILITIES,
     CoordinateVector,
+    DiscreteDistribution,
     StateSpace,
     central_moments,
     distribution_from_moments,
-    distribution_from_vector,
     moments_from_distribution,
-    vector_from_distribution,
 )
 from .models import (
     GMMParams,
@@ -197,10 +196,17 @@ def _digest(*parts: object) -> str:
 # -- lattice ------------------------------------------------------------------
 
 
+def _n_counts_leaves(tree: TreeTopology, n: int | None) -> None:
+    """Refuse a given ``--n`` that does not count the tree's leaves."""
+    if n is not None and n != tree.num_leaves:
+        raise SystemExit2(f"--n {n} does not match the {tree.num_leaves} leaves of the tree")
+
+
 def _labels(fam: Family, n: int | None) -> tuple[int, ...]:
-    """The ground labels of a family: a tree's leaves, or 1..n."""
+    """The ground labels of a family: a tree's leaves, which a given n must count, or 1..n."""
     if fam.kind == TREE:
         assert fam.tree is not None
+        _n_counts_leaves(fam.tree, n)
         return fam.tree.leaves
     if n is None:
         raise SystemExit2("--n is required for size-indexed families")
@@ -210,8 +216,6 @@ def _labels(fam: Family, n: int | None) -> tuple[int, ...]:
 def cmd_lattice(args) -> int:
     fam = _family_from_args(args.family, args.tree)
     labels = _labels(fam, args.n)
-    if args.n is not None and args.n != len(labels):
-        raise SystemExit2(f"--n {args.n} does not match the {len(labels)} leaves of the tree")
     count = lat_mod.element_count(fam, labels, capacity=_capacity())
     if count > DUMP_ELEMENT_LIMIT:
         raise SystemExit2(f"the {fam} lattice has {count} elements, above the dump limit of {DUMP_ELEMENT_LIMIT}")
@@ -227,7 +231,7 @@ _SYSTEMS = (PROBABILITIES, MOMENTS, CENTRAL_MOMENTS, CLASSICAL_CUMULANTS, LCUMUL
 
 def _to_moments_hub(vec: CoordinateVector, source: str, fam: Family | None) -> CoordinateVector:
     if source == PROBABILITIES:
-        return moments_from_distribution(distribution_from_vector(vec, algebraic=True))
+        return moments_from_distribution(DiscreteDistribution(vec.space, vec.entries, algebraic=True))
     if source == MOMENTS:
         return vec
     if source == CLASSICAL_CUMULANTS:
@@ -247,7 +251,8 @@ def _from_moments_hub(mv: CoordinateVector, target: str, fam: Family | None) -> 
     if target == MOMENTS:
         return mv
     if target == PROBABILITIES:
-        return vector_from_distribution(distribution_from_moments(mv, algebraic=True))
+        dist = distribution_from_moments(mv, algebraic=True)
+        return CoordinateVector(dist.space, PROBABILITIES, dist.table)
     if target == CENTRAL_MOMENTS:
         return central_moments(mv)
     if target == CLASSICAL_CUMULANTS:
@@ -403,6 +408,15 @@ def cmd_model_hmm(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
+# The size of a verify suite over 1..n when --n is not given; the report
+# shows it as the n option, also for a suite that reads a tree.
+VERIFY_N = 4
+
+
+def _size(args) -> int:
+    """The given --n of a verify suite, else :data:`VERIFY_N`."""
+    return VERIFY_N if args.n is None else args.n
+
 
 def _report(command: str, options: dict, results: list[dict], timing: float | None) -> dict:
     failed = sum(1 for r in results if not r["pass"])
@@ -502,9 +516,10 @@ def _positive_trials(suite: str, trials: int) -> None:
 
 def _suite_secant(args) -> list[dict]:
     _positive_trials("secant", args.trials)
-    _within_capacity(args.n, "--n")
+    n = _size(args)
+    _within_capacity(n, "--n")
     seeds = _trial_seeds(args.seed, args.trials)
-    items = [(trial, s, args.n) for trial, s in enumerate(seeds)]
+    items = [(trial, s, n) for trial, s in enumerate(seeds)]
     return _run_trials(_secant_trial, items, args.jobs)
 
 
@@ -538,23 +553,29 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
     for node in tree.inner_nodes():
         retree, reparams = reroot_params(tree, params, node)
         redist = gmm_distribution(retree, reparams)
-        reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
+        # Both tables are held as integers over the lcm of their denominators,
+        # so equal tables have equal integers and a residual of 0.
+        if redist._ints != dist._ints:
+            reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
     results.append(_check(f"trial {trial}: rooting invariance", reroot_worst))
     split_worst = max(rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(refined)))
     results.append(_check(f"trial {trial}: edge split binomials", split_worst))
     return results
 
 
-def _two_leaves(suite: str, tree) -> None:
+def _suite_tree(suite: str, args) -> TreeTopology:
+    """The tree of a model suite, the quartet by default, checked against --n and the cap."""
+    tree = _load_tree(args.tree) if args.tree else quartet()
     if tree.num_leaves < 2:
         raise SystemExit2(f"verify {suite} needs a tree with at least two leaves")
+    _n_counts_leaves(tree, args.n)
+    _within_capacity(tree.num_leaves, "the tree's leaf count")
+    return tree
 
 
 def _suite_gmm(args) -> list[dict]:
     _positive_trials("gmm", args.trials)
-    tree = _load_tree(args.tree) if args.tree else quartet()
-    _two_leaves("gmm", tree)
-    _within_capacity(tree.num_leaves, "the tree's leaf count")
+    _suite_tree("gmm", args)
     seeds = _trial_seeds(args.seed, args.trials)
     items = [(trial, s, args.tree) for trial, s in enumerate(seeds)]
     return _run_trials(_gmm_trial, items, args.jobs)
@@ -571,7 +592,7 @@ def _hmm_trial(item: tuple[int, int, int]) -> list[dict]:
 def _suite_hmm(args) -> list[dict]:
     import itertools as it
 
-    n = args.n
+    n = _size(args)
     if n < 2 or args.trials < 0:
         raise SystemExit2("verify hmm needs --n of at least 2 and a nonnegative --trials")
     _within_capacity(n, "--n")
@@ -604,7 +625,7 @@ def _suite_hmm(args) -> list[dict]:
 
 def _suite_weisner(args) -> list[dict]:
     fam = _family_from_args(args.family, args.tree)
-    labels = _labels(fam, args.n)
+    labels = _labels(fam, args.n if fam.kind == TREE else _size(args))
     count = lat_mod.element_count(fam, labels, capacity=_capacity())
     if count < 2:
         raise SystemExit2("a one-element lattice has no meet-fiber sum to check")
@@ -626,7 +647,7 @@ def _suite_conditions(args) -> list[dict]:
     names = [which] if which else ["C0", "C1", "C2", "C3"]
     results = []
     for name in names:
-        report = check_condition(fam, name, max_size=args.n, capacity=_capacity())
+        report = check_condition(fam, name, max_size=_size(args), capacity=_capacity())
         if report.holds is None:  # nothing was checked, so nothing passed or failed
             raise SystemExit2(report.witness)
         expected = args.expect
@@ -646,9 +667,7 @@ def _suite_conditions(args) -> list[dict]:
 
 
 def _suite_split_binomials(args) -> list[dict]:
-    tree = _load_tree(args.tree) if args.tree else quartet()
-    _two_leaves("split-binomials", tree)
-    _within_capacity(tree.num_leaves, "the tree's leaf count")
+    tree = _suite_tree("split-binomials", args)
     if args.params:
         params, root = _load_gmm_params(args.params)
         if root is not None:
@@ -692,7 +711,7 @@ def cmd_verify(args) -> int:
     # report bytes depend only on the inputs and the seed.
     options = {
         k: v
-        for k, v in sorted(vars(args).items())
+        for k, v in sorted({**vars(args), "n": _size(args)}.items())
         if k not in {"func", "output", "timing", "jobs"} and v is not None
     }
     payload = _report(f"verify {args.suite}", options, results, elapsed)

@@ -16,6 +16,7 @@ mode can apply their own tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -278,15 +279,6 @@ def split_binomials(
                         violations.append(((I, subsets_b[j][0], I2, subsets_b[j2][0]), Fraction(residual, scale * scale)))
         reports.append(BinomialReport((side_a, side_b), len(subsets_a) ** 2 * len(subsets_b) ** 2, violations))
     return reports
-
-
-def verify_split_binomials(
-    tree_cums: Mapping[tuple[int, ...], Fraction] | CoordinateVector,
-    side_a: Sequence[int],
-    side_b: Sequence[int],
-) -> BinomialReport:
-    """The :func:`split_binomials` report of the one split A|B."""
-    return split_binomials(tree_cums, [(side_a, side_b)])[0]
 
 
 # -- hidden two-state chains --------------------------------------------------------
@@ -609,37 +601,30 @@ def binary_regression_identity_check(
 def _conditionally_independent(
     dist: DiscreteDistribution, blocks: Sequence[Sequence[int]], r: int
 ) -> bool:
-    from .moments import marginal
+    """Whether the blocks are jointly independent given the variable r.
 
+    Each level of r cuts a slice of mass m from the joint table of the
+    blocks.  On a slice with mass, the k blocks are independent when every
+    cell p has p * m^(k-1) equal to the product of its blocks' marginals,
+    each marginal summed in one pass over the slice.
+    """
     blocks = [tuple(b) for b in blocks if b]
-    flat = tuple(sorted(v for b in blocks for v in b))
-    joint = marginal(dist, flat + (r,))
-    ordering = sorted(flat + (r,))
-    pos = {v: ordering.index(v) + 1 for v in flat + (r,)}
-    for level in range(2):
-        # slice on r == level
-        mass = Fraction(0)
-        slice_table: dict[tuple[int, ...], Fraction] = {}
-        for x, p in joint.table.items():
-            if x[pos[r] - 1] == level:
-                key = tuple(x[pos[v] - 1] for v in flat)
-                slice_table[key] = slice_table.get(key, Fraction(0)) + p
-                mass += p
+    slices: dict[int, dict[tuple, Fraction]] = {}
+    for x, p in dist.table.items():
+        cells = slices.setdefault(x[r - 1], {})
+        key = tuple(tuple(x[v - 1] for v in block) for block in blocks)
+        cells[key] = cells.get(key, 0) + p
+    for cells in slices.values():
+        mass = sum(cells.values())
         if mass == 0:
             continue
-        conditional = {k: v / mass for k, v in slice_table.items()}
-        # check product structure across blocks
-        for assignment, p in conditional.items():
-            prod = Fraction(1)
-            for block in blocks:
-                sub_mass = Fraction(0)
-                for other, q in conditional.items():
-                    if all(
-                        other[flat.index(v)] == assignment[flat.index(v)] for v in block
-                    ):
-                        sub_mass += q
-                prod *= sub_mass
-            if prod != p:
+        marginals: list[dict[tuple, Fraction]] = [{} for _ in blocks]
+        for key, p in cells.items():
+            for table, part in zip(marginals, key):
+                table[part] = table.get(part, 0) + p
+        scale = mass ** (len(blocks) - 1)
+        for key, p in cells.items():
+            if p * scale != math.prod(table[part] for table, part in zip(marginals, key)):
                 return False
     return True
 

@@ -474,16 +474,6 @@ def _space_and_table(data: Mapping) -> tuple[StateSpace, dict[Exponent, Fraction
     return space, entries
 
 
-def vector_from_distribution(dist: DiscreteDistribution) -> CoordinateVector:
-    return CoordinateVector(dist.space, PROBABILITIES, dict(dist.table))
-
-
-def distribution_from_vector(vec: CoordinateVector, algebraic: bool = False) -> DiscreteDistribution:
-    if vec.system != PROBABILITIES:
-        raise ValueError(f"expected probabilities, got {vec.system}")
-    return DiscreteDistribution(vec.space, dict(vec.entries), algebraic=algebraic)
-
-
 # -- raw moments -----------------------------------------------------------
 
 

@@ -125,32 +125,6 @@ class TreeTopology:
         return f"TreeTopology({to_newick(self)!r})"
 
 
-def suppress_degree_two(tree: TreeTopology) -> TreeTopology:
-    """Contract paths through non-root inner nodes of degree 2."""
-    protected = {tree.root} if tree.root is not None else set()
-    edges = {tuple(sorted(e, key=str)) for e in tree.edges}
-    adj: dict[object, set[object]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(adj):
-            if node in protected or isinstance(node, int):
-                continue
-            if len(adj[node]) == 2:
-                a, b = sorted(adj[node], key=str)
-                adj[a].discard(node)
-                adj[b].discard(node)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[node]
-                changed = True
-    out_edges = {tuple(sorted((u, v), key=str)) for u in adj for v in adj[u]}
-    return TreeTopology(out_edges, root=tree.root if tree.root in adj else None)
-
-
 def caterpillar(n: int) -> TreeTopology:
     """Trivalent caterpillar: inner spine h1..h(n-2), leaves in index order.
 
@@ -189,16 +163,21 @@ def is_caterpillar(tree: TreeTopology) -> bool:
 
     This is the shape for which coarsening intervals in the induced
     partition lattice behave regularly enough for conditional-cumulant
-    formulas; a star with four or more leaves is not of this shape.
+    formulas; a star with four or more leaves is not of this shape.  It
+    is read off the edge splits, which suppressing degree-2 nodes keeps.
+    A tree on n >= 4 leaves has at most n - 3 nontrivial splits, and n - 3
+    exactly when it is trivalent; then each cherry is the two-leaf side of
+    one split, and the inner nodes lie on a path when there are two
+    cherries.  A named node of degree one is never suppressed, so a tree
+    with one is not of this shape.
     """
-    core = suppress_degree_two(TreeTopology([tuple(e) for e in tree.edges], root=None))
-    inner = [v for v in core.nodes if not isinstance(v, int)]
-    if not inner:
-        return True
-    if any(core.degree(v) != 3 for v in inner):
+    if any(tree.degree(v) == 1 for v in tree.inner_nodes()):
         return False
-    inner_degs = [sum(1 for w in core.neighbors(v) if not isinstance(w, int)) for v in inner]
-    return all(d <= 2 for d in inner_degs)
+    n = tree.num_leaves
+    if n <= 3:
+        return True
+    sides = [len(side) for split in edge_splits(tree) if len(split[0]) >= 2 for side in split]
+    return len(sides) == 2 * (n - 3) and sides.count(2) <= 2
 
 
 def edge_splits(tree: TreeTopology) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -171,37 +171,6 @@ def _closed_form(tree: TreeTopology, params: GMMParams) -> dict[int, Fraction]:
     return values
 
 
-def _closed_form_vector(
-    tree: TreeTopology, params: GMMParams, family_tree: TreeTopology, capacity: int | None
-) -> CoordinateVector:
-    """:func:`_closed_form` on every binary state, tagged with the family of ``family_tree``."""
-    if tree.root is None:
-        raise ValueError("closed form needs the rooted parametrization")
-    n = tree.num_leaves
-    if capacity is not None and n > capacity:
-        raise CapacityError(f"ground set of size {n} exceeds the cap of {capacity}")
-    space = StateSpace.binary(n)
-    values = _closed_form(tree, params)
-    values[0] = Fraction(0)
-    entries = {x: values[sum(e << i for i, e in enumerate(x))] for x in space.states()}
-    return CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, family_tree))
-
-
-def gmm_tree_cumulants(
-    tree: TreeTopology, params: GMMParams, capacity: int | None = DEFAULT_CAPACITY
-) -> CoordinateVector:
-    """Closed-form tree cumulants of the latent tree model on its own tree.
-
-    The values are :func:`_closed_form`'s, which are the coordinates of a
-    trivalent refinement.  So every inner node must have degree at most
-    three for the tree's own family to tag them; inner nodes of higher
-    degree take :func:`contracted_tree_cumulants`.
-    """
-    if any(tree.degree(v) > 3 for v in tree.inner_nodes()):
-        raise ValueError("inner degree above three; use contracted_tree_cumulants")
-    return _closed_form_vector(tree, params, tree, capacity)
-
-
 def trivalent_refinement(tree: TreeTopology) -> tuple[TreeTopology, dict[object, object]]:
     """Resolve every inner node of degree above three into a left comb.
 
@@ -245,10 +214,20 @@ def contracted_tree_cumulants(
     The model distribution is unchanged by the refinement since contracted
     edges copy states with probability one; the returned coordinates are
     the refined tree's cumulants of that distribution, which
-    :func:`_closed_form` reads off the unresolved tree itself.
+    :func:`_closed_form` reads off the unresolved tree itself.  A tree
+    whose inner degrees are at most three is its own refinement.
     """
+    if tree.root is None:
+        raise ValueError("closed form needs the rooted parametrization")
+    n = tree.num_leaves
+    if capacity is not None and n > capacity:
+        raise CapacityError(f"ground set of size {n} exceeds the cap of {capacity}")
     refined, _ = trivalent_refinement(tree)
-    return refined, _closed_form_vector(tree, params, refined, capacity)
+    space = StateSpace.binary(n)
+    values = _closed_form(tree, params)
+    values[0] = Fraction(0)
+    entries = {x: values[sum(e << i for i, e in enumerate(x))] for x in space.states()}
+    return refined, CoordinateVector(space, TREE_CUMULANTS, entries, family=Family(TREE, refined))
 
 
 # -- normalization ------------------------------------------------------------
@@ -263,14 +242,6 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
-
-
-def variances_from_distribution(dist: DiscreteDistribution) -> list[Fraction]:
-    out = []
-    for i in range(1, dist.space.n + 1):
-        mean = dist.raw_moment([i])
-        out.append(dist.raw_moment([i, i]) - mean * mean)
-    return out
 
 
 def variances_from_moments(mv: CoordinateVector) -> list[Fraction]:

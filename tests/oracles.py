@@ -97,6 +97,15 @@ product of component means per state of the mixture.
 ``models.hmm_tree_cumulants_closed`` extends each support's products from
 its prefix's.  ``hmm_tree_cumulants_closed`` here rebuilds every support's
 numerator and denominator from scratch, as it did before.
+
+``topology.is_caterpillar`` reads the shape off the edge splits.
+``is_caterpillar`` here builds the tree with its degree-2 nodes
+suppressed (``suppress_degree_two``) and checks that it is trivalent with
+its inner nodes on a path, as it did before.
+``models._conditionally_independent`` compares each cell of a slice of
+the joint table with the product of its block marginals, each summed in
+one pass.  ``conditionally_independent`` here divides the slice by its
+mass and rescans the whole conditional table for every cell and block.
 """
 
 from __future__ import annotations
@@ -146,6 +155,7 @@ from lcumulants.moments import (
     _strides,
     _vandermonde,
     central_moments,
+    marginal,
 )
 from lcumulants.partition import (
     DEFAULT_CAPACITY,
@@ -991,3 +1001,74 @@ def hmm_tree_cumulants_closed(params):
                     den *= v[m - 1]
             out[support] = num / den
     return out
+
+
+def suppress_degree_two(tree):
+    """Contract paths through non-root inner nodes of degree 2."""
+    protected = {tree.root} if tree.root is not None else set()
+    edges = {tuple(sorted(e, key=str)) for e in tree.edges}
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    changed = True
+    while changed:
+        changed = False
+        for node in list(adj):
+            if node in protected or isinstance(node, int):
+                continue
+            if len(adj[node]) == 2:
+                a, b = sorted(adj[node], key=str)
+                adj[a].discard(node)
+                adj[b].discard(node)
+                adj[a].add(b)
+                adj[b].add(a)
+                del adj[node]
+                changed = True
+    out_edges = {tuple(sorted((u, v), key=str)) for u in adj for v in adj[u]}
+    return TreeTopology(out_edges, root=tree.root if tree.root in adj else None)
+
+
+def is_caterpillar(tree):
+    """Trivalent after suppressing degree-2 nodes, with inner nodes on a path."""
+    core = suppress_degree_two(TreeTopology([tuple(e) for e in tree.edges], root=None))
+    inner = [v for v in core.nodes if not isinstance(v, int)]
+    if not inner:
+        return True
+    if any(core.degree(v) != 3 for v in inner):
+        return False
+    inner_degs = [sum(1 for w in core.neighbors(v) if not isinstance(w, int)) for v in inner]
+    return all(d <= 2 for d in inner_degs)
+
+
+def conditionally_independent(dist, blocks, r):
+    """The blocks' independence given the binary r, one conditional table rescan per cell and block."""
+    blocks = [tuple(b) for b in blocks if b]
+    flat = tuple(sorted(v for b in blocks for v in b))
+    joint = marginal(dist, flat + (r,))
+    ordering = sorted(flat + (r,))
+    pos = {v: ordering.index(v) + 1 for v in flat + (r,)}
+    for level in range(2):
+        # slice on r == level
+        mass = Fraction(0)
+        slice_table = {}
+        for x, p in joint.table.items():
+            if x[pos[r] - 1] == level:
+                key = tuple(x[pos[v] - 1] for v in flat)
+                slice_table[key] = slice_table.get(key, Fraction(0)) + p
+                mass += p
+        if mass == 0:
+            continue
+        conditional = {k: v / mass for k, v in slice_table.items()}
+        # check product structure across blocks
+        for assignment, p in conditional.items():
+            prod = Fraction(1)
+            for block in blocks:
+                sub_mass = Fraction(0)
+                for other, q in conditional.items():
+                    if all(other[flat.index(v)] == assignment[flat.index(v)] for v in block):
+                        sub_mass += q
+                prod *= sub_mass
+            if prod != p:
+                return False
+    return True

@@ -616,6 +616,27 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith(f"error: verify {suite} needs")
 
+    @pytest.mark.parametrize("tree, leaves", [("quartet", 4), ("caterpillar5", 5)])
+    @pytest.mark.parametrize(
+        "suite", [["weisner", "--family", "tree"], ["gmm", "--trials", "1"], ["split-binomials"]], ids=lambda s: s[0]
+    )
+    def test_a_tree_suite_checks_a_given_n(self, capsys, suite, tree, leaves):
+        # Without --n the report shows the default n of 4, whatever the tree.
+        argv = ["verify", *suite, "--tree", tree]
+        code, bare = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(bare)["options"]["n"] == 4
+        code, given = run(capsys, *argv, "--n", str(leaves))
+        assert code == 0
+        assert json.loads(given)["results"] == json.loads(bare)["results"]
+        if leaves == 4:
+            assert given == bare
+        for n in (leaves - 1, leaves + 1):
+            assert main([*argv, "--n", str(n)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --n {n} does not match the {leaves} leaves of the tree\n"
+
     def test_split_binomials_suite(self, capsys, tmp_path):
         params = tmp_path / "p.json"
         params.write_text(json.dumps(GMM_PARAMS))

@@ -32,7 +32,6 @@ from lcumulants.models import (
     gmm_distribution,
     random_gmm_params,
     split_binomials,
-    verify_split_binomials,
 )
 from lcumulants.moments import (
     LCUMULANTS,
@@ -448,12 +447,12 @@ class TestSplitMinors:
         tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
         values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         split = ((1, 2), (3, 4, 5))
-        report = verify_split_binomials(values, *split)
+        report = split_binomials(values, [split])[0]
         assert (report.checked, report.violations) == oracles.split_minors(values, *split)
         assert not report.violations
         values[(2, 4)] += Fraction(1, 7)
         values[(1, 3, 5)] -= Fraction(2, 13)
-        report = verify_split_binomials(values, *split)
+        report = split_binomials(values, [split])[0]
         checked, violations = oracles.split_minors(values, *split)
         assert violations
         assert (report.checked, report.violations) == (checked, violations)
@@ -468,7 +467,7 @@ class TestSplitMinors:
         point = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         failed = 0
         for split in (split for split in edge_splits(tree) if min(map(len, split)) >= 2):
-            report = verify_split_binomials(point, *split)
+            report = split_binomials(point, [split])[0]
             assert (report.checked, report.violations) == oracles.split_minors(point, *split)
             assert not report.violations
             keys = sorted(tuple(sorted(I + J)) for I in _subsets(split[0]) for J in _subsets(split[1]))
@@ -480,7 +479,7 @@ class TestSplitMinors:
                 values = dict(point)
                 for key, delta in changes:
                     values[key] += delta
-                report = verify_split_binomials(values, *split)
+                report = split_binomials(values, [split])[0]
                 assert (report.checked, report.violations) == oracles.split_minors(values, *split)
                 failed += bool(report.violations)
         assert failed
@@ -500,7 +499,7 @@ class TestSplitMinors:
         values = {key: Fraction(u[k // 7] * v[k % 7], 5) for k, key in enumerate(cells)}
         if change is not None:
             values[cells[change[0]]] += change[1]
-        report = verify_split_binomials(values, side_a, side_b)
+        report = split_binomials(values, [(side_a, side_b)])[0]
         checked, violations = oracles.split_minors(values, side_a, side_b)
         assert (report.checked, report.violations) == (checked, violations)
         rows = [[values[cells[7 * i + j]] * 5 for j in range(7)] for i in range(3)]
@@ -552,14 +551,14 @@ class TestSplitMinors:
             assert len(split_binomials(values, splits[:count])) == count
             assert len(calls) == 1
         calls.clear()
-        verify_split_binomials(values, *splits[0])
+        split_binomials(values, [splits[0]])[0]
         assert len(calls) == 1
 
     def test_a_float_entry_is_refused(self):
         values = {c: Fraction(1, 3) for r in range(1, 5) for c in itertools.combinations(range(1, 5), r)}
         values[(1, 3)] = 0.5
         with pytest.raises(TypeError, match=r"floats are not allowed in exact mode.*\(1, 3\)"):
-            verify_split_binomials(values, (1, 2), (3, 4))
+            split_binomials(values, [((1, 2), (3, 4))])[0]
 
 
 def _rationals(limit=12):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from lcumulants.moments import (
     moments_from_distribution,
 )
 from lcumulants.models import (
+    _conditionally_independent,
     HMMParams,
     SecantParams,
     binary_regression_identity_check,
@@ -26,12 +28,13 @@ from lcumulants.models import (
     reroot_params,
     secant_moments,
     secant_tree_cumulants,
-    verify_split_binomials,
+    split_binomials,
 )
 from lcumulants.partition import CapacityError, SetPartition
 from lcumulants.topology import caterpillar, edge_splits, from_newick, quartet, star
 from lcumulants.trees import (
     GMMParams,
+    contracted_tree_cumulants,
     normalized_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
@@ -75,16 +78,14 @@ class TestLatentTreeDistribution:
         assert moments_from_distribution(dist).entries == chart.entries
 
     def test_rerooting_preserves_the_law_and_coordinates(self, rng):
-        from lcumulants.trees import gmm_tree_cumulants
-
         q = quartet()
         params = random_gmm_params(q, rng)
         dist = gmm_distribution(q, params)
-        coords = gmm_tree_cumulants(q, params)
+        coords = contracted_tree_cumulants(q, params)[1]
         for node in q.inner_nodes():
             retree, reparams = reroot_params(q, params, node)
             assert gmm_distribution(retree, reparams) == dist
-            assert gmm_tree_cumulants(retree, reparams).entries == coords.entries
+            assert contracted_tree_cumulants(retree, reparams)[1].entries == coords.entries
 
 
 def gmm_distribution_by_enumeration(tree, params):
@@ -278,7 +279,7 @@ class TestSplitBinomials:
         q = quartet()
         params = random_gmm_params(q, rng)
         tv = tree_cumulants(moments_from_distribution(gmm_distribution(q, params)), q)
-        report = verify_split_binomials(tv, (1, 2), (3, 4))
+        report = split_binomials(tv, [((1, 2), (3, 4))])[0]
         assert report.all_zero
         assert report.checked == 81
         assert report.max_abs_residual == 0
@@ -297,7 +298,7 @@ class TestSplitBinomials:
         tv = tree_cumulants(moments_from_distribution(gmm_distribution(q, params)), q)
         values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         values[(1, 3)] += Fraction(1, 9)
-        report = verify_split_binomials(values, (1, 2), (3, 4))
+        report = split_binomials(values, [((1, 2), (3, 4))])[0]
         assert not report.all_zero
         assert report.max_abs_residual > 0
 
@@ -306,12 +307,12 @@ class TestSplitBinomials:
         factors = [[Fraction(2, 5), Fraction(3, 5)]] * 4
         mv = moments_from_distribution(DiscreteDistribution.product(space, factors))
         tv = tree_cumulants(mv, caterpillar(4))
-        report = verify_split_binomials(tv, (1, 2), (3, 4))
+        report = split_binomials(tv, [((1, 2), (3, 4))])[0]
         assert report.all_zero
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError):
-            verify_split_binomials({}, (1, 2), (2, 3))
+            split_binomials({}, [((1, 2), (2, 3))])[0]
 
 
 def split_binomials_by_lookup(values, side_a, side_b):
@@ -343,7 +344,7 @@ class TestSplitBinomialMatrix:
             for r in range(1, 6)
             for c in itertools.combinations(range(1, 6), r)
         }
-        report = verify_split_binomials(values, *split)
+        report = split_binomials(values, [split])[0]
         checked, violations = split_binomials_by_lookup(values, *split)
         assert violations
         assert (report.checked, report.violations) == (checked, violations)
@@ -353,10 +354,10 @@ class TestSplitBinomialMatrix:
         tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
         values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         for split in edge_splits(tree):
-            report = verify_split_binomials(tv, *split)
+            report = split_binomials(tv, [split])[0]
             assert (report.checked, report.violations) == split_binomials_by_lookup(values, *split)
         values[(2, 4)] += Fraction(1, 7)
-        report = verify_split_binomials(values, (1, 2), (3, 4, 5))
+        report = split_binomials(values, [((1, 2), (3, 4, 5))])[0]
         assert report.violations
         assert (report.checked, report.violations) == split_binomials_by_lookup(values, (1, 2), (3, 4, 5))
 
@@ -525,6 +526,53 @@ class TestHiddenChainClosedForm:
         p_h3_given_h1_1 = a11 * a12 + (1 - a11) * a02
         cov13 = m[0] * p_h3_given_h1_1 - m[0] * m[2]
         assert cov13 == c[0] * c[1] / v[1]
+
+
+def _conditional_independence_case(rng):
+    """A table over a binary r and two or three blocks, with its build.
+
+    Each slice of r is a product of block weights, random weights or
+    empty; a table built independent has no random slice.  Weights of 0
+    leave empty cells, and arities are 2 or 3 off r.
+    """
+    count = rng.choice((3, 3, 4, 4, 5))
+    order = rng.sample(range(1, count + 1), count)
+    r, blocks = order[0], [order[1:2], order[2:3], order[3:]]
+    space = StateSpace.of([2 if v == r else rng.choice((2, 3)) for v in range(1, count + 1)])
+    built = rng.random() < 0.5
+    while True:
+        modes = [rng.choice(("product", "product", "empty") if built else ("product", "random")) for _ in (0, 1)]
+        if not built and "random" not in modes:
+            continue
+        factors = {}
+        table = {}
+        for x in space.states():
+            level = x[r - 1]
+            if modes[level] == "random":
+                table[x] = rng.randint(0, 4)
+            else:
+                table[x] = modes[level] == "product"
+                for k, block in enumerate(blocks):
+                    key = (level, k, tuple(x[v - 1] for v in block))
+                    table[x] *= factors.setdefault(key, rng.randint(0, 3))
+        total = sum(table.values())
+        if total:
+            return DiscreteDistribution(space, {x: Fraction(w, total) for x, w in table.items()}), blocks, r, built
+
+
+class TestConditionalIndependence:
+    def test_block_marginals_equal_the_conditional_table_rescan(self):
+        rng = random.Random(3)
+        independent = built = 0
+        for _ in range(1000):
+            dist, blocks, r, was_built = _conditional_independence_case(rng)
+            got = _conditionally_independent(dist, blocks, r)
+            assert got == oracles.conditionally_independent(dist, blocks, r), (dist.table, blocks, r)
+            assert got or not was_built
+            independent += got
+            built += was_built
+        assert 400 <= built <= 600
+        assert built <= independent <= built + 100
 
 
 class TestRegressionIdentities:

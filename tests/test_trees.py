@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,24 +23,43 @@ from lcumulants.topology import (
     is_caterpillar,
     quartet,
     star,
-    suppress_degree_two,
     to_newick,
 )
 from lcumulants.trees import (
     GMMParams,
     contracted_tree_cumulants,
     exact_sqrt,
-    gmm_tree_cumulants,
     normalized_tree_cumulants,
     subset_tree_cumulants,
     tree_cumulants,
     trivalent_refinement,
-    variances_from_distribution,
+    variances_from_moments,
 )
 from oracles import all_partitions, build, induced_subtree, is_interval
 
 from conftest import random_distribution
 from test_first_blocks import SHAPE_TREES
+
+
+def _random_tree(rng):
+    """A random tree on 2..9 leaves labelled 1..n, rooted or not."""
+    n = rng.randint(2, 9)
+    edges = [(leaf, "h") for leaf in range(1, min(n, 3) + 1)]
+    for leaf in range(4, n + 1):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, f"h{leaf}"), (f"h{leaf}", v), (leaf, f"h{leaf}")]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        inner = [e for e in edges if not any(isinstance(v, int) for v in e)]
+        if inner:
+            u, v = inner[rng.randrange(len(inner))]
+            edges = [tuple(u if w == v else w for w in e) for e in edges if e != (u, v)]
+    for k in range(rng.choice((0, 0, 1, 2))):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, f"s{k}"), (f"s{k}", v)]
+    if rng.random() < 0.1:
+        edges.append((rng.choice([w for e in edges for w in e if not isinstance(w, int)]), "x"))
+    nodes = sorted({w for e in edges for w in e}, key=str)
+    return TreeTopology(edges, root=rng.choice([None, *nodes]))
 
 
 class TestTopology:
@@ -68,8 +88,35 @@ class TestTopology:
             root="a",
         )
         assert is_caterpillar(tree)
-        core = suppress_degree_two(tree)
+        core = oracles.suppress_degree_two(tree)
         assert all(core.degree(v) == 3 or isinstance(v, int) for v in core.nodes if v != "a")
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
+    def test_caterpillar_shape_equals_the_suppressed_tree(self, name):
+        tree = SHAPE_TREES[name]
+        for root in (None, *sorted(tree.nodes, key=str)):
+            rooted = TreeTopology([tuple(e) for e in tree.edges], root=root)
+            assert is_caterpillar(rooted) == oracles.is_caterpillar(rooted), root
+
+    def test_caterpillar_shape_on_random_trees(self):
+        # Leaves inserted on random edges give trivalent trees, caterpillars
+        # among them; contracting inner edges adds multifurcations,
+        # subdividing edges adds degree-2 nodes, and a few trees keep a
+        # named node of degree one.
+        rng = random.Random(20240)
+        seen = {"caterpillar": 0, "degree two": 0, "multifurcation": 0, "rooted": 0, "named leaf": 0}
+        for _ in range(6000):
+            tree = _random_tree(rng)
+            got = is_caterpillar(tree)
+            assert got == oracles.is_caterpillar(tree), tree.edges
+            inner_degrees = [tree.degree(v) for v in tree.inner_nodes()]
+            seen["caterpillar"] += got
+            seen["degree two"] += 2 in inner_degrees
+            seen["multifurcation"] += any(d > 3 for d in inner_degrees)
+            seen["rooted"] += tree.root is not None
+            seen["named leaf"] += 1 in inner_degrees
+        assert all(count >= 300 for count in seen.values()), seen
+        assert seen["caterpillar"] <= 4000, seen
 
     def test_induced_subtree_full_set(self):
         q = quartet()
@@ -212,7 +259,7 @@ class TestLatentTreeClosedForm:
             params = random_gmm_params(tree, rng)
             dist = gmm_distribution(tree, params)
             pipeline = tree_cumulants(moments_from_distribution(dist), tree)
-            assert gmm_tree_cumulants(tree, params).entries == pipeline.entries
+            assert contracted_tree_cumulants(tree, params)[1].entries == pipeline.entries
 
     def test_snowflake_is_not_a_caterpillar(self):
         assert not is_caterpillar(snowflake())
@@ -223,7 +270,7 @@ class TestLatentTreeClosedForm:
         means = params.node_means(q)
         bar = {v: 1 - 2 * means[v] for v in means}
         eta = params.eta
-        tv = gmm_tree_cumulants(q, params)
+        tv = contracted_tree_cumulants(q, params)[1]
         quarter = Fraction(1, 4)
         assert tv.of_multiset((1, 2)) == quarter * (1 - bar["a"] ** 2) * eta("a", 1) * eta("a", 2)
         assert tv.of_multiset((1, 3)) == quarter * (1 - bar["a"] ** 2) * eta("a", 1) * eta("a", "b") * eta("b", 3)
@@ -247,17 +294,11 @@ class TestLatentTreeClosedForm:
         tables = dict(params.tables)
         tables[("a", "b")] = (flat, flat)  # slope zero across the inner edge
         cut = GMMParams(params.root_dist, tables)
-        tv = gmm_tree_cumulants(q, cut)
+        tv = contracted_tree_cumulants(q, cut)[1]
         for x in StateSpace.binary(4).states():
             support = {i + 1 for i, e in enumerate(x) if e}
             if support & {1, 2} and support & {3, 4}:
                 assert tv[x] == 0
-
-    def test_high_degree_rejected(self, rng):
-        st4 = star(4)
-        params = random_gmm_params(st4, rng)
-        with pytest.raises(ValueError):
-            gmm_tree_cumulants(st4, params)
 
     @pytest.mark.parametrize(
         "tree",
@@ -273,17 +314,17 @@ class TestLatentTreeClosedForm:
     @pytest.mark.parametrize("seed", range(3))
     def test_span_masks_equal_the_induced_subtrees(self, tree, seed):
         params = random_gmm_params(tree, SplitMix64(seed))
-        got = gmm_tree_cumulants(tree, params)
+        got = contracted_tree_cumulants(tree, params)[1]
         assert got.entries == oracles.gmm_tree_cumulants_by_subtree(tree, params).entries
 
     def test_capacity(self, rng):
         q = quartet()
         params = random_gmm_params(q, rng)
         with pytest.raises(CapacityError):
-            gmm_tree_cumulants(q, params, capacity=3)
-        assert gmm_tree_cumulants(q, params, capacity=None).entries == gmm_tree_cumulants(q, params).entries
+            contracted_tree_cumulants(q, params, capacity=3)[1]
+        assert contracted_tree_cumulants(q, params, capacity=None)[1].entries == contracted_tree_cumulants(q, params)[1].entries
         with pytest.raises(CapacityError):
-            gmm_tree_cumulants(caterpillar(13), random_gmm_params(caterpillar(13), rng))
+            contracted_tree_cumulants(caterpillar(13), random_gmm_params(caterpillar(13), rng))[1]
 
 
 class TestContraction:
@@ -347,14 +388,14 @@ class TestOnePass:
             _, contracted = contracted_tree_cumulants(rooted, params)
             assert contracted.entries == want, node
             if all(rooted.degree(v) <= 3 for v in rooted.inner_nodes()):
-                assert gmm_tree_cumulants(rooted, params).entries == want, node
+                assert contracted.family == Family(TREE, rooted), node
 
     def test_childless_inner_node(self):
         # "d" is an inner node with no leaf below it: no span reaches it.
         tree = TreeTopology([(1, "a"), (2, "a"), ("a", "b"), (3, "c"), ("c", "b"), ("c", "d")], root="a")
         for seed in range(3):
             params = random_gmm_params(tree, SplitMix64(seed))
-            got = gmm_tree_cumulants(tree, params)
+            got = contracted_tree_cumulants(tree, params)[1]
             assert got.entries == oracles.gmm_tree_cumulants_by_states(tree, params).entries
             assert got.entries == oracles.gmm_tree_cumulants_by_subtree(tree, params).entries
             pipeline = tree_cumulants(moments_from_distribution(gmm_distribution(tree, params)), tree)
@@ -390,7 +431,7 @@ class TestNormalization:
     def test_pair_value_is_the_correlation(self, rng):
         space = StateSpace.binary(2)
         dist = random_distribution(space, rng)
-        variances = variances_from_distribution(dist)
+        variances = variances_from_moments(moments_from_distribution(dist))
         tv = subset_tree_cumulants(dist, caterpillar(2))
         normalized = normalized_tree_cumulants(tv, variances)
         cov = dist.raw_moment([1, 2]) - dist.raw_moment([1]) * dist.raw_moment([2])
@@ -409,11 +450,9 @@ class TestNormalization:
             normalized_tree_cumulants({(1, 2): Fraction(1)}, [Fraction(0), Fraction(1)])
 
     def test_variances_from_aliased_moments(self, rng):
-        from lcumulants.trees import variances_from_moments
-
         space = StateSpace.of(
             [2, 3], values=[[Fraction(-1), Fraction(2)], [Fraction(0), Fraction(1), Fraction(3)]]
         )
         dist = random_distribution(space, rng)
         mv = moments_from_distribution(dist)
-        assert variances_from_moments(mv) == variances_from_distribution(dist)
+        assert variances_from_moments(mv) == [dist.raw_moment([i, i]) - dist.raw_moment([i]) ** 2 for i in (1, 2)]
