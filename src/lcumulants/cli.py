@@ -17,6 +17,8 @@ set cap of 12.
 This module builds the parser and maps errors to exit codes, and loads
 none of the library: ``main`` parses first, then imports the verbs from
 :mod:`lcumulants.commands`, so ``--help`` and a usage error start fast.
+Only the verb argv names, and under ``model`` its kind, gets its
+arguments; the others are bare subparsers with their help strings.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ class SystemExit2(Exception):
     """Usage or parse problem; mapped to exit code 2."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcumulants",
-        description="Exact lattice-cumulant transforms and model verifiers.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("lattice", help="dump a partition lattice as JSON")
+def _lattice_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="full | noncrossing | interval | onecluster | tree")
     p.add_argument("--n", type=int, help="ground set size (size-indexed families)")
     p.add_argument("--tree", help="newick file, literal newick, caterpillarN, starN, quartet")
@@ -49,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func="cmd_lattice")
 
-    p = sub.add_parser("transform", help="change coordinate systems on a vector file")
+
+def _transform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--from", dest="source", help="defaults to the file's system tag")
     p.add_argument("--to", dest="target", required=True)
@@ -59,10 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func="cmd_transform")
 
-    p = sub.add_parser("model", help="emit model distributions and coordinates")
-    model_sub = p.add_subparsers(dest="model", required=True)
 
-    g = model_sub.add_parser("gmm", help="latent binary tree model")
+def _model_gmm_args(g: argparse.ArgumentParser) -> None:
     g.add_argument("--tree", required=True)
     g.add_argument("--params", required=True)
     g.add_argument("--emit", default="moments", help="distribution | moments | treecumulants")
@@ -70,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--output", "-o")
     g.set_defaults(func="cmd_model_gmm")
 
-    g = model_sub.add_parser("secant", help="rank-two mixture chart")
+
+def _model_secant_args(g: argparse.ArgumentParser) -> None:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--t", required=True)
     g.add_argument("--a", required=True, help="comma-separated rationals")
@@ -80,14 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--output", "-o")
     g.set_defaults(func="cmd_model_secant")
 
-    g = model_sub.add_parser("hmm", help="binary hidden chain with emissions")
+
+def _model_hmm_args(g: argparse.ArgumentParser) -> None:
     g.add_argument("--params", required=True)
     g.add_argument("--emit", default="distribution", help="distribution | treecumulants | normalized")
     g.add_argument("--float", dest="float_mode", action="store_true")
     g.add_argument("--output", "-o")
     g.set_defaults(func="cmd_model_hmm")
 
-    p = sub.add_parser("verify", help="run a seeded identity suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", help=" | ".join(_SUITE_NAMES))
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -102,16 +99,53 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func="cmd_verify")
 
+
+def _subparsers(sub, choices, named: str | None) -> None:
+    """One subparser per choice; only the one argv names gets its arguments.
+
+    The others keep their help strings, which is all the parent's help and
+    its choice errors read.  The parent's options take no value, so the
+    choice argparse takes is the first word of argv that is not an option.
+    """
+    for name, help_text, add in choices:
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add(p)
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of the verb argv names, and of its model kind under ``model``."""
+    verb, kind = ([word for word in argv if not word.startswith("-")] + [None, None])[:2]
+
+    def model_args(p: argparse.ArgumentParser) -> None:
+        model_sub = p.add_subparsers(dest="model", required=True)
+        kinds = [
+            ("gmm", "latent binary tree model", _model_gmm_args),
+            ("secant", "rank-two mixture chart", _model_secant_args),
+            ("hmm", "binary hidden chain with emissions", _model_hmm_args),
+        ]
+        _subparsers(model_sub, kinds, kind)
+
+    parser = argparse.ArgumentParser(
+        prog="lcumulants",
+        description="Exact lattice-cumulant transforms and model verifiers.",
+    )
+    verbs = [
+        ("lattice", "dump a partition lattice as JSON", _lattice_args),
+        ("transform", "change coordinate systems on a vector file", _transform_args),
+        ("model", "emit model distributions and coordinates", model_args),
+        ("verify", "run a seeded identity suite", _verify_args),
+    ]
+    _subparsers(parser.add_subparsers(dest="verb", required=True), verbs, verb)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes -2/7 for an option: pass "--t -2/7" as "--t=-2/7"
         if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = parser.parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     from . import commands
 
     try:

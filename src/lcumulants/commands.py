@@ -444,9 +444,12 @@ def _check(name: str, residual: Fraction | int | None = None, ok: bool | None = 
 
 
 def _max_diff(left: dict, right: dict) -> Fraction:
+    """The largest |left[k] - right[k]|; only the pairs that differ are subtracted."""
     worst = Fraction(0)
-    for key in left:
-        worst = max(worst, abs(left[key] - right[key]))
+    for key, value in left.items():
+        other = right[key]
+        if value != other:
+            worst = max(worst, abs(value - other))
     return worst
 
 

@@ -8,7 +8,10 @@ two-state Markov chain.  All three are latent tree models with the
 observed variables at the leaves: their laws come from one upward
 sum-product pass over the binary latent nodes, and their tree cumulants
 from the one closed form of :mod:`trees`, on the star with one hidden
-node for the chart and on the hidden chain for the process.  Verifiers
+node for the chart and on the hidden chain for the process.  The pass
+runs on integers: each builder scales its rows and root weights to
+integers after checking them, and hands the result to the table or the
+moment vector as integers, which neither takes apart again.  Verifiers
 return exact residuals rather than booleans so that callers in float
 mode can apply their own tolerance.
 """
@@ -25,7 +28,10 @@ from .moments import (
     CoordinateVector,
     DiscreteDistribution,
     StateSpace,
+    _box,
+    _Graded,
     _scaled_integers,
+    _strides,
 )
 from .partition import DEFAULT_CAPACITY, _Frozen, _Value
 from .topology import TreeTopology, caterpillar, star
@@ -35,35 +41,59 @@ from .trees import GMMParams, _closed_form, exact_sqrt, subset_tree_cumulants
 # -- the upward pass -------------------------------------------------------------
 
 
-def _upward_pass(children: Mapping, rows: Mapping, root: object, weights: Sequence) -> dict:
-    """Leaf-state table of a rooted tree of binary latent nodes.
+def _upward_pass(space: StateSpace, children: Mapping, rows: Mapping, root: object, weights: Sequence[int]) -> list[int]:
+    """Leaf-state table of a rooted tree of binary latent nodes, on integers.
 
-    Integer nodes are the observed leaves.  ``rows[(u, v)]`` weighs each
-    state of v given u in state 0 and in state 1: two states for a latent
-    child, one per level for a leaf.  A node's message maps each state of
-    the leaves below it to its two weights: the product of the children's
-    messages, each summed over the child's state through its rows.  The
-    root's ``weights`` close the pass; keys list the leaves by label.
+    Integer nodes are the observed leaves, leaf i the variable i of
+    ``space``.  ``rows[(u, v)]`` weighs each state of v given u in state 0
+    and in state 1: two states for a latent child, one per level for a
+    leaf.  A node's message lists, for each state of the leaves below it,
+    the state's offset in the product order of ``space`` and its two
+    weights: the product of the children's messages, each summed over the
+    child's state through its rows.  The root's ``weights`` close the
+    pass, which returns the table in product order.  Rows and weights are
+    integers, each row pair and the weights over their own scale, so the
+    table is over the product of those scales.  Every entry is a sum of
+    products, one factor per edge, so the pass never divides.
     """
+    strides = _strides(space.arities)
 
-    def message(v: object) -> tuple[tuple[int, ...], dict]:
+    def message(v: object) -> list[tuple[int, int, int]]:
         # A leaf shows its own state, also when it is the root.
-        leaves, msg = ((v,), {(0,): (1, 0), (1,): (0, 1)}) if isinstance(v, int) else ((), {(): (1, 1)})
+        msg = [(0, 1, 0), (strides[v - 1], 0, 1)] if isinstance(v, int) else [(0, 1, 1)]
         for c in children.get(v, ()):
             r0, r1 = rows[(v, c)]
             if isinstance(c, int):
-                c_leaves, c_msg = (c,), {(s,): pair for s, pair in enumerate(zip(r0, r1))}
+                c_msg = [(s * strides[c - 1], q0, q1) for s, (q0, q1) in enumerate(zip(r0, r1))]
             else:
-                c_leaves, c_msg = message(c)
-                c_msg = {k: (r0[0] * q0 + r0[1] * q1, r1[0] * q0 + r1[1] * q1) for k, (q0, q1) in c_msg.items()}
-            leaves += c_leaves
-            msg = {k + ck: (a0 * b0, a1 * b1) for k, (a0, a1) in msg.items() for ck, (b0, b1) in c_msg.items()}
-        return leaves, msg
+                (a, b), (e, f) = r0, r1
+                c_msg = [(k, a * q0 + b * q1, e * q0 + f * q1) for k, q0, q1 in message(c)]
+            msg = [(k + ck, a0 * b0, a1 * b1) for k, a0, a1 in msg for ck, b0, b1 in c_msg]
+        return msg
 
-    leaves, msg = message(root)
-    perm = sorted(range(len(leaves)), key=leaves.__getitem__)
     w0, w1 = weights
-    return {tuple(k[j] for j in perm): w0 * q0 + w1 * q1 for k, (q0, q1) in msg.items()}
+    table = [0] * space.size
+    for k, q0, q1 in message(root):
+        table[k] = w0 * q0 + w1 * q1
+    return table
+
+
+def _law(space: StateSpace, children: Mapping, rows: Mapping, root: object, weights: Sequence) -> DiscreteDistribution:
+    """The leaf law of the upward pass from exact rows and root weights.
+
+    Each edge's row pair, and the root weights, are scaled to integers over
+    the lcm of their denominators, so the table is over the product of
+    those lcms; it is reduced and checked as a caller's table is.  A float
+    entry raises ``TypeError`` naming its edge.
+    """
+    ints, scale = {}, 1
+    for edge, (r0, r1) in rows.items():
+        row_ints, row_scale = _scaled_integers(((edge, p) for p in (*r0, *r1)), "edge")
+        ints[edge] = (tuple(row_ints[: len(r0)]), tuple(row_ints[len(r0) :]))
+        scale *= row_scale
+    weights, root_scale = _scaled_integers(enumerate(weights), "root weight")
+    table = _upward_pass(space, children, ints, root, weights)
+    return DiscreteDistribution._of_integers(space, table, scale * root_scale, algebraic=False)
 
 
 def _by_support(values: Mapping[int, Fraction], n: int) -> dict[tuple[int, ...], Fraction]:
@@ -78,6 +108,8 @@ def _by_support(values: Mapping[int, Fraction], n: int) -> dict[tuple[int, ...],
 def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribution:
     """Leaf marginal of the binary Bayesian network on a rooted tree: the
     upward pass with rows ``(1 - p, p)`` read from the edge tables.
+
+    The pass runs on integers (:func:`_law`).
     """
     if tree.root is None:
         raise ValueError("the model is parametrized from a root")
@@ -91,12 +123,14 @@ def gmm_distribution(tree: TreeTopology, params: GMMParams) -> DiscreteDistribut
         if not all(0 <= p <= 1 for p in row):
             raise ValueError(f"conditional table of edge {edge} outside [0, 1]")
     children: dict[object, list[object]] = {v: [] for v in tree.nodes}
+    rows = {}
     for child, parent in tree.parent_map().items():
         if (parent, child) not in params.tables:
             raise ValueError(f"no conditional table for the edge {parent} -> {child}")
         children[parent].append(child)
-    rows = {edge: ((1 - p0, p0), (1 - p1, p1)) for edge, (p0, p1) in params.tables.items()}
-    return DiscreteDistribution(StateSpace.binary(n), _upward_pass(children, rows, tree.root, params.root_dist))
+        p0, p1 = params.tables[(parent, child)]
+        rows[(parent, child)] = ((1 - p0, p0), (1 - p1, p1))
+    return _law(StateSpace.binary(n), children, rows, tree.root, params.root_dist)
 
 
 def random_gmm_params(tree: TreeTopology, rng, denominator: int = 24) -> GMMParams:
@@ -168,12 +202,18 @@ def secant_moments(params: SecantParams) -> CoordinateVector:
     """Moments of the two-component mixture: (1-t) prod a + t prod b.
 
     The upward pass on a star whose leaf rows are the component moments
-    ``(1, a_i)`` and ``(1, b_i)``, with weights ``(1-t, t)``.
+    ``(1, a_i)`` and ``(1, b_i)``, with weights ``(1-t, t)``.  The means
+    are scaled by the lcm d of their denominators and the weights by
+    theirs, c, so the pass returns graded numerators: the moment of x is
+    its entry over c * d^|x|, the form the transforms read.
     """
-    rows = {("h", i): ((1, a), (1, b)) for i, (a, b) in enumerate(zip(params.a, params.b), 1)}
-    t = Fraction(params.t)
-    table = _upward_pass({"h": range(1, params.n + 1)}, rows, "h", (1 - t, t))
-    return CoordinateVector(StateSpace.binary(params.n), MOMENTS, table)
+    n = params.n
+    means, d = _scaled_integers(enumerate((*params.a, *params.b)), "component mean")
+    rows = {("h", i): ((1, a), (1, b)) for i, a, b in zip(range(1, n + 1), means, means[n:])}
+    weights, c = _scaled_integers(enumerate((1 - params.t, params.t)), "weight")
+    space = StateSpace.binary(n)
+    nums = _upward_pass(space, {"h": range(1, n + 1)}, rows, "h", weights)
+    return CoordinateVector._of_integers(space, MOMENTS, _Graded(nums, _box(space)[1], d, c))
 
 
 def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fraction]:
@@ -439,13 +479,13 @@ def _hidden_chain(params: HMMParams) -> tuple[list[str], dict[str, list[object]]
 
 def hmm_distribution(params: HMMParams) -> DiscreteDistribution:
     """Exact joint law of the observations: the upward pass on the hidden
-    chain from the initial distribution.
+    chain from the initial distribution, on integers (:func:`_law`).
     """
     hidden, children = _hidden_chain(params)
     rows = {(h, i): em for i, (h, em) in enumerate(zip(hidden, params.emissions), 1)}
     for u, v, (a0, a1) in zip(hidden, hidden[1:], params.transitions):
         rows[(u, v)] = ((1 - a0, a0), (1 - a1, a1))
-    return DiscreteDistribution(params.space, _upward_pass(children, rows, hidden[0], params.initial))
+    return _law(params.space, children, rows, hidden[0], params.initial)
 
 
 def hmm_tree_cumulants_closed(params: HMMParams) -> dict[tuple[int, ...], Fraction]:

@@ -92,7 +92,13 @@ formula, t(1-t)(1-2t)^(d-2) times the product of the mean gaps.
 pass that ``models.gmm_distribution`` runs.  ``hmm_distribution_by_states``
 and ``secant_moments_by_states`` are the per-state loops they replaced: the
 forward recursion from the first position for each joint state, and one
-product of component means per state of the mixture.
+product of component means per state of the mixture.  ``models._upward_pass``
+runs on integer rows and weights, each scaled by the lcm of its
+denominators.  ``upward_pass`` here is the same pass on ``Fraction`` rows,
+keyed by leaf tuple, as it ran before; ``gmm_distribution_by_fractions``,
+``hmm_distribution_by_fractions`` and ``secant_moments_by_fractions``
+build the three model laws through it.  It is the oracle at 12 leaves,
+where no per-state loop goes.
 
 ``models.hmm_tree_cumulants_closed`` extends each support's products from
 its prefix's.  ``hmm_tree_cumulants_closed`` here rebuilds every support's
@@ -931,6 +937,59 @@ def secant_tree_cumulants(params):
                 value *= params.b[i - 1] - params.a[i - 1]
             out[support] = value
     return out
+
+
+def upward_pass(children, rows, root, weights):
+    """The leaf-state table of a rooted tree of binary latent nodes, on ``Fraction`` rows.
+
+    A node's message maps each state of the leaves below it to its two
+    weights; the keys list the leaves by label.
+    """
+
+    def message(v):
+        leaves, msg = ((v,), {(0,): (1, 0), (1,): (0, 1)}) if isinstance(v, int) else ((), {(): (1, 1)})
+        for c in children.get(v, ()):
+            r0, r1 = rows[(v, c)]
+            if isinstance(c, int):
+                c_leaves, c_msg = (c,), {(s,): pair for s, pair in enumerate(zip(r0, r1))}
+            else:
+                c_leaves, c_msg = message(c)
+                c_msg = {k: (r0[0] * q0 + r0[1] * q1, r1[0] * q0 + r1[1] * q1) for k, (q0, q1) in c_msg.items()}
+            leaves += c_leaves
+            msg = {k + ck: (a0 * b0, a1 * b1) for k, (a0, a1) in msg.items() for ck, (b0, b1) in c_msg.items()}
+        return leaves, msg
+
+    leaves, msg = message(root)
+    perm = sorted(range(len(leaves)), key=leaves.__getitem__)
+    w0, w1 = weights
+    return {tuple(k[j] for j in perm): w0 * q0 + w1 * q1 for k, (q0, q1) in msg.items()}
+
+
+def gmm_distribution_by_fractions(tree, params):
+    """The latent tree law through the ``Fraction`` pass, with rows ``(1 - p, p)``."""
+    children = {v: [] for v in tree.nodes}
+    for child, parent in tree.parent_map().items():
+        children[parent].append(child)
+    rows = {edge: ((1 - p0, p0), (1 - p1, p1)) for edge, (p0, p1) in params.tables.items()}
+    return DiscreteDistribution(StateSpace.binary(tree.num_leaves), upward_pass(children, rows, tree.root, params.root_dist))
+
+
+def hmm_distribution_by_fractions(params):
+    """The chain law through the ``Fraction`` pass: leaf i under h_i, h_(i+1) after it."""
+    hidden = [f"h{i}" for i in range(1, params.n + 1)]
+    children = {h: [i, *hidden[i : i + 1]] for i, h in enumerate(hidden, 1)}
+    rows = {(h, i): em for i, (h, em) in enumerate(zip(hidden, params.emissions), 1)}
+    for u, v, (a0, a1) in zip(hidden, hidden[1:], params.transitions):
+        rows[(u, v)] = ((1 - a0, a0), (1 - a1, a1))
+    return DiscreteDistribution(params.space, upward_pass(children, rows, hidden[0], params.initial))
+
+
+def secant_moments_by_fractions(params):
+    """The mixture moments through the ``Fraction`` pass on the star with rows ``(1, a_i)``, ``(1, b_i)``."""
+    rows = {("h", i): ((1, a), (1, b)) for i, (a, b) in enumerate(zip(params.a, params.b), 1)}
+    t = Fraction(params.t)
+    table = upward_pass({"h": range(1, params.n + 1)}, rows, "h", (1 - t, t))
+    return CoordinateVector(StateSpace.binary(params.n), MOMENTS, table)
 
 
 def hmm_distribution_by_states(params):

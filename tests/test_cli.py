@@ -10,7 +10,7 @@ import pytest
 
 import lcumulants.lattice
 from lcumulants.cli import main
-from lcumulants.commands import WEISNER_FIBRE_LIMIT
+from lcumulants.commands import WEISNER_FIBRE_LIMIT, _max_diff
 from lcumulants.lattice import Family
 from lcumulants.topology import from_newick, to_newick
 
@@ -665,9 +665,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: --jobs must be at least 1, not {jobs}\n"
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        _, solo = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2")
-        _, multi = run(capsys, "verify", "hmm", "--n", "3", "--seed", "2", "--trials", "2", "--jobs", "2")
+    @pytest.mark.parametrize(
+        "suite",
+        [["hmm", "--n", "3"], ["gmm", "--tree", "caterpillar5"], ["secant", "--n", "5"]],
+        ids=["hmm", "gmm", "secant"],
+    )
+    def test_jobs_do_not_change_bytes(self, capsys, suite):
+        # The workers run the integer model laws; their rows must merge into the same report.
+        _, solo = run(capsys, "verify", *suite, "--seed", "2", "--trials", "2")
+        _, multi = run(capsys, "verify", *suite, "--seed", "2", "--trials", "2", "--jobs", "2")
         assert solo == multi
 
     @pytest.mark.parametrize(
@@ -845,6 +851,21 @@ TWELVE_MIXED_ARITY_HMM = {
 SIGNED_SECANT = [
     "--n", "6", "--t=-2/7", "--a", "1/2,-3,5/4,0,-1/6,2", "--b=-1/3,4,1/5,-7/2,3,-1",
 ]
+
+
+class TestMaxDiff:
+    def test_only_unequal_pairs_are_subtracted(self):
+        class Opaque:
+            """Equal to itself only, and never subtracted."""
+
+            def __sub__(self, other):
+                raise AssertionError("an equal pair was subtracted")
+
+        same = Opaque()
+        left = {1: same, 2: Fraction(1, 3), 3: Fraction(-1, 2)}
+        right = {1: same, 2: Fraction(1, 4), 3: Fraction(1, 2)}
+        assert _max_diff(left, right) == 1
+        assert str(_max_diff({1: same, 2: Fraction(2, 3)}, {1: same, 2: Fraction(2, 3)})) == "0"
 
 
 class TestGoldenBytes:

@@ -7,6 +7,7 @@ import pytest
 from lcumulants.lattice import FULL, Family
 from lcumulants.lcumulant import classical_cumulants, detect_independence_structure, to_lcumulants
 from lcumulants.moments import (
+    CoordinateVector,
     DiscreteDistribution,
     StateSpace,
     central_moments,
@@ -153,6 +154,101 @@ class TestUpwardPass:
         tree = ORACLE_TREES[name].rooted_at(1)
         params = random_gmm_params(tree, rng)
         assert gmm_distribution(tree, params) == gmm_distribution_by_enumeration(tree, params)
+
+
+TWELVE_LEAF_TREES = {
+    "caterpillar12": caterpillar(12),
+    "relabelled-balanced12": from_newick("(((7,2)a,(9,1)b)c,((10,4)d,(3,8)e)f,((5,6)g,(12,11)h)i)r;"),
+}
+
+
+def _same_table(fast, slow):
+    """Equal tables in the same key order, held as the same integers."""
+    assert list(fast.table.items()) == list(slow.table.items())
+    assert fast._ints == slow._ints
+
+
+class TestIntegerPass:
+    """The integer upward pass against the ``Fraction`` pass it replaced."""
+
+    @pytest.mark.parametrize("name", TWELVE_LEAF_TREES)
+    def test_twelve_leaves_at_every_rooting(self, name, rng):
+        tree = TWELVE_LEAF_TREES[name]
+        params = random_gmm_params(tree, rng)
+        for node in sorted(tree.nodes, key=str):
+            retree, reparams = reroot_params(tree, params, node)
+            _same_table(gmm_distribution(retree, reparams), oracles.gmm_distribution_by_fractions(retree, reparams))
+
+    @pytest.mark.parametrize("name", ["quartet", "balanced7", "degree-four"])
+    def test_rows_at_zero_and_one(self, name, rng):
+        tree = ORACLE_TREES[name]
+        drawn = random_gmm_params(tree, rng)
+        ends = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+        for root_dist in [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), drawn.root_dist]:
+            tables = {edge: ends[k % 4] if k % 3 else row for k, (edge, row) in enumerate(sorted(drawn.tables.items(), key=str))}
+            params = GMMParams(root_dist, tables)
+            for root in (tree.root, 1):
+                retree = tree.rooted_at(root)
+                reparams = params if root == tree.root else GMMParams(root_dist, _redirected(retree, tables))
+                _same_table(gmm_distribution(retree, reparams), oracles.gmm_distribution_by_fractions(retree, reparams))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_three_level_chain_with_value_maps(self, n, rng):
+        drawn = random_hmm_params(rng, n, [3] * n)
+        values = [[Fraction(-1, i + 2), Fraction(i, 3), Fraction(2 * i + 3, 5)] for i in range(n)]
+        zero = (Fraction(0), *drawn.emissions[0][0][1:-1], drawn.emissions[0][0][0] + drawn.emissions[0][0][-1])
+        emissions = ((zero, drawn.emissions[0][1]),) + drawn.emissions[1:]
+        params = HMMParams(StateSpace.of([3] * n, values), drawn.initial, drawn.transitions, emissions)
+        _same_table(hmm_distribution(params), oracles.hmm_distribution_by_fractions(params))
+
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4), 0])
+    def test_secant_points_with_signed_means_and_zero_gaps(self, t, rng, monkeypatch):
+        import lcumulants.moments
+
+        n = 7
+        a = tuple(rng.fraction(24, signed=True) for _ in range(n))
+        b = tuple(a[i] if i % 3 == 0 else rng.fraction(20, signed=True) for i in range(n))  # gaps 0 at 1, 4, 7
+        params = SecantParams(t, a, b)
+        slow = oracles.secant_moments_by_fractions(params)
+        expected = classical_cumulants(CoordinateVector(slow.space, slow.system, slow.entries))
+
+        def refuse(*args):
+            raise AssertionError("the moments were taken apart again")
+
+        monkeypatch.setattr(lcumulants.moments, "_graded_from_entries", refuse)
+        fast = secant_moments(params)
+        assert classical_cumulants(fast).entries == expected.entries
+        assert list(fast.entries.items()) == list(slow.entries.items())
+
+    def test_checks_run_before_the_pass(self, rng, monkeypatch):
+        import lcumulants.models
+
+        def refuse(*args):
+            raise AssertionError("the pass ran")
+
+        monkeypatch.setattr(lcumulants.models, "_upward_pass", refuse)
+        q = quartet()
+        params = random_gmm_params(q, rng)
+        for row, error in [((0.25, Fraction(1, 2)), TypeError), ((Fraction(3, 2), Fraction(1, 2)), ValueError)]:
+            tables = {**params.tables, ("a", 1): row}
+            with pytest.raises(error):
+                gmm_distribution(q, GMMParams(params.root_dist, tables))
+        with pytest.raises(TypeError):
+            gmm_distribution(q, GMMParams((0.5, 0.5), params.tables))
+        chain = random_hmm_params(rng, 3)
+        with pytest.raises(TypeError):
+            hmm_distribution(HMMParams(chain.space, chain.initial, ((0.25, 0.5),) * 2, chain.emissions))
+        with pytest.raises(ValueError):
+            HMMParams(chain.space, chain.initial, ((Fraction(5, 4), Fraction(1, 2)),) * 2, chain.emissions)
+        for t, a in [(Fraction(1, 3), (0.5, Fraction(1))), (0.25, (Fraction(1, 2), Fraction(1)))]:
+            with pytest.raises(TypeError):
+                secant_moments(SecantParams(t, a, (Fraction(1), Fraction(2))))
+
+
+def _redirected(tree, tables):
+    """Edge tables keyed along the tree's rooting; a flipped edge keeps its row."""
+    by_pair = {frozenset(edge): row for edge, row in tables.items()}
+    return {(parent, child): by_pair[frozenset((parent, child))] for child, parent in tree.parent_map().items()}
 
 
 class TestChainAndChartOracles:
