@@ -31,6 +31,10 @@ from typing import Sequence
 # The keys of ``commands._SUITES``, for the help text.
 _SUITE_NAMES = ("conditions", "gmm", "hmm", "secant", "split-binomials", "weisner")
 
+# The verify options that have a default; a suite that does not read one
+# still accepts it at this value.
+VERIFY_DEFAULTS = {"seed": 0, "trials": 5, "family": "full"}
+
 
 class SystemExit2(Exception):
     """Usage or parse problem; mapped to exit code 2."""
@@ -87,10 +91,10 @@ def _model_hmm_args(g: argparse.ArgumentParser) -> None:
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", help=" | ".join(_SUITE_NAMES))
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=VERIFY_DEFAULTS["seed"])
+    p.add_argument("--trials", type=int, default=VERIFY_DEFAULTS["trials"])
     p.add_argument("--jobs", type=int, help="worker processes for trial batches, at most the usable CPU count")
-    p.add_argument("--family", default="full")
+    p.add_argument("--family", default=VERIFY_DEFAULTS["family"])
     p.add_argument("--tree")
     p.add_argument("--params")
     p.add_argument("--which", help="condition name for the conditions suite")

@@ -11,13 +11,14 @@ of the library.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from typing import Callable
 
 from . import lattice as lat_mod
-from .cli import SystemExit2
+from .cli import VERIFY_DEFAULTS, SystemExit2
 from .lattice import (
     FULL,
     INTERVAL,
@@ -478,6 +479,17 @@ def _run_trials(fn: Callable, items: list, jobs: int | None) -> list[dict]:
     return [row for chunk in chunks for row in chunk]
 
 
+def _bernoulli_cumulants(t: Fraction, n: int) -> list[Fraction]:
+    """kappa_1 .. kappa_n of a Bernoulli(t) variable, from kappa_1 = t and
+    kappa_(d+1) = t(1-t) d(kappa_d)/dt on integer coefficient lists."""
+    poly, out = [0, 1], []
+    for _ in range(n):
+        out.append(sum(c * t**k for k, c in enumerate(poly)))
+        slope = [k * c for k, c in enumerate(poly)][1:]
+        poly = [x - y for x, y in zip([0, *slope, 0], [0, 0, *slope])]
+    return out
+
+
 def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
     trial, seed, n = item
     rng = SplitMix64(seed)
@@ -487,27 +499,25 @@ def _secant_trial(item: tuple[int, int, int]) -> list[dict]:
     params = SecantParams(t, a, b)
     mv = secant_moments(params)
     kv = classical_cumulants(mv, _capacity())
-    gaps = [b[i] - a[i] for i in range(n)]
-    worst = Fraction(0)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            expect = t * (1 - t) * gaps[i - 1] * gaps[j - 1]
-            worst = max(worst, abs(kv.of_multiset((i, j)) - expect))
-    if n >= 3:
-        expect = t * (1 - t) * (1 - 2 * t) * gaps[0] * gaps[1] * gaps[2]
-        worst = max(worst, abs(kv.of_multiset((1, 2, 3)) - expect))
-    if n >= 4:
-        expect = t * (1 - t) * (6 * t**2 - 6 * t + 1)
-        for g in gaps[:4]:
-            expect *= g
-        worst = max(worst, abs(kv.of_multiset((1, 2, 3, 4)) - expect))
-    results = [_check(f"trial {trial}: cumulant coefficients", worst)]
+    # The chart is X_i = a_i + H (b_i - a_i) with H ~ Bernoulli(t), so the
+    # cumulant of a set S of two or more variables is kappa_|S| times the
+    # product of their gaps.
+    gaps = [bi - ai for ai, bi in zip(a, b)]
+    kappa = _bernoulli_cumulants(t, n)
+    expected = {}
+    for x in kv.entries:
+        support = [i for i, level in enumerate(x) if level]
+        if len(support) == 1:
+            expected[x] = a[support[0]] + t * gaps[support[0]]
+        elif support:
+            expected[x] = kappa[len(support) - 1] * math.prod(gaps[i] for i in support)
+    results = [_check(f"trial {trial}: cumulant coefficients", _max_diff(expected, kv.entries))]
     closed = secant_tree_cumulants(params)
     pipeline = subset_tree_cumulants(
         distribution_from_moments(mv, algebraic=True), caterpillar(n), _capacity()
     )
     results.append(_check(f"trial {trial}: closed form vs pipeline", _max_diff(closed, pipeline)))
-    binom_worst = max((rep.max_abs_residual for rep in split_binomials(closed, _all_splits(n))), default=Fraction(0))
+    binom_worst = max((rep.residual for rep in split_binomials(closed, _all_splits(n))), default=Fraction(0))
     results.append(_check(f"trial {trial}: split binomials", binom_worst))
     return results
 
@@ -561,7 +571,7 @@ def _gmm_trial(item: tuple[int, int, str | None]) -> list[dict]:
         if redist._ints != dist._ints:
             reroot_worst = max(reroot_worst, _max_diff(dist.table, redist.table))
     results.append(_check(f"trial {trial}: rooting invariance", reroot_worst))
-    split_worst = max(rep.max_abs_residual for rep in split_binomials(pipeline, edge_splits(refined)))
+    split_worst = max(rep.residual for rep in split_binomials(pipeline, edge_splits(refined)))
     results.append(_check(f"trial {trial}: edge split binomials", split_worst))
     return results
 
@@ -684,29 +694,41 @@ def _suite_split_binomials(args) -> list[dict]:
         side_a, side_b = rep.split
         name = f"split {'|'.join(map(str, side_a))} / {'|'.join(map(str, side_b))}"
         results.append(
-            _check(name, rep.max_abs_residual, checked=rep.checked)
+            _check(name, rep.residual, checked=rep.checked)
         )
     return results
 
 
-_SUITES: dict[str, Callable] = {
-    "secant": _suite_secant,
-    "gmm": _suite_gmm,
-    "hmm": _suite_hmm,
-    "weisner": _suite_weisner,
-    "conditions": _suite_conditions,
-    "split-binomials": _suite_split_binomials,
+# Each suite and the options it reads, besides --timing and -o.
+_SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "secant": (_suite_secant, ("n", "seed", "trials", "jobs")),
+    "gmm": (_suite_gmm, ("tree", "n", "seed", "trials", "jobs")),
+    "hmm": (_suite_hmm, ("n", "seed", "trials", "jobs")),
+    "weisner": (_suite_weisner, ("family", "tree", "n")),
+    "conditions": (_suite_conditions, ("family", "tree", "n", "which", "expect")),
+    "split-binomials": (_suite_split_binomials, ("tree", "n", "params", "seed")),
 }
+
+
+def _refuse_unread(args, reads: tuple[str, ...]) -> None:
+    """Refuse an option the suite does not read, unless it is given at its default."""
+    read_by_any = {option for _, options in _SUITES.values() for option in options}
+    unread = [
+        k for k, v in vars(args).items() if k in read_by_any and k not in reads and v != VERIFY_DEFAULTS.get(k)
+    ]
+    if unread:
+        raise SystemExit2(f"verify {args.suite} does not read {', '.join('--' + k for k in unread)}")
 
 
 def cmd_verify(args) -> int:
     import time
 
-    suite = _SUITES.get(args.suite)
-    if suite is None:
+    if args.suite not in _SUITES:
         raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
+    suite, reads = _SUITES[args.suite]
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit2(f"--jobs must be at least 1, not {args.jobs}")
+    _refuse_unread(args, reads)
     start = time.perf_counter()
     results = suite(args)
     elapsed = time.perf_counter() - start if args.timing else None

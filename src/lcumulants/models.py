@@ -29,6 +29,7 @@ from .moments import (
     DiscreteDistribution,
     StateSpace,
     _box,
+    _exact_parts,
     _Graded,
     _scaled_integers,
     _strides,
@@ -226,6 +227,7 @@ def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fractio
     """
     if params.n < 2:
         raise ValueError("need at least two variables")
+    _exact_parts(enumerate((params.t, *params.a, *params.b)), "parameter")  # a float raises TypeError
     t = Fraction(params.t)
     rows = {("c", i): (a, b) for i, (a, b) in enumerate(zip(params.a, params.b), 1)}
     return _by_support(_closed_form(star(params.n), GMMParams((1 - t, t), rows)), params.n)
@@ -235,67 +237,66 @@ def secant_tree_cumulants(params: SecantParams) -> dict[tuple[int, ...], Fractio
 
 
 class BinomialReport(_Value):
-    """The minors checked for one split A|B, and every one that did not vanish."""
+    """The minors of one split A|B: how many, and a witness ``((I, J, I', J'), r)``
+    whose residual r is not 0, or None when every minor vanishes."""
 
-    _fields = ("split", "checked", "violations")
+    _fields = ("split", "checked", "witness")
     __hash__ = None
 
-    def __init__(
-        self,
-        split: tuple[tuple[int, ...], tuple[int, ...]],
-        checked: int,
-        violations: list[tuple[tuple[tuple[int, ...], ...], Fraction]],
-    ):
+    def __init__(self, split: tuple[tuple[int, ...], ...], checked: int, witness: tuple[tuple, Fraction] | None):
         self.split = split
         self.checked = checked
-        self.violations = violations
+        self.witness = witness
 
     @property
-    def max_abs_residual(self) -> Fraction:
-        return max((abs(r) for _, r in self.violations), default=Fraction(0))
+    def residual(self) -> Fraction:
+        return Fraction(0) if self.witness is None else abs(self.witness[1])
 
     @property
     def all_zero(self) -> bool:
-        return not self.violations
+        return self.witness is None
 
 
 def _nonempty_subsets(pool: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    out: list[tuple[tuple[int, ...], int]] = []
-    for r in range(1, len(pool) + 1):
-        out.extend((c, sum(1 << i for i in c)) for c in itertools.combinations(pool, r))
-    return out
+    return [(c, sum(1 << i for i in c)) for r in range(1, len(pool) + 1) for c in itertools.combinations(pool, r)]
 
 
-def _rank_at_most_one(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether every 2x2 minor of the matrix vanishes, in O(rows * cols).
+def _first_nonzero_minor(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int, int], int] | None:
+    """The first 2x2 minor of the matrix that does not vanish, and its value, in O(rows * cols).
 
     With p = M[i0][j0] its first nonzero entry, M has rank at most one
-    exactly when M[i][j] * p = M[i][j0] * M[i0][j] for every cell.  A zero
-    matrix passes.
+    exactly when M[i][j] * p = M[i][j0] * M[i0][j] for every cell.  The
+    first cell (i, j) where that fails spans with the pivot the minor
+    ``(i0, j0, i, j)``, of value p M[i][j] - M[i0][j] M[i][j0].  A rank of
+    at most one, the zero matrix's too, gives None.
     """
-    for pivot_row in rows:
+    for i0, pivot_row in enumerate(rows):
         for j0, p in enumerate(pivot_row):
             if p:
-                return all(v * p == row[j0] * w for row in rows for v, w in zip(row, pivot_row))
-    return True
+                for i, row in enumerate(rows):
+                    q = row[j0]
+                    for j, (v, w) in enumerate(zip(row, pivot_row)):
+                        if v * p != q * w:
+                            return (i0, j0, i, j), v * p - q * w
+                return None
+    return None
 
 
 def split_binomials(
     tree_cums: Mapping[tuple[int, ...], Fraction] | CoordinateVector,
     splits: Iterable[tuple[Sequence[int], Sequence[int]]],
 ) -> list[BinomialReport]:
-    """Evaluate every rank-one 2x2 determinant attached to each split A|B.
+    """Check the rank-one 2x2 determinants attached to each split A|B.
 
     For nonempty I, I' in A and J, J' in B the residual is
-    t(I+J) t(I'+J') - t(I+J') t(I'+J); all residuals vanish exactly on
-    points of a tree model realizing the split across an edge.  The map is
-    read once, scaled by the lcm L of its denominators and keyed by leaf
-    bitmask; an index with a repeated leaf would alias a set and is left
-    out.  A split's minors all vanish exactly when its flattening t(I+J)
-    has rank at most one, which :func:`_rank_at_most_one` tests first.
-    Only a matrix that fails has every minor taken in turn on integers; a
-    nonzero integer minor r is the residual r / L^2.  ``checked`` counts
-    every minor either way.
+    t(I+J) t(I'+J') - t(I+J') t(I'+J); all vanish exactly when the
+    flattening t(I+J) has rank at most one, as on points of a tree model
+    realizing the split across an edge.  The map is read once, scaled by
+    the lcm L of its denominators and keyed by leaf bitmask; an index with
+    a repeated leaf would alias a set and is left out.  Each split takes
+    one pass over its flattening (:func:`_first_nonzero_minor`), which
+    stops at the first minor whose integer value r is not 0: the witness,
+    with residual r / L^2.  ``checked`` counts every minor either way.
     """
     if isinstance(tree_cums, CoordinateVector):
         tree_cums = {tree_cums.space.index_multiset(x): v for x, v in tree_cums.entries.items()}
@@ -307,17 +308,14 @@ def split_binomials(
         side_a, side_b = tuple(sorted(side_a)), tuple(sorted(side_b))
         if set(side_a) & set(side_b):
             raise ValueError("split sides overlap")
-        subsets_a = _nonempty_subsets(side_a)
-        subsets_b = _nonempty_subsets(side_b)
+        subsets_a, subsets_b = _nonempty_subsets(side_a), _nonempty_subsets(side_b)
         flat = [[values[mask_i | mask_j] for _, mask_j in subsets_b] for _, mask_i in subsets_a]
-        violations = []
-        if not _rank_at_most_one(flat):
-            for ((I, _), row), ((I2, _), row2) in itertools.product(zip(subsets_a, flat), repeat=2):
-                for j, j2 in itertools.product(range(len(subsets_b)), repeat=2):
-                    residual = row[j] * row2[j2] - row[j2] * row2[j]
-                    if residual:
-                        violations.append(((I, subsets_b[j][0], I2, subsets_b[j2][0]), Fraction(residual, scale * scale)))
-        reports.append(BinomialReport((side_a, side_b), len(subsets_a) ** 2 * len(subsets_b) ** 2, violations))
+        witness = None
+        if found := _first_nonzero_minor(flat):
+            (i0, j0, i, j), r = found
+            sets = (subsets_a[i0][0], subsets_b[j0][0], subsets_a[i][0], subsets_b[j][0])
+            witness = (sets, Fraction(r, scale * scale))
+        reports.append(BinomialReport((side_a, side_b), len(subsets_a) ** 2 * len(subsets_b) ** 2, witness))
     return reports
 
 

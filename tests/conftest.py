@@ -34,6 +34,23 @@ def frac(text) -> Fraction:
     return Fraction(text)
 
 
+def assert_witness(report, oracle: tuple[int, list]) -> None:
+    """A split-binomial report against an oracle's ``(checked, violations)``.
+
+    The counts agree, the witness is None exactly when the oracle finds no
+    violation, and otherwise it is one of them, with the same exact residual.
+    """
+    checked, violations = oracle
+    assert report.checked == checked
+    assert (report.witness is None) == (not violations)
+    if violations:
+        assert report.witness in violations
+        assert type(report.witness[1]) is Fraction
+        assert report.residual == abs(report.witness[1]) > 0
+    else:
+        assert report.residual == 0
+
+
 @pytest.fixture
 def no_lattice_order(monkeypatch):
     """Make building a lattice order fail: every route to one constructs the class."""

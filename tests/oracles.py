@@ -11,10 +11,10 @@ subtree spanning a leaf set, which ``tree_elements`` and
 decodes the bitmask table of ``lattice.first_blocks`` into position
 tuples, the form ``first_block_solve`` and ``tree_first_blocks`` use.
 
-``lcumulant._first_block_solve``, ``moments._per_axis`` and the minor walk
-of ``models.split_binomials`` compute on integers.  ``first_block_solve``, ``per_axis`` and
-``split_minors`` here are the same loops on ``Fraction`` entries, as they
-ran before; the kernels must return the same values.  The recursion
+``lcumulant._first_block_solve`` and ``moments._per_axis`` compute on
+integers.  ``first_block_solve`` and ``per_axis`` here are the same loops
+on ``Fraction`` entries, as they ran before; the kernels must return the
+same values.  The recursion
 reads its tables through a cached plan, and ``first_block_solve`` reads
 them per index (``first_block_tables``).  The plan derives each state's
 stride and table key from its head's; ``solve_plan_by_tables`` builds it
@@ -23,8 +23,11 @@ before, with every stride of each state's positions.  The per-axis pass
 rotates one flat list, and ``per_axis`` indexes the box state by state.
 The one-cluster transforms run the per-axis centring shift in place of
 the recursion; ``first_block_solve`` on the one-cluster tables is their
-oracle.  ``split_binomials`` walks a split's minors only when its
-rank-one test fails; ``split_minors`` walks them always.
+oracle.  ``models.split_binomials`` makes one integer pass over a split's
+flattening and stops at the first minor that does not vanish;
+``split_minors`` walks every minor on ``Fraction`` entries, and lists each
+that does not vanish, so a witness must be one of them with the same
+residual.
 
 ``lattice._elements`` derives a family's elements from its first-block
 table, and ``lattice.mobius_weights`` gives mu(pi, top) in closed form.

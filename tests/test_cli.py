@@ -417,6 +417,40 @@ class TestVerify:
         assert data["passed"] is True
         assert data["counts"]["failed"] == 0
 
+    def test_bernoulli_cumulants_match_the_moment_recursion(self):
+        # Every moment of a Bernoulli(t) variable is t, so kappa_d is
+        # t - sum_k C(d-1, k-1) kappa_k t over k < d.
+        from math import comb
+
+        from lcumulants.commands import _bernoulli_cumulants
+
+        for t in (Fraction(0), Fraction(1, 2), Fraction(2, 7), Fraction(-3, 5)):
+            kappa = []
+            for d in range(1, 11):
+                kappa.append(t - sum(comb(d - 1, k - 1) * kappa[k - 1] * t for k in range(1, d)))
+            assert _bernoulli_cumulants(t, 10) == kappa
+            assert kappa[3] == t * (1 - t) * (6 * t**2 - 6 * t + 1)
+
+    @pytest.mark.parametrize("state", [(0, 0, 1, 0, 0), (1, 1, 1, 1, 1)], ids=["mean", "order-five"])
+    def test_secant_coefficient_row_reads_every_order(self, capsys, monkeypatch, state):
+        # One mean or one order-five cumulant off by 1/11 fails the row.
+        import lcumulants.commands
+
+        exact = lcumulants.commands.classical_cumulants
+
+        def off_at_one_state(mv, capacity):
+            kv = exact(mv, capacity)
+            entries = dict(kv.entries)
+            entries[state] += Fraction(1, 11)
+            return type(kv)(kv.space, kv.system, entries, family=kv.family)
+
+        monkeypatch.setattr(lcumulants.commands, "classical_cumulants", off_at_one_state)
+        code, data = run_json(capsys, "verify", "secant", "--n", "5", "--trials", "1")
+        assert code == 1
+        assert [(row["check"], row["residual"]) for row in data["results"] if not row["pass"]] == [
+            ("trial 0: cumulant coefficients", "1/11")
+        ]
+
     def test_weisner_suite_passes(self, capsys):
         code, data = run_json(capsys, "verify", "weisner", "--family", "full", "--n", "4")
         assert code == 0
@@ -549,9 +583,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["hmm", "--n", "13"],
-            ["secant", "--n", "13"],
-            ["gmm", "--tree", "caterpillar13"],
+            ["hmm", "--n", "13", "--trials", "1"],
+            ["secant", "--n", "13", "--trials", "1"],
+            ["gmm", "--tree", "caterpillar13", "--trials", "1"],
             ["split-binomials", "--tree", "caterpillar13"],
         ],
         ids=["hmm", "secant", "gmm", "split-binomials"],
@@ -561,7 +595,7 @@ class TestVerify:
 
         monkeypatch.delenv("LCUM_CAPACITY", raising=False)
         start = time.perf_counter()
-        assert main(["verify", *argv, "--trials", "1"]) == 2
+        assert main(["verify", *argv]) == 2
         assert time.perf_counter() - start < 3
         assert capsys.readouterr().err.rstrip().endswith("of 13 exceeds the cap of 12")
 
@@ -648,6 +682,43 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "suite, unread",
+        [
+            (["secant", "--n", "4", "--trials", "1"], ["--family", "noncrossing"]),
+            (["hmm", "--n", "3", "--trials", "1"], ["--tree", "quartet"]),
+            (["gmm", "--tree", "quartet", "--trials", "1"], ["--which", "C0"]),
+            (["weisner", "--family", "full", "--n", "3"], ["--trials", "2"]),
+            (["conditions", "--family", "full", "--n", "3"], ["--seed", "1"]),
+            (["split-binomials", "--tree", "quartet"], ["--jobs", "1"]),
+        ],
+        ids=lambda arg: arg[0],
+    )
+    def test_an_option_the_suite_does_not_read_is_refused(self, capsys, suite, unread):
+        assert main(["verify", *suite, *unread]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify {suite[0]} does not read {unread[0]}\n"
+
+    def test_every_unread_option_is_named(self, capsys):
+        argv = ["verify", "secant", "--n", "4", "--trials", "1", "--family", "noncrossing", "--tree", "quartet"]
+        assert main([*argv, "--which", "C0"]) == 2
+        assert capsys.readouterr().err == "error: verify secant does not read --family, --tree, --which\n"
+
+    @pytest.mark.parametrize(
+        "suite, defaults",
+        [
+            (["secant", "--n", "4", "--trials", "1"], ["--family", "full"]),
+            (["weisner", "--family", "noncrossing", "--n", "3"], ["--seed", "0", "--trials", "5"]),
+            (["split-binomials", "--tree", "quartet"], ["--trials", "5", "--family", "full"]),
+        ],
+        ids=lambda arg: arg[0],
+    )
+    def test_an_unread_option_at_its_default_is_accepted(self, capsys, suite, defaults):
+        code, bare = run(capsys, "verify", *suite)
+        assert code == 0
+        assert run(capsys, "verify", *suite, *defaults) == (0, bare)
 
     def test_byte_identical_reports(self, capsys):
         _, first = run(capsys, "verify", "secant", "--n", "3", "--seed", "11", "--trials", "2")

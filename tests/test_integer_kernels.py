@@ -1,16 +1,18 @@
 """The integer kernels against their Fraction oracles.
 
 ``_first_block_solve`` and ``_per_axis`` take and return integers: the
-graded form of a coordinate vector, and a flat list over one scale.  The
-split-binomial minor walk scales its entries by a common denominator.
+graded form of a coordinate vector, and a flat list over one scale.
 Read back as Fractions, each must give the same canonical Fractions as
 the Fraction loop it replaced (kept in ``oracles``), on probability and
 signed tables, rational value maps, central moments, coprime and growing
-denominators, zero and integer entries.
+denominators, zero and integer entries.  The split-binomial scan scales
+its entries by a common denominator, and its witness must be one of the
+minors that ``oracles.split_minors`` finds, with the same residual.
 """
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,10 +29,13 @@ from lcumulants.lcumulant import (
     to_lcumulants,
 )
 import lcumulants.models
+from lcumulants.commands import _all_splits
 from lcumulants.models import (
-    _rank_at_most_one,
+    SecantParams,
+    _first_nonzero_minor,
     gmm_distribution,
     random_gmm_params,
+    secant_tree_cumulants,
     split_binomials,
 )
 from lcumulants.moments import (
@@ -56,9 +61,9 @@ from lcumulants.moments import (
 )
 from lcumulants.partition import CapacityError
 from lcumulants.topology import caterpillar, edge_splits, from_newick
-from lcumulants.trees import _singleton_free_sums, tree_cumulants
+from lcumulants.trees import _singleton_free_sums, contracted_tree_cumulants, tree_cumulants
 
-from conftest import random_distribution
+from conftest import assert_witness, random_distribution
 from test_first_blocks import SHAPE_TREES, TREES
 
 SIZE_INDEXED = [FULL, NONCROSSING, INTERVAL, ONECLUSTER]
@@ -441,6 +446,32 @@ def _subsets(side):
     return [c for r in range(1, len(side) + 1) for c in itertools.combinations(side, r)]
 
 
+def _minor(values, I, J, I2, J2):
+    """t(I+J) t(I'+J') - t(I+J') t(I'+J), by four lookups."""
+
+    def t(*sets):
+        return values[tuple(sorted(itertools.chain(*sets)))]
+
+    return t(I, J) * t(I2, J2) - t(I, J2) * t(I2, J)
+
+
+def _assert_witnesses(values, splits, reports, perturbed):
+    """A split whose flattening misses the perturbed index has no witness,
+    as has a split with one leaf on a side: its flattening has one row.
+    Every witness lies on its split's sides, with the residual that four
+    lookups give."""
+    for (side_a, side_b), report in zip(splits, reports, strict=True):
+        straddles = set(perturbed) & set(side_a) and set(perturbed) & set(side_b)
+        if not (straddles and min(len(side_a), len(side_b)) >= 2):
+            assert report.witness is None
+        if report.witness is None:
+            continue
+        (I, J, I2, J2), residual = report.witness
+        assert set(I + I2) <= set(side_a) and set(J + J2) <= set(side_b)
+        assert residual == _minor(values, I, J, I2, J2) != 0
+        assert report.residual == abs(residual)
+
+
 class TestSplitMinors:
     def test_perturbed_split_matrix(self, rng):
         tree = caterpillar(5)
@@ -448,28 +479,27 @@ class TestSplitMinors:
         values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         split = ((1, 2), (3, 4, 5))
         report = split_binomials(values, [split])[0]
-        assert (report.checked, report.violations) == oracles.split_minors(values, *split)
-        assert not report.violations
+        assert_witness(report, oracles.split_minors(values, *split))
+        assert report.witness is None
         values[(2, 4)] += Fraction(1, 7)
         values[(1, 3, 5)] -= Fraction(2, 13)
         report = split_binomials(values, [split])[0]
-        checked, violations = oracles.split_minors(values, *split)
-        assert violations
-        assert (report.checked, report.violations) == (checked, violations)
-        assert all(type(r) is Fraction for _, r in report.violations)
+        assert_witness(report, oracles.split_minors(values, *split))
+        assert report.witness is not None
 
     @pytest.mark.parametrize("name", ["caterpillar6", "relabelled-caterpillar6", "balanced7"])
     def test_perturbed_points_take_the_walk_of_the_oracle(self, name, rng):
         # Every inner edge split of a tree model point passes the rank test;
-        # one or two perturbed entries, or a zeroed one, send it to the walk.
+        # one or two perturbed entries, or a zeroed one, may make it fail, and
+        # each report must then agree with the walk of the oracle.
         tree = TREES[name]
         tv = tree_cumulants(moments_from_distribution(gmm_distribution(tree, random_gmm_params(tree, rng))), tree)
         point = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         failed = 0
         for split in (split for split in edge_splits(tree) if min(map(len, split)) >= 2):
             report = split_binomials(point, [split])[0]
-            assert (report.checked, report.violations) == oracles.split_minors(point, *split)
-            assert not report.violations
+            assert_witness(report, oracles.split_minors(point, *split))
+            assert report.witness is None
             keys = sorted(tuple(sorted(I + J)) for I in _subsets(split[0]) for J in _subsets(split[1]))
             for changes in (
                 [(keys[-1], Fraction(1, 7))],
@@ -480,8 +510,8 @@ class TestSplitMinors:
                 for key, delta in changes:
                     values[key] += delta
                 report = split_binomials(values, [split])[0]
-                assert (report.checked, report.violations) == oracles.split_minors(values, *split)
-                failed += bool(report.violations)
+                assert_witness(report, oracles.split_minors(values, *split))
+                failed += report.witness is not None
         assert failed
 
     @settings(max_examples=200, deadline=None)
@@ -501,9 +531,13 @@ class TestSplitMinors:
             values[cells[change[0]]] += change[1]
         report = split_binomials(values, [(side_a, side_b)])[0]
         checked, violations = oracles.split_minors(values, side_a, side_b)
-        assert (report.checked, report.violations) == (checked, violations)
+        assert_witness(report, (checked, violations))
         rows = [[values[cells[7 * i + j]] * 5 for j in range(7)] for i in range(3)]
-        assert _rank_at_most_one(rows) is not bool(violations)
+        found = _first_nonzero_minor(rows)
+        assert (found is None) == (not violations)
+        if found is not None:
+            (i0, j0, i, j), r = found
+            assert r == rows[i0][j0] * rows[i][j] - rows[i0][j] * rows[i][j0] != 0
 
     def test_every_bipartition_in_one_pass(self, rng):
         # Each of the 31 bipartitions of a perturbed 6-leaf point gets, in
@@ -518,7 +552,8 @@ class TestSplitMinors:
         assert len(splits) == 31
         reports = split_binomials(values, splits)
         expected = [oracles.split_minors(values, *split) for split in splits]
-        assert [(report.checked, report.violations) for report in reports] == expected
+        for report, oracle in zip(reports, expected, strict=True):
+            assert_witness(report, oracle)
         assert [report.split for report in reports] == splits
         assert any(violations for _, violations in expected)
 
@@ -531,10 +566,41 @@ class TestSplitMinors:
         values = {space.index_multiset(x): v for x, v in entries.items() if max(x) <= 1}
         splits = [((1,), (2, 3, 4)), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)), ((2,), (1, 3, 4))]
         reports = split_binomials(vector, splits)
-        assert [(report.checked, report.violations) for report in reports] == [
-            oracles.split_minors(values, *split) for split in splits
-        ]
-        assert any(report.violations for report in reports)
+        for report, split in zip(reports, splits, strict=True):
+            assert_witness(report, oracles.split_minors(values, *split))
+        assert any(report.witness for report in reports)
+
+    def test_a_failing_secant_map_at_ten_variables(self):
+        # The mixture chart with t(12345) raised by 1/7 fails 475 of its 511
+        # splits.  Each stops at its witness: the walk over every minor that
+        # this replaced took 80 s on a 2-vCPU machine and stored up to
+        # 1,565,520 of them.
+        n = 10
+        a = tuple(Fraction(k, 7) - Fraction(1, 3) for k in range(n))
+        b = tuple(Fraction(2 * k + 1, 5) for k in range(n))
+        values = secant_tree_cumulants(SecantParams(Fraction(2, 7), a, b))
+        values[(1, 2, 3, 4, 5)] += Fraction(1, 7)
+        splits = _all_splits(n)
+        start = time.perf_counter()
+        reports = split_binomials(values, splits)
+        assert time.perf_counter() - start < 1.0
+        _assert_witnesses(values, splits, reports, (1, 2, 3, 4, 5))
+        assert sum(report.witness is not None for report in reports) == 475
+
+    def test_a_perturbed_caterpillar12_map_over_its_edge_splits(self, rng):
+        tree = caterpillar(12)
+        _, closed = contracted_tree_cumulants(tree, random_gmm_params(tree, rng))
+        values = {closed.space.index_multiset(x): v for x, v in closed.entries.items()}
+        values[(1, 2, 3, 4, 5, 6)] += Fraction(1, 7)
+        splits = edge_splits(tree)
+        start = time.perf_counter()
+        reports = split_binomials(values, splits)
+        assert time.perf_counter() - start < 1.0
+        _assert_witnesses(values, splits, reports, (1, 2, 3, 4, 5, 6))
+        # Four inner edges separate leaves 1..6, but at this point the
+        # flattening of 1234 | 5..12 is zero but for the raised cell, so it
+        # keeps rank one.
+        assert [report.split[0] for report in reports if report.witness] == [(1, 2), (1, 2, 3), (1, 2, 3, 4, 5)]
 
     def test_the_map_is_scaled_once_per_call(self, monkeypatch):
         calls = []

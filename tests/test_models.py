@@ -42,7 +42,7 @@ from lcumulants.trees import (
 )
 
 import oracles
-from conftest import random_distribution
+from conftest import assert_witness, random_distribution
 
 
 def star_mixture_params(rng, n=4):
@@ -364,6 +364,15 @@ class TestSecant:
             quartic *= bi - ai
         assert central_moments(mv)[(1, 1, 1, 1)] == quartic
 
+    def test_a_float_parameter_is_refused(self):
+        # The closed form checks t, a and b as secant_moments does, rather
+        # than turning 0.1 into a binary fraction.
+        a, b = (Fraction(1, 3), Fraction(1, 2)), (Fraction(1), Fraction(0))
+        for params in (SecantParams(0.1, a, b), SecantParams(Fraction(1, 10), (0.5, a[1]), b)):
+            for build in (secant_tree_cumulants, secant_moments):
+                with pytest.raises(TypeError, match="floats are not allowed in exact mode"):
+                    build(params)
+
     def test_balanced_mixture_kills_higher_coordinates(self):
         params = SecantParams(Fraction(1, 2), (Fraction(0),) * 4, (Fraction(1),) * 4)
         closed = secant_tree_cumulants(params)
@@ -378,7 +387,8 @@ class TestSplitBinomials:
         report = split_binomials(tv, [((1, 2), (3, 4))])[0]
         assert report.all_zero
         assert report.checked == 81
-        assert report.max_abs_residual == 0
+        assert report.residual == 0
+        assert report.witness is None
 
     def test_worked_pairs(self, rng):
         q = quartet()
@@ -396,7 +406,7 @@ class TestSplitBinomials:
         values[(1, 3)] += Fraction(1, 9)
         report = split_binomials(values, [((1, 2), (3, 4))])[0]
         assert not report.all_zero
-        assert report.max_abs_residual > 0
+        assert report.residual > 0
 
     def test_product_point_vanishes_trivially(self):
         space = StateSpace.binary(4)
@@ -431,10 +441,10 @@ def split_binomials_by_lookup(values, side_a, side_b):
 
 
 class TestSplitBinomialMatrix:
-    """The flattening-matrix walk against four lookups per minor."""
+    """The witness of the flattening scan against four lookups per minor."""
 
     @pytest.mark.parametrize("split", [((1, 2), (3, 4, 5)), ((2, 5), (1, 3, 4)), ((1, 3), (2, 4, 5))], ids=str)
-    def test_off_model_violations_in_order(self, split, rng):
+    def test_off_model_witness_is_a_violation(self, split, rng):
         values = {
             c: rng.fraction(11, signed=True)
             for r in range(1, 6)
@@ -443,7 +453,7 @@ class TestSplitBinomialMatrix:
         report = split_binomials(values, [split])[0]
         checked, violations = split_binomials_by_lookup(values, *split)
         assert violations
-        assert (report.checked, report.violations) == (checked, violations)
+        assert_witness(report, (checked, violations))
 
     def test_model_point_and_perturbed_point(self, rng):
         tree = caterpillar(5)
@@ -451,11 +461,12 @@ class TestSplitBinomialMatrix:
         values = {tv.space.index_multiset(x): v for x, v in tv.entries.items()}
         for split in edge_splits(tree):
             report = split_binomials(tv, [split])[0]
-            assert (report.checked, report.violations) == split_binomials_by_lookup(values, *split)
+            assert_witness(report, split_binomials_by_lookup(values, *split))
+            assert report.witness is None
         values[(2, 4)] += Fraction(1, 7)
         report = split_binomials(values, [((1, 2), (3, 4, 5))])[0]
-        assert report.violations
-        assert (report.checked, report.violations) == split_binomials_by_lookup(values, (1, 2), (3, 4, 5))
+        assert report.witness is not None
+        assert_witness(report, split_binomials_by_lookup(values, (1, 2), (3, 4, 5)))
 
 
 class TestHiddenChainDistribution:

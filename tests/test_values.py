@@ -69,8 +69,8 @@ CASES = {
     ),
     "binomial": (
         BinomialReport,
-        {"split": ((1,), (2, 3)), "checked": 9, "violations": [(((1,), (2,), (1,), (3,)), F(1, 8))]},
-        "BinomialReport(split=((1,), (2, 3)), checked=9, violations=[(((1,), (2,), (1,), (3,)), Fraction(1, 8))])",
+        {"split": ((1,), (2, 3)), "checked": 9, "witness": (((1,), (2,), (1,), (3,)), F(1, 8))},
+        "BinomialReport(split=((1,), (2, 3)), checked=9, witness=(((1,), (2,), (1,), (3,)), Fraction(1, 8)))",
     ),
     "hmm": (
         HMMParams,
